@@ -19,20 +19,16 @@ from .family import (
     FiberSpec,
     ModpResult,
     SweepResult,
-    UniformBoundReport,
     Verdict,
     hk_family_rows,
-    hk_monotonicity_check,
     hk_sweep,
     hs_family_rows,
-    hs_family_sweep,
     modp_sweep,
     specialize_fiber,
-    term_semicontinuity_check,
-    uniform_bound_probe,
     verdict_hk_monotonicity,
     verdict_hs_lex,
     verdict_term_semicontinuity,
+    verdict_uniform_bounds,
 )
 from .groebner import (
     INFINITE,

@@ -5,9 +5,15 @@ Each takes a JSON config file and writes CSV/JSON artifacts into the
 output directory; stdout carries a human-readable summary.
 
 Exit codes: 0 success (all verdicts PASS), 1 a mathematical check FAILed,
-2 validation/config error, 3 internal error.  Identical configs produce
-byte-identical artifacts regardless of the thread count; HKLAB_THREADS
-overrides the --threads flag.
+2 validation/config error (including an unknown sweep check name, two
+sweep fibers with the same label, or a prime listed twice for modp),
+3 internal error.  Identical configs produce byte-identical artifacts.
+The --threads flag is accepted for compatibility and ignored: every run
+is sequential.
+
+Sweep fibers are labeled by their assignments (`generic`, `t=0`); a value
+from an extension field GF(p^m), m > 1, also names the field, as in
+`t=s@GF(2^2)`.
 """
 
 from __future__ import annotations
@@ -23,14 +29,7 @@ from types import SimpleNamespace
 
 from .coeff import field_from_config
 from .errors import HKLabError, StructuralError, ValidationError
-from .family import (
-    FamilySpec,
-    hk_sweep,
-    hs_family_sweep,
-    modp_sweep,
-    parse_fibers,
-    uniform_bound_probe,
-)
+from .family import DEFAULT_CHECKS, FamilySpec, hk_sweep, modp_sweep, parse_fibers
 from .groebner import (
     INFINITE,
     buchberger,
@@ -65,9 +64,7 @@ class RunConfig:
     config_path: str
     out_dir: str = "."
     formats: tuple = ("csv", "json")
-    threads: int = 1
     assume_reduced: bool = False
-    seed: int = 0
 
 
 def _dec(x) -> str:
@@ -201,7 +198,6 @@ def _cmd_groebner(run: RunConfig, cfg: dict):
         "leading_monomials": [list(e) for e in G.leading_exponents()],
         "colength": "INFINITE" if length is INFINITE else length,
         "order": ring.order.kind,
-        "seed": run.seed,
     }
     if "matrix_of" in cfg:
         if length is INFINITE:
@@ -221,13 +217,12 @@ def _cmd_hk(run: RunConfig, cfg: dict):
     R = _quotient(ring, cfg)
     ideal = _parse_ideal(ring, _need(cfg, "ideal"), "ideal")
     e_max = _need(cfg, "e_max")
-    samples = hk_function(R, ideal, e_max, threads=run.threads)
+    samples = hk_function(R, ideal, e_max)
     est = hk_estimate(samples) if len(samples) >= 2 else None
     files = _write_csv(run, "hk.csv", HK_HEADER, _hk_csv_rows("-", samples, est, ""))
     payload = {
         "dimension": R.dimension,
         "samples": [_sample_payload(s) for s in samples],
-        "seed": run.seed,
     }
     if est:
         payload["estimate"] = _estimate_payload(est)
@@ -254,7 +249,6 @@ def _cmd_hs(run: RunConfig, cfg: dict):
     payload = {
         "dimension": R.dimension,
         "samples": [{"n": s.n, "length": s.length} for s in samples],
-        "seed": run.seed,
     }
     exit_code = 0
     try:
@@ -284,8 +278,7 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
     grid = None
     if "grid" in cfg:
         grid = [ring.domain(v) for v in cfg["grid"]]
-    result = rsig_search(R, sop, coefficient_grid=grid, e_max=cfg.get("e_max", 2),
-                         threads=run.threads)
+    result = rsig_search(R, sop, coefficient_grid=grid, e_max=cfg.get("e_max", 2))
     rows = [
         (i, "|".join(repr(c) for c in r.coefficients), repr(r.u),
          _frac(r.ehk_x.value), _frac(r.ehk_xu.value), _frac(r.difference),
@@ -305,7 +298,6 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
         "argmin_u": repr(result.argmin.u),
         "ehk_sop": _estimate_payload(result.rows[0].ehk_x),
         "note": "minimum over the sampled grid: an upper bound for the infimum",
-        "seed": run.seed,
     }
     files += _write_json(run, "rsig.json", payload)
     print(f"socle dimension {len(result.socle)}; {len(result.rows)} candidates")
@@ -321,7 +313,7 @@ def _cmd_csig(run: RunConfig, cfg: dict):
         _parse_ideal(ring, gens, f"candidates[{i}]")
         for i, gens in enumerate(_need(cfg, "candidates"))
     ]
-    result = csig_search(R, sop, candidates, e_max=cfg.get("e_max", 2), threads=run.threads)
+    result = csig_search(R, sop, candidates, e_max=cfg.get("e_max", 2))
     rows = []
     for r in result.rows:
         rows.append(
@@ -341,7 +333,6 @@ def _cmd_csig(run: RunConfig, cfg: dict):
         "minimum": _frac(result.minimum) if result.minimum is not None else None,
         "minimum_decimal": float(result.minimum) if result.minimum is not None else None,
         "warnings": list(result.warnings),
-        "seed": run.seed,
     }
     files += _write_json(run, "csig.json", payload)
     for w in result.warnings:
@@ -369,27 +360,21 @@ def _print_verdicts(verdicts: dict):
 def _cmd_sweep(run: RunConfig, cfg: dict):
     F = FamilySpec.from_config(cfg)
     fibers = parse_fibers(F, _need(cfg, "fibers"))
-    e_max = _need(cfg, "e_max")
-    checks = tuple(cfg.get("checks", ("term_semicontinuity", "hk_monotonicity")))
-    hk_checks = tuple(c for c in checks if c in ("term_semicontinuity", "hk_monotonicity"))
-    result = hk_sweep(F, fibers, e_max, checks=hk_checks, threads=run.threads)
-    verdicts = dict(result.verdicts)
+    checks = tuple(cfg.get("checks", DEFAULT_CHECKS))
+    result = hk_sweep(
+        F, fibers, _need(cfg, "e_max"), checks=checks, n_max=cfg.get("n_max"),
+        assume_reduced=run.assume_reduced,
+    )
+    verdicts = result.verdicts
     warnings = list(result.warnings)
     extra_payload = {}
     if "hs_lex" in checks:
-        hs_result = hs_family_sweep(F, fibers, _need(cfg, "n_max"), threads=run.threads)
-        verdicts.update(hs_result.verdicts)
         extra_payload["hs_rows"] = [
             {"fiber": r.label, "lengths": [s.length for s in r.samples]}
-            for r in hs_result.rows
+            for r in result.hs_rows
         ]
     if "uniform" in checks:
-        probe = uniform_bound_probe(
-            F, fibers, e_max, _need(cfg, "n_max"),
-            assume_reduced=run.assume_reduced, threads=run.threads,
-        )
-        verdicts.update(probe.verdicts)
-        extra_payload["uniform"] = {"c_hat": _frac(probe.c_hat), "d_hat": _frac(probe.d_hat)}
+        extra_payload["uniform"] = {"c_hat": _frac(result.c_hat), "d_hat": _frac(result.d_hat)}
 
     csv_rows = []
     for row in result.rows:
@@ -411,7 +396,6 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
         "verdicts": _verdict_payload(verdicts),
         "warnings": warnings,
         "caveat": FAMILY_CAVEAT,
-        "seed": run.seed,
         **extra_payload,
     }
     files += _write_json(run, "sweep.json", payload)
@@ -429,8 +413,7 @@ def _cmd_modp(run: RunConfig, cfg: dict):
     F = FamilySpec.from_config(cfg)
     primes = _need(cfg, "primes")
     e_max = _need(cfg, "e_max")
-    result = modp_sweep(F, primes, e_max, assume_reduced=run.assume_reduced,
-                        threads=run.threads)
+    result = modp_sweep(F, primes, e_max, assume_reduced=run.assume_reduced)
     csv_rows = []
     for row in result.rows:
         for i, s in enumerate(row.samples):
@@ -462,7 +445,6 @@ def _cmd_modp(run: RunConfig, cfg: dict):
         "verdicts": _verdict_payload(result.verdicts),
         "warnings": list(result.warnings),
         "caveat": FAMILY_CAVEAT,
-        "seed": run.seed,
     }
     files += _write_json(run, "modp.json", payload)
     files += emit_plotdata(result, run.out_dir, "modp")
@@ -482,7 +464,7 @@ def _cmd_disc(run: RunConfig, cfg: dict):
     ideal = _parse_ideal(ring, _need(cfg, "generators"), "generators")
     G = buchberger(ideal)
     value = trace_discriminant(G)
-    payload = {"discriminant": repr(value), "colength": colength(G), "seed": run.seed}
+    payload = {"discriminant": repr(value), "colength": colength(G)}
     files = _write_json(run, "disc.json", payload)
     print(f"trace discriminant: {value}")
     return 0, files
@@ -505,8 +487,6 @@ def run(config: RunConfig) -> int:
     try:
         if config.subcommand not in _DISPATCH:
             raise ValidationError(f"unknown subcommand {config.subcommand!r}")
-        if config.threads < 1:
-            raise ValidationError("threads must be >= 1")
         os.makedirs(config.out_dir, exist_ok=True)
         cfg = _load_config(config.config_path)
         code, files = _DISPATCH[config.subcommand](config, cfg)
@@ -537,26 +517,15 @@ def main(argv=None) -> int:
         sp.add_argument(
             "--format", nargs="+", choices=("csv", "json"), default=["csv", "json"]
         )
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1, help="ignored; runs are sequential")
         sp.add_argument("--assume-reduced", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    threads = args.threads
-    env = os.environ.get("HKLAB_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            print(f"error: HKLAB_THREADS must be an integer, got {env!r}", file=sys.stderr)
-            return 2
     config = RunConfig(
         subcommand=args.subcommand,
         config_path=args.config,
         out_dir=args.out,
         formats=tuple(args.format),
-        threads=threads,
         assume_reduced=args.assume_reduced,
-        seed=args.seed,
     )
     return run(config)
 

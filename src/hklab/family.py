@@ -23,7 +23,6 @@ the code does not verify.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -148,6 +147,14 @@ class FiberSpec:
         if self.kind == "prime":
             return f"p={self.prime}"
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.assignments.items()))
+        # values in GF(p^m), m > 1, name their field: t=s differs in GF(4) and GF(8)
+        field = next(
+            (v.field for v in self.assignments.values()
+             if isinstance(v, FieldElement) and v.field.kind == "extension"),
+            None,
+        )
+        if field is not None:
+            inner += f"@{field!r}"
         return inner or "special"
 
     def __repr__(self):
@@ -278,9 +285,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SweepResult:
-    rows: tuple
+    rows: tuple  # HKFiberRow, in fiber order
     verdicts: dict
     warnings: tuple = field(default_factory=tuple)
+    hs_rows: tuple = field(default_factory=tuple)  # HSFiberRow, when hs_lex or uniform ran
+    c_hat: Fraction | None = None  # uniform-bound probe results, when uniform ran
+    d_hat: Fraction | None = None
 
     @property
     def passed(self) -> bool:
@@ -295,23 +305,33 @@ def _require_one_generic(fibers):
         )
 
 
-def hk_family_rows(F: FamilySpec, fibers, e_max: int, threads: int = 1):
-    """Hilbert-Kunz sample rows for each fiber, in the given fiber order."""
+def _require_unique_labels(fibers):
+    labels = [f.label for f in fibers]
+    if len(set(labels)) < len(labels):
+        raise ValidationError(f"sweep fibers need distinct labels, got {labels}")
 
-    def one(fiber: FiberSpec) -> HKFiberRow:
+
+def hk_family_rows(F: FamilySpec, fibers, e_max: int):
+    """Hilbert-Kunz sample rows for each fiber, in the given fiber order."""
+    rows = []
+    for fiber in fibers:
         R, I = specialize_fiber(F, fiber)
         samples = tuple(hk_function(R, I, e_max))
         est = hk_estimate(samples) if len(samples) >= 2 else None
-        return HKFiberRow(
-            label=fiber.label, dimension=R.dimension, samples=samples, estimate=est
+        rows.append(
+            HKFiberRow(label=fiber.label, dimension=R.dimension, samples=samples, estimate=est)
         )
+    return tuple(rows)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one, fibers))
-    else:
-        rows = tuple(one(f) for f in fibers)
-    return rows
+
+def hs_family_rows(F: FamilySpec, fibers, n_max: int):
+    """Hilbert-Samuel sample rows for each fiber, in the given fiber order."""
+    rows = []
+    for fiber in fibers:
+        R, I = specialize_fiber(F, fiber)
+        samples = tuple(hs_function(R, I, n_max))
+        rows.append(HSFiberRow(label=fiber.label, dimension=R.dimension, samples=samples))
+    return tuple(rows)
 
 
 def _dimension_warnings(rows):
@@ -376,61 +396,6 @@ def verdict_hk_monotonicity(rows) -> Verdict:
     )
 
 
-def term_semicontinuity_check(F: FamilySpec, fibers, e_max: int, threads: int = 1) -> SweepResult:
-    """Per-term semicontinuity check across fibers (one GENERIC required)."""
-    _require_one_generic(fibers)
-    rows = hk_family_rows(F, fibers, e_max, threads=threads)
-    return SweepResult(
-        rows=rows,
-        verdicts={"term_semicontinuity": verdict_term_semicontinuity(rows)},
-        warnings=_dimension_warnings(rows),
-    )
-
-
-def hk_monotonicity_check(F: FamilySpec, fibers, e_max: int, threads: int = 1) -> SweepResult:
-    """Limit-estimate monotonicity check across fibers (one GENERIC required)."""
-    _require_one_generic(fibers)
-    if e_max < 2:
-        raise ValidationError("monotonicity check needs e_max >= 2 for estimates")
-    rows = hk_family_rows(F, fibers, e_max, threads=threads)
-    return SweepResult(
-        rows=rows,
-        verdicts={"hk_monotonicity": verdict_hk_monotonicity(rows)},
-        warnings=_dimension_warnings(rows),
-    )
-
-
-def hk_sweep(F: FamilySpec, fibers, e_max: int, checks=("term_semicontinuity", "hk_monotonicity"),
-             threads: int = 1) -> SweepResult:
-    """Run several Hilbert-Kunz verdicts on one shared row table."""
-    _require_one_generic(fibers)
-    if "hk_monotonicity" in checks and e_max < 2:
-        raise ValidationError("monotonicity check needs e_max >= 2 for estimates")
-    rows = hk_family_rows(F, fibers, e_max, threads=threads)
-    verdict_fns = {
-        "term_semicontinuity": verdict_term_semicontinuity,
-        "hk_monotonicity": verdict_hk_monotonicity,
-    }
-    verdicts = {}
-    for name in checks:
-        if name not in verdict_fns:
-            raise ValidationError(f"unknown check {name!r}")
-        verdicts[name] = verdict_fns[name](rows)
-    return SweepResult(rows=rows, verdicts=verdicts, warnings=_dimension_warnings(rows))
-
-
-def hs_family_rows(F: FamilySpec, fibers, n_max: int, threads: int = 1):
-    def one(fiber: FiberSpec) -> HSFiberRow:
-        R, I = specialize_fiber(F, fiber)
-        samples = tuple(hs_function(R, I, n_max))
-        return HSFiberRow(label=fiber.label, dimension=R.dimension, samples=samples)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(one, fibers))
-    return tuple(one(f) for f in fibers)
-
-
 def verdict_hs_lex(rows) -> Verdict:
     """PASS iff the generic Hilbert-Samuel tuple is lex-<= every special one."""
     generic = next((r for r in rows if r.label == "generic"), None)
@@ -463,14 +428,86 @@ def verdict_hs_lex(rows) -> Verdict:
     )
 
 
-def hs_family_sweep(F: FamilySpec, fibers, n_max: int, threads: int = 1) -> SweepResult:
-    """Lexicographic Hilbert-Samuel comparison of generic vs special fibers."""
+def verdict_uniform_bounds(hk_rows, hs_rows):
+    """Empirical probes for the uniform constants, as (verdict, C_hat, D_hat):
+
+    C_hat = max over fibers and n of length / n^d (Hilbert-Samuel side),
+    D_hat = max over fibers and e of p^e * |Delta_e| (Hilbert-Kunz side).
+
+    PASS means both maxima exist and are finite on the sampled fibers; the
+    constants themselves are existential in the underlying theory.
+    """
+    d_hat = Fraction(0)
+    for row in hk_rows:
+        d_hat = max(d_hat, row.estimate.d_hat)
+    c_hat = Fraction(0)
+    for row in hs_rows:
+        d = row.dimension
+        for s in row.samples:
+            c_hat = max(c_hat, Fraction(s.length, s.n**d))
+    verdict = Verdict(
+        name="uniform_bounds_finite",
+        passed=True,
+        details=f"C_hat = {c_hat} (lengths/n^d), D_hat = {d_hat} (p^e * |Delta_e|)",
+    )
+    return verdict, c_hat, d_hat
+
+
+HK_VERDICTS = {
+    "term_semicontinuity": verdict_term_semicontinuity,
+    "hk_monotonicity": verdict_hk_monotonicity,
+}
+HS_CHECKS = ("hs_lex", "uniform")
+DEFAULT_CHECKS = ("term_semicontinuity", "hk_monotonicity")
+
+
+def hk_sweep(F: FamilySpec, fibers, e_max: int, checks=DEFAULT_CHECKS, n_max: int | None = None,
+             assume_reduced: bool = False) -> SweepResult:
+    """Family sweep: one Hilbert-Kunz row table, one Hilbert-Samuel row
+    table when `hs_lex` or `uniform` is among the checks (it needs
+    `n_max`), and each requested verdict computed from those tables.
+
+    Verdicts come out in the order: Hilbert-Kunz checks as listed, then
+    `hs_lex_semicontinuity`, then `uniform_bounds_finite`.  The uniform
+    probe leans on the uniform-convergence theorem and so requires
+    `assume_reduced=True`.
+    """
+    checks = tuple(checks)
+    for name in checks:
+        if name not in (*HK_VERDICTS, *HS_CHECKS):
+            raise ValidationError(f"unknown check {name!r}")
+    fibers = tuple(fibers)
     _require_one_generic(fibers)
-    rows = hs_family_rows(F, fibers, n_max, threads=threads)
+    _require_unique_labels(fibers)
+    if "hk_monotonicity" in checks and e_max < 2:
+        raise ValidationError("monotonicity check needs e_max >= 2 for estimates")
+    if "uniform" in checks:
+        if not assume_reduced:
+            raise ValidationError(
+                "uniform-bound probes rest on the reduced-fibers hypothesis; pass "
+                "assume_reduced=True to acknowledge it"
+            )
+        if e_max < 2:
+            raise ValidationError("uniform-bound probe needs e_max >= 2")
+    need_hs = any(name in HS_CHECKS for name in checks)
+    if need_hs and n_max is None:
+        raise ValidationError("the hs_lex and uniform checks need n_max")
+
+    rows = hk_family_rows(F, fibers, e_max)
+    hs_rows = hs_family_rows(F, fibers, n_max) if need_hs else ()
+    verdicts = {name: HK_VERDICTS[name](rows) for name in checks if name in HK_VERDICTS}
+    if "hs_lex" in checks:
+        verdicts["hs_lex_semicontinuity"] = verdict_hs_lex(hs_rows)
+    c_hat = d_hat = None
+    if "uniform" in checks:
+        verdicts["uniform_bounds_finite"], c_hat, d_hat = verdict_uniform_bounds(rows, hs_rows)
     return SweepResult(
         rows=rows,
-        verdicts={"hs_lex_semicontinuity": verdict_hs_lex(rows)},
+        verdicts=verdicts,
         warnings=_dimension_warnings(rows),
+        hs_rows=hs_rows,
+        c_hat=c_hat,
+        d_hat=d_hat,
     )
 
 
@@ -498,8 +535,7 @@ class ModpResult:
         return all(v.passed for v in self.verdicts.values())
 
 
-def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False,
-               threads: int = 1) -> ModpResult:
+def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False) -> ModpResult:
     """Reduction-mod-p table for an integer-base family.
 
     Reports delta_p(e) = |normalized(p, e+1) - normalized(p, e)| and the
@@ -517,41 +553,42 @@ def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False,
         )
     if e_max < 2:
         raise ValidationError("mod-p sweeps need e_max >= 2 to form differences")
+    primes = list(primes)
+    if len(set(primes)) < len(primes):
+        raise ValidationError(f"mod-p sweep lists a prime more than once: {primes}")
 
-    def one(p: int):
+    rows = []
+    warnings = []
+    for p in primes:
         fiber = FiberSpec.at_prime(p)
         try:
             R, I = specialize_fiber(F, fiber)
         except ValidationError as err:
-            return f"prime {p} skipped: {err}"
+            warnings.append(f"prime {p} skipped: {err}")
+            continue
         samples = tuple(hk_function(R, I, e_max))
         est = hk_estimate(samples)
         deltas = tuple(
             abs(b.normalized - a.normalized) for a, b in zip(samples, samples[1:])
         )
-        return ModpRow(
-            label=fiber.label,
-            prime=p,
-            dimension=R.dimension,
-            samples=samples,
-            estimate=est,
-            deltas=deltas,
-            p_deltas=tuple(p * d for d in deltas),
+        rows.append(
+            ModpRow(
+                label=fiber.label,
+                prime=p,
+                dimension=R.dimension,
+                samples=samples,
+                estimate=est,
+                deltas=deltas,
+                p_deltas=tuple(p * d for d in deltas),
+            )
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, primes))
-    else:
-        outcomes = [one(p) for p in primes]
-    rows = tuple(r for r in outcomes if isinstance(r, ModpRow))
-    warnings = tuple(r for r in outcomes if isinstance(r, str))
-    warnings += _dimension_warnings(rows)
+    rows = tuple(rows)
+    warnings = tuple(warnings) + _dimension_warnings(rows)
     per_e = []
     for i in range(e_max - 1):
         per_e.append(max((row.p_deltas[i] for row in rows), default=None))
     overall = max((b for b in per_e if b is not None), default=None)
-    passed = bool(rows) and len(rows) == len(list(primes))
+    passed = bool(rows) and len(rows) == len(primes)
     details = (
         f"observed common bound max_p p*delta = {overall}"
         if overall is not None
@@ -569,62 +606,6 @@ def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False,
         overall_bound=overall,
         verdicts={"modp_bounded": verdict},
         warnings=warnings,
-    )
-
-
-@dataclass(frozen=True)
-class UniformBoundReport:
-    hk_rows: tuple
-    hs_rows: tuple
-    c_hat: Fraction
-    d_hat: Fraction
-    verdicts: dict
-    warnings: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts.values())
-
-
-def uniform_bound_probe(F: FamilySpec, fibers, e_max: int, n_max: int,
-                        assume_reduced: bool = False, threads: int = 1) -> UniformBoundReport:
-    """Empirical probes for the uniform constants:
-
-    C_hat = max over fibers and n of length / n^d (Hilbert-Samuel side),
-    D_hat = max over fibers and e of p^e * |Delta_e| (Hilbert-Kunz side).
-
-    PASS means both maxima exist and are finite on the sampled fibers; the
-    constants themselves are existential in the underlying theory.
-    """
-    if not assume_reduced:
-        raise ValidationError(
-            "uniform-bound probes rest on the reduced-fibers hypothesis; pass "
-            "assume_reduced=True to acknowledge it"
-        )
-    if e_max < 2:
-        raise ValidationError("uniform-bound probe needs e_max >= 2")
-    hk_rows = hk_family_rows(F, fibers, e_max, threads=threads)
-    hs_rows = hs_family_rows(F, fibers, n_max, threads=threads)
-    d_hat = Fraction(0)
-    for row in hk_rows:
-        d_hat = max(d_hat, row.estimate.d_hat)
-    c_hat = Fraction(0)
-    for row in hs_rows:
-        d = row.dimension
-        for s in row.samples:
-            c_hat = max(c_hat, Fraction(s.length, s.n**d))
-    verdict = Verdict(
-        name="uniform_bounds_finite",
-        passed=True,
-        details=f"C_hat = {c_hat} (lengths/n^d), D_hat = {d_hat} (p^e * |Delta_e|)",
-    )
-    return UniformBoundReport(
-        hk_rows=hk_rows,
-        hs_rows=hs_rows,
-        c_hat=c_hat,
-        d_hat=d_hat,
-        verdicts={"uniform_bounds_finite": verdict},
-        warnings=_dimension_warnings(hk_rows),
     )
 
 

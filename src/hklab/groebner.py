@@ -464,19 +464,11 @@ def multiplication_matrix(G: GroebnerBasis, f: Polynomial):
     return [[FieldElement(field, v) for v in row] for row in matrix]
 
 
-def ideal_colon_m(J: IdealPresentation) -> IdealPresentation:
-    """(J : m) for the maximal ideal m at the origin, computed as the
-    kernel of the stacked multiplication-by-variable maps on the
-    standard-monomial basis, lifted back to polynomial generators."""
-    G = buchberger(J)
-    if G.colength() is INFINITE:
-        raise ValidationError("colon ideal computation needs finite colength")
-    witness = _primary_witness(G)
-    if witness is not None:
-        raise ValidationError(
-            f"ideal is not primary to the origin: variable {witness!r} is a unit direction"
-        )
-    ring = J.ring
+def _socle_lifts(G: GroebnerBasis):
+    """Polynomials lifting a basis of the kernel of the stacked
+    multiplication-by-variable maps on the standard-monomial basis of a
+    finite-colength G, i.e. of the socle of the quotient."""
+    ring = G.ring
     field = ring.domain
     smb = G.standard_monomials()
     basis_index = {m.key: i for i, m in enumerate(smb)}
@@ -496,7 +488,22 @@ def ideal_colon_m(J: IdealPresentation) -> IdealPresentation:
     for vec in kernel:
         terms = [(smb[i].key, v) for i, v in enumerate(vec) if not field.is_zero(v)]
         lifts.append(ring.polynomial(terms))
-    return IdealPresentation(ring, tuple(J.generators) + tuple(lifts))
+    return lifts
+
+
+def ideal_colon_m(J: IdealPresentation) -> IdealPresentation:
+    """(J : m) for the maximal ideal m at the origin, computed as the
+    kernel of the stacked multiplication-by-variable maps on the
+    standard-monomial basis, lifted back to polynomial generators."""
+    G = buchberger(J)
+    if G.colength() is INFINITE:
+        raise ValidationError("colon ideal computation needs finite colength")
+    witness = _primary_witness(G)
+    if witness is not None:
+        raise ValidationError(
+            f"ideal is not primary to the origin: variable {witness!r} is a unit direction"
+        )
+    return IdealPresentation(J.ring, tuple(J.generators) + tuple(_socle_lifts(G)))
 
 
 def trace_discriminant(G: GroebnerBasis) -> FieldElement:

@@ -40,10 +40,6 @@ def rref(field, rows):
     return rows, pivots
 
 
-def rank(field, rows) -> int:
-    return len(rref(field, rows)[1])
-
-
 def kernel_basis(field, rows, ncols):
     """Basis of the right kernel, one vector per free column (canonical)."""
     reduced, pivots = rref(field, rows)

@@ -14,18 +14,17 @@ It is labeled heuristic in every output and never asserted as rigorous.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from . import linalg
 from .coeff import Field, FieldElement
 from .errors import ValidationError
 from .groebner import (
     INFINITE,
     GroebnerBasis,
     _primary_witness,
+    _socle_lifts,
     buchberger,
     colength,
 )
@@ -142,7 +141,7 @@ def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerB
     return buchberger(IdealPresentation(R.ring, tuple(R.defining) + bracket.generators))
 
 
-def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int, threads: int = 1):
+def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
     """Hilbert-Kunz samples for e = 1..e_max.
 
     Lengths are colengths of defining + I^[p^e]; the e = 1 stage also
@@ -175,13 +174,7 @@ def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int, threads: 
                 )
         return HKSample(e=e, q=q, length=length, normalized=Fraction(length, q**d))
 
-    exponents = range(1, e_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(sample, exponents))
-    else:
-        samples = [sample(e) for e in exponents]
-    return samples
+    return [sample(e) for e in range(1, e_max + 1)]
 
 
 def hk_estimate(samples) -> HKEstimate:
@@ -261,29 +254,7 @@ def socle_basis(R: QuotientRingSpec, x: IdealPresentation):
         raise ValidationError(
             f"parameter ideal is not primary to the origin (witness {witness!r})"
         )
-    field = ring.domain
-    smb = gb.standard_monomials()
-    index = {m.key: i for i, m in enumerate(smb)}
-    n = len(smb)
-    stacked = []
-    for i in range(ring.nvars):
-        exps = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        var_key = ring.encode(exps)
-        cols = []
-        for m in smb:
-            nf = gb.normal_form(Polynomial(ring, ((m.key + var_key, field.one),)))
-            vec = [field.zero] * n
-            for k, c in nf._terms:
-                vec[index[k]] = c
-            cols.append(vec)
-        for r in range(n):
-            stacked.append([cols[c][r] for c in range(n)])
-    kernel = linalg.kernel_basis(field, stacked, n)
-    basis = []
-    for vec in kernel:
-        terms = [(smb[i].key, v) for i, v in enumerate(vec) if not field.is_zero(v)]
-        basis.append(ring.polynomial(terms))
-    return basis
+    return _socle_lifts(gb)
 
 
 @dataclass(frozen=True)
@@ -317,7 +288,6 @@ def rsig_search(
     x: IdealPresentation,
     coefficient_grid=None,
     e_max: int = 2,
-    threads: int = 1,
 ) -> RSigResult:
     """Search for the F-rational signature over socle candidates.
 
@@ -355,7 +325,7 @@ def rsig_search(
                 seen.add(vec)
                 vectors.append(vec)
 
-    ehk_x = hk_estimate(hk_function(R, x, e_max, threads=threads))
+    ehk_x = hk_estimate(hk_function(R, x, e_max))
 
     def evaluate(vec):
         u = R.ring.zero
@@ -371,11 +341,7 @@ def rsig_search(
             difference=ehk_x.value - est.value,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, vectors))
-    else:
-        rows = [evaluate(vec) for vec in vectors]
+    rows = [evaluate(vec) for vec in vectors]
     best = min(range(len(rows)), key=lambda i: (rows[i].difference, i))
     return RSigResult(
         sop=x,
@@ -412,7 +378,6 @@ def csig_search(
     x: IdealPresentation,
     candidate_ideals,
     e_max: int = 2,
-    threads: int = 1,
 ) -> CSigResult:
     """Relative-signature ratios over a list of candidate ideals containing
     the parameter ideal; exact colengths in the denominator, Hilbert-Kunz
@@ -422,7 +387,7 @@ def csig_search(
     len_x = colength(gb_x)
     if len_x is INFINITE:
         raise ValidationError("parameter ideal is not zero-dimensional")
-    ehk_x = hk_estimate(hk_function(R, x, e_max, threads=threads))
+    ehk_x = hk_estimate(hk_function(R, x, e_max))
     rows = []
     warnings = []
     minimum = None

@@ -76,10 +76,11 @@ def test_sweep_monsky_passes_and_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, "sweep.json", MONSKY_SWEEP)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(RunConfig("sweep", cfg, str(out1))) == 0
-    assert run(RunConfig("sweep", cfg, str(out2), threads=4)) == 0
+    assert main(["sweep", cfg, "-o", str(out2), "--threads", "4"]) == 0  # accepted, ignored
     for name in ("sweep.csv", "sweep.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     payload = json.load(open(out1 / "sweep.json"))
+    assert "seed" not in payload
     assert payload["verdicts"]["term_semicontinuity"]["passed"] is True
     assert payload["verdicts"]["hk_monotonicity"]["passed"] is True
     assert "not verified" in payload["caveat"]  # unchecked-hypotheses notice
@@ -110,6 +111,47 @@ def test_sweep_uniform_requires_flag(tmp_path):
     cfg_payload["checks"] = ["uniform"]
     cfg = write_config(tmp_path, "sweep.json", cfg_payload)
     assert run(RunConfig("sweep", cfg, str(tmp_path / "out"))) == 2
+
+
+def test_sweep_unknown_check_exit_2(tmp_path):
+    cfg_payload = dict(MONSKY_SWEEP)
+    cfg_payload["checks"] = ["term_semicontinuty"]
+    cfg = write_config(tmp_path, "sweep.json", cfg_payload)
+    assert run(RunConfig("sweep", cfg, str(tmp_path / "out"))) == 2
+
+
+def test_sweep_extension_fibers_get_distinct_labels_and_plot_files(tmp_path, capsys):
+    cfg_payload = dict(MONSKY_SWEEP)
+    cfg_payload["e_max"] = 2
+    cfg_payload["fibers"] = [{"generic": True}, {"t": "s", "m": 2}, {"t": "s", "m": 3}]
+    cfg = write_config(tmp_path, "sweep.json", cfg_payload)
+    out = tmp_path / "out"
+    assert run(RunConfig("sweep", cfg, str(out))) == 0
+    payload = json.load(open(out / "sweep.json"))
+    assert [f["fiber"] for f in payload["fibers"]] == ["generic", "t=s@GF(2^2)", "t=s@GF(2^3)"]
+    written = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+    assert len(written) == len(set(written)) == 2 + 3  # sweep.csv, sweep.json, 3 plots
+    for label in ("generic", "t_s_GF_2_2_", "t_s_GF_2_3_"):
+        assert (out / f"sweep_plot_{label}.dat").exists()
+
+
+def test_sweep_and_modp_reject_repeats_exit_2(tmp_path):
+    cfg_payload = dict(MONSKY_SWEEP)
+    cfg_payload["fibers"] = [{"generic": True}, {"t": "1"}, {"t": "1"}]
+    cfg = write_config(tmp_path, "sweep.json", cfg_payload)
+    assert run(RunConfig("sweep", cfg, str(tmp_path / "out"))) == 2
+    modp = write_config(
+        tmp_path,
+        "modp.json",
+        {
+            "base": {"kind": "integers"},
+            "vars": ["x", "y"],
+            "ideal": ["x", "y"],
+            "primes": [3, 3],
+            "e_max": 2,
+        },
+    )
+    assert run(RunConfig("modp", modp, str(tmp_path / "out"), assume_reduced=True)) == 2
 
 
 def test_modp_cli(tmp_path):
@@ -300,23 +342,6 @@ def test_internal_error_exit_3(tmp_path):
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")
     assert run(RunConfig("hk", cfg2, str(blocked))) == 3
-
-
-def test_main_env_var_overrides_threads(tmp_path, monkeypatch, capsys):
-    cfg = write_config(
-        tmp_path,
-        "hk.json",
-        {
-            "field": {"kind": "prime", "p": 2},
-            "vars": ["x", "y"],
-            "ideal": ["x", "y"],
-            "e_max": 2,
-        },
-    )
-    monkeypatch.setenv("HKLAB_THREADS", "2")
-    assert main(["hk", cfg, "-o", str(tmp_path / "o1"), "--threads", "1"]) == 0
-    monkeypatch.setenv("HKLAB_THREADS", "banana")
-    assert main(["hk", cfg, "-o", str(tmp_path / "o2")]) == 2
 
 
 def test_emit_plotdata_empty_is_error(tmp_path):

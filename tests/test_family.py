@@ -14,18 +14,18 @@ from hklab import (
     ValidationError,
     buchberger,
     frobenius_power,
-    hk_monotonicity_check,
+    hk_family_rows,
     hk_sweep,
-    hs_family_sweep,
+    hs_family_rows,
     make_extension,
     modp_sweep,
     specialize_fiber,
-    term_semicontinuity_check,
-    uniform_bound_probe,
     verdict_hk_monotonicity,
     verdict_hs_lex,
     verdict_term_semicontinuity,
+    verdict_uniform_bounds,
 )
+from hklab import family
 from hklab.family import parse_fibers
 
 FIBERS = [FiberSpec.generic(), FiberSpec.special(t=0), FiberSpec.special(t=1)]
@@ -115,7 +115,7 @@ def test_specialize_commutes_with_frobenius_power():
 
 
 def test_term_semicontinuity_on_monsky(monsky_family):
-    result = term_semicontinuity_check(monsky_family, FIBERS, e_max=3)
+    result = hk_sweep(monsky_family, FIBERS, e_max=3, checks=("term_semicontinuity",))
     assert result.passed
     rows = {r.label: [s.length for s in r.samples] for r in result.rows}
     assert rows["generic"] == [8, 44, 188]
@@ -126,7 +126,7 @@ def test_term_semicontinuity_on_monsky(monsky_family):
 
 
 def test_hk_monotonicity_on_monsky(monsky_family):
-    result = hk_monotonicity_check(monsky_family, FIBERS, e_max=3)
+    result = hk_sweep(monsky_family, FIBERS, e_max=3, checks=("hk_monotonicity",))
     assert result.passed
     generic = next(r for r in result.rows if r.label == "generic")
     assert generic.estimate.value == Fraction(47, 16)
@@ -134,9 +134,45 @@ def test_hk_monotonicity_on_monsky(monsky_family):
 
 def test_sweep_requires_exactly_one_generic(monsky_family):
     with pytest.raises(ValidationError, match="GENERIC"):
-        term_semicontinuity_check(monsky_family, [FiberSpec.special(t=0)], e_max=2)
+        hk_sweep(monsky_family, [FiberSpec.special(t=0)], e_max=2,
+                 checks=("term_semicontinuity",))
     with pytest.raises(ValidationError, match="GENERIC"):
         hk_sweep(monsky_family, [FiberSpec.generic(), FiberSpec.generic()], e_max=2)
+
+
+def test_sweeps_reject_bad_input_before_computing(monsky_family, monsky_z_family,
+                                                  monkeypatch):
+    monkeypatch.setattr(family, "hk_function", None)  # any computation would fail
+    with pytest.raises(ValidationError, match="unknown check"):
+        hk_sweep(monsky_family, FIBERS, e_max=2, checks=("term_semicontinuty",))
+    with pytest.raises(ValidationError, match="distinct labels"):
+        hk_sweep(monsky_family, FIBERS + [FiberSpec.special(t=1)], e_max=2)
+    with pytest.raises(ValidationError, match="more than once"):
+        modp_sweep(monsky_z_family, [3, 3], e_max=2, assume_reduced=True)
+
+
+def test_sweep_computes_each_row_table_once(monsky_family, monkeypatch):
+    calls = {"hk_function": 0, "hs_function": 0}
+    for name in calls:
+        original = getattr(family, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(family, name, counted)
+    checks = ("term_semicontinuity", "hk_monotonicity", "hs_lex", "uniform")
+    result = hk_sweep(monsky_family, FIBERS, e_max=2, checks=checks, n_max=3,
+                      assume_reduced=True)
+    assert calls == {"hk_function": len(FIBERS), "hs_function": len(FIBERS)}
+    assert list(result.verdicts) == [
+        "term_semicontinuity", "hk_monotonicity", "hs_lex_semicontinuity",
+        "uniform_bounds_finite",
+    ]
+    # the uniform probe is a pure function of the two emitted tables
+    assert verdict_uniform_bounds(result.rows, result.hs_rows) == (
+        result.verdicts["uniform_bounds_finite"], result.c_hat, result.d_hat
+    )
 
 
 def test_constant_family_passes_with_equality():
@@ -177,12 +213,12 @@ def test_verdict_fail_names_fiber_and_e():
 
 
 def test_hs_family_sweep_on_monsky(monsky_family):
-    result = hs_family_sweep(monsky_family, FIBERS, n_max=4)
+    result = hk_sweep(monsky_family, FIBERS, e_max=1, checks=("hs_lex",), n_max=4)
     assert result.passed
-    tuples = {r.label: tuple(s.length for s in r.samples) for r in result.rows}
+    tuples = {r.label: tuple(s.length for s in r.samples) for r in result.hs_rows}
     # the quartic has degree 4: lengths below n = 4 cannot see the parameter
     assert len(set(tuples.values())) == 1
-    assert verdict_hs_lex(result.rows) == result.verdicts["hs_lex_semicontinuity"]
+    assert verdict_hs_lex(result.hs_rows) == result.verdicts["hs_lex_semicontinuity"]
 
 
 def test_hs_family_sweep_with_parameter_dependent_ideal():
@@ -190,7 +226,7 @@ def test_hs_family_sweep_with_parameter_dependent_ideal():
         "param", ("x", "y"), (), ("x^2", "y^2 + t*x*y"), p=2, parameters=("t",)
     )
     fibers = [FiberSpec.generic(), FiberSpec.special(t=0), FiberSpec.special(t=1)]
-    result = hs_family_sweep(F, fibers, n_max=3)
+    result = hk_sweep(F, fibers, e_max=1, checks=("hs_lex",), n_max=3)
     assert result.passed
 
 
@@ -261,7 +297,7 @@ def test_uniform_probe_on_regular_family():
     F = FamilySpec("param", ("x", "y", "z"), (), ("x", "y", "z"), p=2,
                    parameters=("t",))
     fibers = [FiberSpec.generic(), FiberSpec.special(t=0)]
-    report = uniform_bound_probe(F, fibers, e_max=3, n_max=4, assume_reduced=True)
+    report = hk_sweep(F, fibers, e_max=3, checks=("uniform",), n_max=4, assume_reduced=True)
     assert report.d_hat == 0  # normalized samples are exactly constant
     # lengths are C(n+2, 3), so max length/n^3 is attained at n = 1
     assert report.c_hat == 1
@@ -269,44 +305,38 @@ def test_uniform_probe_on_regular_family():
 
 def test_uniform_probe_single_fiber_reduces_to_its_estimates(monsky_family):
     fiber = [FiberSpec.special(t=0)]
-    report = uniform_bound_probe(monsky_family, fiber, e_max=3, n_max=4,
-                                 assume_reduced=True)
-    assert report.d_hat == report.hk_rows[0].estimate.d_hat
-    row = report.hs_rows[0]
-    assert report.c_hat == max(
+    hk_rows = hk_family_rows(monsky_family, fiber, e_max=3)
+    hs_rows = hs_family_rows(monsky_family, fiber, n_max=4)
+    _, c_hat, d_hat = verdict_uniform_bounds(hk_rows, hs_rows)
+    assert d_hat == hk_rows[0].estimate.d_hat
+    row = hs_rows[0]
+    assert c_hat == max(
         Fraction(s.length, s.n**row.dimension) for s in row.samples
     )
 
 
 def test_uniform_bound_probe(monsky_family):
-    report = uniform_bound_probe(
-        monsky_family, FIBERS, e_max=3, n_max=4, assume_reduced=True
+    report = hk_sweep(
+        monsky_family, FIBERS, e_max=3, checks=("uniform",), n_max=4, assume_reduced=True
     )
     assert report.passed
     assert report.d_hat > 0
     assert report.c_hat >= 1
     with pytest.raises(ValidationError, match="assume_reduced"):
-        uniform_bound_probe(monsky_family, FIBERS, e_max=3, n_max=4)
+        hk_sweep(monsky_family, FIBERS, e_max=3, checks=("uniform",), n_max=4)
 
 
 def test_parse_fibers_config(monsky_family):
     fibers = parse_fibers(
         monsky_family,
-        [{"generic": True}, {"t": "0"}, {"t": "1"}, {"t": "s", "m": 2}],
+        [{"generic": True}, {"t": "0"}, {"t": "1"}, {"t": "s", "m": 2}, {"t": "s", "m": 3}],
     )
     labels = [f.label for f in fibers]
-    assert labels[0] == "generic"
-    assert labels[1] == "t=0"
+    assert labels == ["generic", "t=0", "t=1", "t=s@GF(2^2)", "t=s@GF(2^3)"]
     gf4_value = fibers[3].assignments["t"]
     assert gf4_value.field == make_extension(2, 2)
     with pytest.raises(ValidationError, match="unknown parameter"):
         parse_fibers(monsky_family, [{"u": "1"}])
-
-
-def test_threaded_rows_match_sequential(monsky_family):
-    seq = hk_sweep(monsky_family, FIBERS, e_max=2)
-    par = hk_sweep(monsky_family, FIBERS, e_max=2, threads=3)
-    assert seq.rows == par.rows
 
 
 def test_generic_lengths_below_special_on_random_families():
@@ -327,7 +357,7 @@ def test_generic_lengths_below_special_on_random_families():
             FiberSpec.special(t=c) for c in range(p)
         ]
         try:
-            result = term_semicontinuity_check(family, fibers, e_max=2)
+            result = hk_sweep(family, fibers, e_max=2, checks=("term_semicontinuity",))
         except ValidationError:
             continue  # a fiber degenerated or lost finite colength; resample
         checked += 1

@@ -101,12 +101,6 @@ def test_hk_estimate_arithmetic():
         hk_estimate(fake[:1])
 
 
-def test_hk_threads_match_sequential():
-    R = QuotientRingSpec(R3, (MONSKY0,))
-    m = IdealPresentation(R3, R3.gens())
-    assert hk_function(R, m, 3, threads=3) == hk_function(R, m, 3)
-
-
 def test_hk_monotone_in_the_ideal():
     # I contained in I' forces lengths(I') <= lengths(I) at every e
     Rxy = PolynomialRing(F5, ("x", "y"))
