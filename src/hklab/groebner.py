@@ -1,7 +1,13 @@
 """Buchberger's algorithm and everything built on the reduced basis:
-normal forms, colengths via standard monomials, primality-to-origin,
-colon ideals by linear algebra, multiplication matrices, and the
-trace-form discriminant of a finite quotient algebra.
+normal forms, colengths, primality-to-origin, colon ideals by linear
+algebra, multiplication matrices, and the trace-form discriminant of a
+finite quotient algebra.
+
+Colengths count the staircase of the leading monomials by slicing on one
+variable at a time (Bigatti, "Computation of Hilbert-Poincare series",
+JPAA 1997; Roune, "A slice algorithm for corners and Hilbert-Poincare
+series of monomial ideals", ISSAC 2010), and standard_monomials() walks
+the same slices.
 
 The reducer works on the integer-key term representation of polyring.
 Divisibility of monomials is tested on packed exponent integers (32 bits
@@ -223,7 +229,7 @@ class GroebnerBasis:
         return bounds
 
     def colength(self):
-        """Number of standard monomials, or INFINITE."""
+        """Number of standard monomials (the slice count), or INFINITE."""
         cached = self._colength
         if cached is not None:
             return cached
@@ -231,29 +237,16 @@ class GroebnerBasis:
         if bounds is None:
             result = INFINITE
         else:
-            gens = _minimalize([item.exps for item in self._items])
-            result = _count_standard(tuple(sorted(gens)), {})
+            result = _slice_count(self.leading_exponents())
         object.__setattr__(self, "_colength", result)
         return result
 
     def standard_monomials(self):
-        """The standard monomial basis, ascending in the term order.
-        Only sensible for finite colength (raises otherwise)."""
-        bounds = self.staircase_bounds()
-        if bounds is None:
+        """The standard monomial basis, ascending in the term order, walked
+        slice by slice like colength().  Raises for infinite colength."""
+        if self.staircase_bounds() is None:
             raise ValidationError("standard monomials are infinite for this ideal")
-        lead = [item.packed for item in self._items]
-        guard = self._guard
-        found = []
-        from itertools import product
-
-        for exps in product(*(range(b) for b in bounds)):
-            vp = _pack(exps) | guard
-            for lp in lead:
-                if (vp - lp) & guard == guard:
-                    break
-            else:
-                found.append(self.ring.monomial(exps))
+        found = [self.ring.monomial(e) for e in _slice_points(self.leading_exponents())]
         found.sort(key=lambda m: m.key)
         return tuple(found)
 
@@ -261,61 +254,63 @@ class GroebnerBasis:
         return f"GroebnerBasis({list(self.elements)!r})"
 
 
-def _minimalize(exp_vectors):
-    """Minimal generators of the monomial ideal given by exponent vectors."""
-    vecs = sorted(set(exp_vectors), key=lambda v: (sum(v), v))
-    kept = []
-    for v in vecs:
-        if not any(all(a <= b for a, b in zip(u, v)) for u in kept):
-            kept.append(v)
-    return kept
-
-
-def _count_standard(gens, memo):
-    """Standard-monomial count below a monomial ideal with finite colength.
-
-    Classic splitting on a pivot variable:
-        len(R/I) = len(R/(I + (x))) + len(R/(I : x)).
-    Generators must be minimal; recursion keeps them so.
-    """
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    n = len(gens[0]) if gens else 0
-    pures = [None] * n
-    mixed = []
+def _slices(gens):
+    """Cut the monomial ideal spanned by the exponent vectors `gens` on
+    the first variable.  Yields (a, b, part): for a <= e < b the standard
+    monomials x_1^e * m are those with m standard for `part`, the
+    projections of the generators of x_1-degree <= a.  Runs start at 0 and
+    end at the largest x_1-degree; `part` grows in place between runs."""
+    levels = {0: []}
     for g in gens:
-        support = [i for i, e in enumerate(g) if e]
-        if not support:
-            memo[gens] = 0
-            return 0  # unit ideal
-        if len(support) == 1:
-            i = support[0]
-            if pures[i] is None or g[i] < pures[i]:
-                pures[i] = g[i]
-        else:
-            mixed.append(g)
-    if not mixed:
-        result = 1
-        for b in pures:
-            result *= b  # finite colength guarantees every b is set
-        memo[gens] = result
-        return result
-    # pivot: variable hitting the most mixed generators, lowest index on ties
-    counts = [0] * n
-    for g in mixed:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    pivot = max(range(n), key=lambda i: (counts[i], -i))
-    unit_v = tuple(1 if i == pivot else 0 for i in range(n))
-    without = [g for g in gens if g[pivot] == 0] + [unit_v]
-    quotient = [tuple(e - 1 if i == pivot else e for i, e in enumerate(g)) if g[pivot] else g
-                for g in gens]
-    a = _count_standard(tuple(sorted(_minimalize(without))), memo)
-    b = _count_standard(tuple(sorted(_minimalize(quotient))), memo)
-    memo[gens] = a + b
-    return a + b
+        levels.setdefault(g[0], []).append(g[1:])
+    steps = sorted(levels)
+    part = []
+    for a, b in zip(steps, steps[1:]):
+        part += levels[a]
+        yield a, b, part
+
+
+def _slice_count(gens):
+    """Standard-monomial count of the monomial ideal spanned by the
+    exponent vectors `gens`, which may repeat or be non-minimal and must
+    hold a pure power of every variable (or the zero vector).
+
+    Slice count of Bigatti (JPAA 1997) and Roune (ISSAC 2010): each run of
+    equal slices adds its length times the count of the slice, so the
+    recursion depth is the number of variables; the walk stops at the
+    first slice that is the unit ideal.  Two variables take a sorted
+    running-minimum staircase.
+    """
+    if not gens or not gens[0]:
+        return 0 if gens else 1  # no variables left: unit or zero ideal
+    if len(gens[0]) == 2:
+        total = 0
+        (prev, low), *rest = sorted(gens)  # a pure power of y comes first
+        for a, b in rest:
+            if b < low:
+                total += (a - prev) * low
+                prev, low = a, b
+        return total
+    total = 0
+    for a, b, part in _slices(gens):
+        count = _slice_count(part)
+        if not count:
+            break
+        total += (b - a) * count
+    return total
+
+
+def _slice_points(gens):
+    """Exponent vectors of the monomials counted by _slice_count(gens)."""
+    if not gens or not gens[0]:
+        return [] if gens else [()]
+    points = []
+    for a, b, part in _slices(gens):
+        below = _slice_points(part)
+        if not below:
+            break
+        points.extend((e,) + m for e in range(a, b) for m in below)
+    return points
 
 
 def buchberger(I: IdealPresentation, order: TermOrder | None = None) -> GroebnerBasis:

@@ -13,6 +13,11 @@ B = 1 + sum of the per-variable staircase bounds.
 bracket_colength_hypersurface: for a principal g plus pure powers
 (x_i^q), the quotient dimension is q^n minus the rank of multiplication
 by g on the monomial box below (q, ..., q).
+
+_count_standard with _minimalize: the package's former staircase count,
+kept verbatim as the reference for the slice count that replaced it.  It
+splits on a pivot variable, len(R/I) = len(R/(I + (x))) + len(R/(I : x)),
+and its recursion depth grows with the exponents, so keep inputs small.
 """
 
 from itertools import product
@@ -142,6 +147,69 @@ def bracket_colength_hypersurface(field, nvars: int, g: dict, q: int) -> int:
         if hit:
             rows.append(row)
     return q**nvars - matrix_rank(rows, field)
+
+
+def _minimalize(exp_vectors):
+    """Minimal generators of the monomial ideal given by exponent vectors."""
+    vecs = sorted(set(exp_vectors), key=lambda v: (sum(v), v))
+    kept = []
+    for v in vecs:
+        if not any(all(a <= b for a, b in zip(u, v)) for u in kept):
+            kept.append(v)
+    return kept
+
+
+def _count_standard(gens, memo):
+    """Standard-monomial count below a monomial ideal with finite colength.
+
+    Classic splitting on a pivot variable:
+        len(R/I) = len(R/(I + (x))) + len(R/(I : x)).
+    Generators must be minimal; recursion keeps them so.
+    """
+    cached = memo.get(gens)
+    if cached is not None:
+        return cached
+    n = len(gens[0]) if gens else 0
+    pures = [None] * n
+    mixed = []
+    for g in gens:
+        support = [i for i, e in enumerate(g) if e]
+        if not support:
+            memo[gens] = 0
+            return 0  # unit ideal
+        if len(support) == 1:
+            i = support[0]
+            if pures[i] is None or g[i] < pures[i]:
+                pures[i] = g[i]
+        else:
+            mixed.append(g)
+    if not mixed:
+        result = 1
+        for b in pures:
+            result *= b  # finite colength guarantees every b is set
+        memo[gens] = result
+        return result
+    # pivot: variable hitting the most mixed generators, lowest index on ties
+    counts = [0] * n
+    for g in mixed:
+        for i, e in enumerate(g):
+            if e:
+                counts[i] += 1
+    pivot = max(range(n), key=lambda i: (counts[i], -i))
+    unit_v = tuple(1 if i == pivot else 0 for i in range(n))
+    without = [g for g in gens if g[pivot] == 0] + [unit_v]
+    quotient = [tuple(e - 1 if i == pivot else e for i, e in enumerate(g)) if g[pivot] else g
+                for g in gens]
+    a = _count_standard(tuple(sorted(_minimalize(without))), memo)
+    b = _count_standard(tuple(sorted(_minimalize(quotient))), memo)
+    memo[gens] = a + b
+    return a + b
+
+
+def pivot_split_colength(exp_vectors) -> int:
+    """Colength of the finite-colength monomial ideal spanned by any
+    exponent vectors, by the kept pivot split."""
+    return _count_standard(tuple(sorted(_minimalize(exp_vectors))), {})
 
 
 def random_zero_dim_ideals(seed: int, count: int):

@@ -49,6 +49,23 @@ def test_hk_regular_ring(tmp_path, capsys):
     assert plot == ["1 1", "2 1", "3 1"]
 
 
+def test_hk_deep_staircase_exit_0(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "deep.json",
+        {
+            "field": {"kind": "prime", "p": 2},
+            "vars": ["x", "y"],
+            "ideal": ["x^2", "x*y", "y^2"],
+            "e_max": 10,
+        },
+    )
+    out = tmp_path / "out"
+    assert run(RunConfig("hk", cfg, str(out))) == 0
+    rows = list(csv.DictReader(open(out / "hk.csv")))
+    assert [int(r["length"]) for r in rows] == [3 * 4**e for e in range(1, 11)]
+
+
 def test_hk_validation_exit_2(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,6 +1,8 @@
 """Buchberger, normal forms, colengths, colon ideals, matrices, discriminants."""
 
 import math
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,15 @@ from hklab import (
     normal_form,
     trace_discriminant,
 )
+from hklab.groebner import GroebnerBasis
 from hklab.linalg import mat_mul
 
-from .oracles import macaulay_colength, poly_dict, random_zero_dim_ideals
+from .oracles import (
+    macaulay_colength,
+    pivot_split_colength,
+    poly_dict,
+    random_zero_dim_ideals,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -175,6 +183,78 @@ def test_standard_monomials_closed_under_division():
             if e[i]:
                 lower = tuple(v - (1 if j == i else 0) for j, v in enumerate(e))
                 assert lower in smb
+
+
+def monomial_basis(field, exps_list):
+    """A GroebnerBasis holding the given monomials as they are: no
+    minimalization, so repeated and non-minimal generators reach colength()."""
+    ring = PolynomialRing(field, tuple("xyzw"[: len(exps_list[0])]))
+    return GroebnerBasis(ring, [ring.polynomial([(ring.encode(e), field.one)]) for e in exps_list])
+
+
+def box_count(exps_list):
+    """Brute-force standard-monomial count over the pure-power box."""
+    n = len(exps_list[0])
+    bounds = [min(g[i] for g in exps_list if not any(g[:i] + g[i + 1 :])) for i in range(n)]
+    return sum(
+        1
+        for point in product(*(range(b) for b in bounds))
+        if not any(all(a <= b for a, b in zip(g, point)) for g in exps_list)
+    )
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Exponent vectors in 1..4 variables with a pure power of each variable,
+    plus mixed generators, their multiples (non-minimal), repeats, and
+    sometimes the zero vector (the unit ideal)."""
+    n = draw(st.integers(1, 4))
+    top = 7 if n <= 3 else 5
+    vec = st.tuples(*[st.integers(0, top - 1)] * n)
+    gens = [
+        tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(n)) for i in range(n)
+    ]
+    gens += draw(st.lists(vec, max_size=6))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+        gens.append(tuple(a + b for a, b in zip(g, draw(vec))))  # a multiple
+    gens += draw(st.lists(st.sampled_from(gens), max_size=3))  # repeats
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * n)
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_slice_count_matches_box_count_and_pivot_split(gens):
+    G = monomial_basis(F2, gens)
+    expected = box_count(gens)
+    assert colength(G) == expected
+    assert pivot_split_colength(gens) == expected
+    smb = G.standard_monomials()
+    assert len(smb) == expected
+    assert [m.key for m in smb] == sorted({m.key for m in smb})
+    assert colength(buchberger(IdealPresentation(G.ring, G.elements))) == expected
+
+
+def test_slice_count_on_deep_staircases():
+    N = 900
+    start = time.perf_counter()
+    assert colength(monomial_basis(F2, [(i, N - i) for i in range(N + 1)])) == N * (N + 1) // 2
+    assert time.perf_counter() - start < 5
+    # the pivot split recursed once per exponent here and hit RecursionError
+    R = PolynomialRing(F2, ("x", "y"))
+    gens = tuple(map(R.parse, ("x^2048", "y^2048", "x^1024*y^1024")))
+    assert colength(buchberger(IdealPresentation(R, gens))) == 3 * 1024**2
+
+
+def test_standard_monomials_walk_the_staircase():
+    R = PolynomialRing(F2, ("x", "y", "z"))
+    gens = tuple(map(R.parse, ("x^80", "y^80", "z^80", "x*y", "y*z", "x*z")))
+    smb = buchberger(IdealPresentation(R, gens)).standard_monomials()
+    assert len(smb) == 1 + 3 * 79
+    assert [m.key for m in smb] == sorted(m.key for m in smb)
+    assert all(sum(1 for e in m.exponents if e) <= 1 for m in smb)
+    assert buchberger(IdealPresentation(R, (R.one,))).standard_monomials() == ()
 
 
 def test_is_primary_to_origin():

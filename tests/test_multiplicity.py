@@ -61,6 +61,14 @@ def test_hk_regular_ring_baseline():
     assert (est.value, est.d_hat, est.error_bound) == (1, 0, 0)
 
 
+def test_hk_deep_staircases_have_no_recursion_cliff(f2_plane):
+    # (x^2, xy, y^2)^[q] has colength 3q^2; the count used to recurse about
+    # q levels deep and raised RecursionError from e = 10 on
+    ring, x, y = f2_plane
+    samples = hk_function(QuotientRingSpec(ring), IdealPresentation(ring, (x**2, x * y, y**2)), 11)
+    assert [s.length for s in samples] == [3 * 4**e for e in range(1, 12)]
+
+
 def test_hk_monsky_fiber_e1():
     R = QuotientRingSpec(R3, (MONSKY0,))
     m = IdealPresentation(R3, R3.gens())
