@@ -11,20 +11,37 @@ the same slices.
 
 The reducer works on the integer-key term representation of polyring.
 Divisibility of monomials is tested on packed exponent integers (32 bits
-per variable, one guard bit): with fields below 2^31, `all(v_i >= u_i)`
-is the single int test ((vp | GUARD) - up) & GUARD == GUARD.
+per variable, one guard bit): with exponents below 2^31, `all(v_i >= u_i)`
+is the single int test ((vp | GUARD) - up) & GUARD == GUARD.  Every term
+carries its packed exponents alongside its key (an element's tail in
+`_Item.tail_packed`), so a term created by a reduction step gets them by
+one addition, like its key, and nothing is decoded in the loop.
 
-Pair selection is the normal strategy (smallest lcm in the order, ties by
-generator index) and both classical criteria are applied: the coprime
-(product) criterion and the chain criterion.  For a fixed input and order
-the computation is deterministic.
+Bracket powers put the pure powers x_i^q into the ideal.  While the
+working set holds a one-term pure power x_i^b, a term with e_i >= b is
+dropped when it is created, since removing a multiple of a monomial
+element is itself a reduction step; the reduced basis is unique, so the
+result does not change.  With BOX holding 2^31 - b_i in the field of
+every such variable, the test is (packed + BOX) & GUARD on the packed
+exponents, and the same test catches an exponent that reached 2^31,
+which raises OverflowError.
+
+Pairs are managed by the update of Gebauer and Moller ("On an
+installation of Buchberger's algorithm", JSC 1988) in the UPDATE form of
+Becker and Weispfenning (Groebner Bases, 1993, p. 230), run once per new
+element: new pairs are thinned by criteria M and F and by the product
+criterion, queued pairs by criterion B_k, and new pairs are formed only
+with elements whose leading monomial no later one divides; every element
+stays a reducer.  Pair selection is the normal strategy (smallest lcm in
+the order, ties by generator index).  For a fixed input and order the
+computation is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 from .coeff import Field, FieldElement, PrimeField
@@ -34,11 +51,19 @@ from .polyring import IdealPresentation, Polynomial, PolynomialRing, TermOrder
 INFINITE = math.inf
 
 _FIELD_WIDTH = 32
+_FIELD_MASK = (1 << _FIELD_WIDTH) - 1
+_GUARD_BIT = 1 << (_FIELD_WIDTH - 1)
+
+
+def _overflow():
+    return OverflowError(f"exponent exceeds 2^{_FIELD_WIDTH - 1}")
 
 
 def _pack(exps):
     acc = 0
     for i, e in enumerate(exps):
+        if e >= _GUARD_BIT:
+            raise _overflow()
         acc |= e << (_FIELD_WIDTH * i)
     return acc
 
@@ -46,24 +71,45 @@ def _pack(exps):
 def _guard_mask(nvars):
     g = 0
     for i in range(nvars):
-        g |= 1 << (_FIELD_WIDTH * i + _FIELD_WIDTH - 1)
+        g |= _GUARD_BIT << (_FIELD_WIDTH * i)
     return g
+
+
+def _lcm_packed(a, b, guard):
+    """Packed lcm (fieldwise maximum) of two packed exponent vectors."""
+    a_ge_b = ((a | guard) - b) & guard
+    mask = (a_ge_b >> (_FIELD_WIDTH - 1)) * _FIELD_MASK
+    return (a & mask) | (b & ~mask)
+
+
+def _key_of_packed(packed, weights):
+    """Order key of packed exponents; weights[i] is the key of x_i, and
+    keys are linear in the exponents."""
+    key = 0
+    for w in weights:
+        key += (packed & _FIELD_MASK) * w
+        packed >>= _FIELD_WIDTH
+    return key
 
 
 class _Item:
     """One monic basis element, preprocessed for the reduction loop."""
 
-    __slots__ = ("key", "exps", "packed", "tail")
+    __slots__ = ("key", "exps", "packed", "tail", "tail_packed")
 
-    def __init__(self, key, exps, packed, tail):
+    def __init__(self, key, exps, packed, tail, tail_packed):
         self.key = key
         self.exps = exps
         self.packed = packed
         self.tail = tail  # ((key, raw), ...) strictly below `key`
+        self.tail_packed = tail_packed  # packed exponents of the tail keys
 
 
-def _make_item(ring, terms):
-    """Monicize a nonzero term tuple and build its _Item."""
+def _make_item(ring, terms, packs=None):
+    """Monicize a nonzero term tuple and build its _Item; `packs` are the
+    packed exponents of the terms, decoded here when not given."""
+    if packs is None:
+        packs = tuple(_pack(ring.decode(k)) for k, _ in terms)
     lead_key, lead_coeff = terms[0]
     dom = ring.domain
     if dom.is_zero(dom.sub(lead_coeff, dom.one)):
@@ -71,45 +117,68 @@ def _make_item(ring, terms):
     else:
         inv = dom.inv(lead_coeff)
         tail = tuple((k, dom.mul(c, inv)) for k, c in terms[1:])
-    exps = ring.decode(lead_key)
-    return _Item(lead_key, exps, _pack(exps), tail)
+    return _Item(lead_key, ring.decode(lead_key), packs[0], tail, packs[1:])
 
 
-def _reduce_terms(terms, items, ring, packed_cache, guard):
-    """Full normal form of a term list against monic items (fixed scan order).
+def _box_mask(items):
+    """BOX of the module docstring for the one-term pure powers among items."""
+    bounds = {}
+    for item in items:
+        support = [i for i, e in enumerate(item.exps) if e]
+        if not item.tail and len(support) == 1:
+            i = support[0]
+            bounds[i] = min(bounds.get(i, item.exps[i]), item.exps[i])
+    return sum((_GUARD_BIT - b) << (_FIELD_WIDTH * i) for i, b in bounds.items())
 
-    Returns the remainder as a descending term tuple.
-    """
-    dom = ring.domain
+
+def _reduce_terms(work, packs, items, dom, guard, box, tally):
+    """Full normal form of the terms of `work` (key -> raw, consumed)
+    against monic items, in a fixed scan order.  `packs` maps each key of
+    `work` to its packed exponents, all below 2^31; terms outside the box
+    are dropped.  Returns the remainder as descending (key, raw) pairs and
+    their packed exponents, and adds the reduction steps and the box drops
+    to tally[0] and tally[1]."""
     prime = isinstance(dom, PrimeField)
-    p = dom.characteristic if prime else None
-    work = dict(terms)
+    p = dom.characteristic
+    steps = dropped = 0
+    if box:
+        for k in [k for k in work if (packs[k] + box) & guard]:
+            del work[k]
+            dropped += 1
     heap = [-k for k in work]
     heapq.heapify(heap)
     out = []
-    decode = ring.decode
+    out_packed = []
     while heap:
         k = -heapq.heappop(heap)
         c = work.pop(k, None)
         if c is None:
             continue
-        packed = packed_cache.get(k)
-        if packed is None:
-            packed = _pack(decode(k))
-            packed_cache[k] = packed
+        packed = packs[k]
         vp = packed | guard
         for item in items:
             if (vp - item.packed) & guard == guard:
+                steps += 1
                 shift = k - item.key
+                dp = packed - item.packed
+                # the term k lies in the box and dp <= packed fieldwise, so
+                # np + box cannot carry across fields: its guard bits mark
+                # exactly the terms outside the box and the exponents that
+                # reached 2^31
                 if prime:
-                    for k2, c2 in item.tail:
+                    for (k2, c2), p2 in zip(item.tail, item.tail_packed):
                         kk = k2 + shift
                         prev = work.get(kk)
                         if prev is None:
-                            v = (-c * c2) % p
-                            if v:
-                                work[kk] = v
-                                heapq.heappush(heap, -kk)
+                            np = p2 + dp
+                            if (np + box) & guard:
+                                if np & guard:
+                                    raise _overflow()
+                                dropped += 1
+                                continue
+                            work[kk] = (-c * c2) % p
+                            packs[kk] = np
+                            heapq.heappush(heap, -kk)
                         else:
                             v = (prev - c * c2) % p
                             if v:
@@ -117,14 +186,19 @@ def _reduce_terms(terms, items, ring, packed_cache, guard):
                             else:
                                 del work[kk]
                 else:
-                    for k2, c2 in item.tail:
+                    for (k2, c2), p2 in zip(item.tail, item.tail_packed):
                         kk = k2 + shift
                         prev = work.get(kk)
                         if prev is None:
-                            v = dom.neg(dom.mul(c, c2))
-                            if not dom.is_zero(v):
-                                work[kk] = v
-                                heapq.heappush(heap, -kk)
+                            np = p2 + dp
+                            if (np + box) & guard:
+                                if np & guard:
+                                    raise _overflow()
+                                dropped += 1
+                                continue
+                            work[kk] = dom.neg(dom.mul(c, c2))
+                            packs[kk] = np
+                            heapq.heappush(heap, -kk)
                         else:
                             v = dom.sub(prev, dom.mul(c, c2))
                             if dom.is_zero(v):
@@ -134,44 +208,143 @@ def _reduce_terms(terms, items, ring, packed_cache, guard):
                 break
         else:
             out.append((k, c))
-    return tuple(out)
+            out_packed.append(packed)
+    tally[0] += steps
+    tally[1] += dropped
+    return tuple(out), tuple(out_packed)
 
 
-def _spair_terms(ring, item_f, item_g):
-    """S-polynomial of two monic items, as a descending term tuple."""
-    dom = ring.domain
-    lcm = tuple(max(a, b) for a, b in zip(item_f.exps, item_g.exps))
-    lcm_key = ring.encode(lcm)
-    shift_f = lcm_key - item_f.key
-    shift_g = lcm_key - item_g.key
-    acc = {k + shift_f: c for k, c in item_f.tail}
-    for k, c in item_g.tail:
-        kk = k + shift_g
-        prev = acc.get(kk)
-        v = dom.neg(c) if prev is None else dom.sub(prev, c)
-        if dom.is_zero(v):
-            acc.pop(kk, None)
+def _spair(item_f, item_g, lcm_key, lcm_packed, dom, guard):
+    """S-polynomial of two monic items with the given lcm, as the
+    (key -> raw, key -> packed) dicts that _reduce_terms takes."""
+    work = {}
+    packs = {}
+    for item, minus in ((item_f, False), (item_g, True)):
+        shift = lcm_key - item.key
+        dp = lcm_packed - item.packed
+        for (k, c), p in zip(item.tail, item.tail_packed):
+            kk = k + shift
+            np = p + dp
+            if np & guard:
+                raise _overflow()
+            if minus:
+                prev = work.get(kk)
+                c = dom.neg(c) if prev is None else dom.sub(prev, c)
+                if dom.is_zero(c):
+                    work.pop(kk, None)
+                    continue
+            work[kk] = c
+            packs[kk] = np
+    return work, packs
+
+
+def _gm_update(items, active, pairs, h, guard, weights, tally):
+    """The Gebauer-Moller UPDATE for the new element items[h].
+
+    `active` lists the indices that may form new pairs and `pairs` is the
+    heap of queued (lcm key, i, j, packed lcm) with i < j.  Returns the new
+    active list and pair heap, and adds to tally[0..3] the new pairs
+    formed, the new pairs dropped by criteria M and F and by the product
+    criterion, and the queued pairs dropped by criterion B_k."""
+    hp = items[h].packed
+    # new pairs by ascending packed lcm: a proper divisor comes first, and
+    # among equal lcms a coprime pair, which then removes the others
+    cands = []
+    for g in active:
+        gp = items[g].packed
+        lp = _lcm_packed(gp, hp, guard)
+        cands.append((lp, lp != gp + hp, g))
+    cands.sort()
+    witnesses = []
+    new = []
+    by_m_f = by_product = 0
+    for lp, overlap, g in cands:
+        lg = lp | guard
+        if any((lg - w) & guard == guard for w in witnesses):
+            by_m_f += 1
+            continue
+        witnesses.append(lp)
+        if overlap:
+            new.append((_key_of_packed(lp, weights), g, h, lp))
         else:
-            acc[kk] = v
-    return tuple(sorted(acc.items(), reverse=True))
+            by_product += 1
+    # queued pairs (i, j) whose lcm lead(h) divides, and equals neither
+    # lcm(i, h) nor lcm(j, h)
+    lcm_h = {g: lp for lp, _, g in cands}
+    kept = []
+    for pair in pairs:
+        lp = pair[3]
+        if ((lp | guard) - hp) & guard == guard:
+            li = lcm_h.get(pair[1])
+            if li is None:
+                li = _lcm_packed(items[pair[1]].packed, hp, guard)
+            lj = lcm_h.get(pair[2])
+            if lj is None:
+                lj = _lcm_packed(items[pair[2]].packed, hp, guard)
+            if li != lp and lj != lp:
+                continue
+        kept.append(pair)
+    by_b_k = len(pairs) - len(kept)
+    if by_b_k:
+        pairs = kept + new
+        heapq.heapify(pairs)
+    else:
+        for pair in new:
+            heapq.heappush(pairs, pair)
+    active = [g for g in active if ((items[g].packed | guard) - hp) & guard != guard]
+    active.append(h)
+    tally[0] += len(cands)
+    tally[1] += by_m_f
+    tally[2] += by_product
+    tally[3] += by_b_k
+    return active, pairs
+
+
+class BuchbergerStats(NamedTuple):
+    """Counters of one buchberger() run.  Every pair formed is dropped by
+    one criterion or reduced once: pairs_formed == by_product + by_b_k +
+    by_m_f + pairs_reduced."""
+
+    pairs_formed: int
+    by_product: int  # product criterion: coprime leading monomials
+    by_b_k: int  # criterion B_k, on queued pairs
+    by_m_f: int  # criteria M and F, on new pairs
+    pairs_reduced: int  # S-polynomials reduced
+    zero_reductions: int  # of those, the ones that reduced to zero
+    reduction_steps: int
+    box_drops: int  # terms dropped outside the box of the pure powers
+    max_basis: int  # largest size of the working set
 
 
 class GroebnerBasis:
     """Reduced Groebner basis: monic, auto-reduced, sorted by leading
-    monomial ascending.  Carries cached staircase data for colengths."""
+    monomial ascending.  Carries cached staircase data for colengths, and
+    the BuchbergerStats of the run that computed it (None when it was
+    built from given elements)."""
 
-    __slots__ = ("ring", "elements", "_items", "_guard", "_packed_cache",
+    __slots__ = ("ring", "elements", "stats", "_items", "_guard", "_box",
                  "_colength", "_bounds")
 
     def __init__(self, ring: PolynomialRing, elements):
+        elements = tuple(elements)
+        self._fill(ring, elements, [_make_item(ring, g._terms) for g in elements], None)
+
+    @classmethod
+    def _of_items(cls, ring, items, stats):
+        """The basis of reduced items, reusing their packed exponents."""
+        one = ring.domain.one
+        elements = tuple(Polynomial(ring, ((it.key, one),) + it.tail) for it in items)
+        basis = cls.__new__(cls)
+        basis._fill(ring, elements, items, stats)
+        return basis
+
+    def _fill(self, ring, elements, items, stats):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "elements", tuple(elements))
-        items = [
-            _make_item(ring, g._terms) for g in self.elements
-        ]
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_guard", _guard_mask(ring.nvars))
-        object.__setattr__(self, "_packed_cache", {})
+        object.__setattr__(self, "_box", _box_mask(items))
         object.__setattr__(self, "_colength", None)
         object.__setattr__(self, "_bounds", None)
 
@@ -196,7 +369,10 @@ class GroebnerBasis:
                 f = self.ring.convert(f)
             else:
                 raise StructuralError("polynomial from a different ring/order")
-        terms = _reduce_terms(f._terms, self._items, self.ring, self._packed_cache, self._guard)
+        decode = self.ring.decode
+        packs = {k: _pack(decode(k)) for k, _ in f._terms}
+        terms, _ = _reduce_terms(dict(f._terms), packs, self._items, self.ring.domain,
+                                 self._guard, self._box, [0, 0])
         return Polynomial(self.ring, terms)
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
@@ -314,7 +490,8 @@ def _slice_points(gens):
 
 
 def buchberger(I: IdealPresentation, order: TermOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by I."""
+    """Reduced Groebner basis of the ideal generated by I; its `stats`
+    hold the counters of the run."""
     ring = I.ring
     if not isinstance(ring.domain, Field):
         raise ValidationError("Groebner bases require field coefficients")
@@ -324,8 +501,10 @@ def buchberger(I: IdealPresentation, order: TermOrder | None = None) -> Groebner
     else:
         gens = list(I.generators)
 
-    guard = _guard_mask(ring.nvars)
-    packed_cache: dict[int, int] = {}
+    dom = ring.domain
+    n = ring.nvars
+    guard = _guard_mask(n)
+    weights = [ring.encode(tuple(int(i == j) for j in range(n))) for i in range(n)]
     items: list[_Item] = []
     seen = set()
     for g in gens:
@@ -334,65 +513,49 @@ def buchberger(I: IdealPresentation, order: TermOrder | None = None) -> Groebner
         if sig not in seen:
             seen.add(sig)
             items.append(item)
+    box = _box_mask(items)
 
-    def lcm_key(a: _Item, b: _Item):
-        return ring.encode(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
-
-    pairs = []
-    for i, j in combinations(range(len(items)), 2):
-        heapq.heappush(pairs, (lcm_key(items[i], items[j]), i, j))
-    treated = set()
+    active: list[int] = []
+    pairs: list = []
+    crit = [0, 0, 0, 0]  # pairs formed; dropped by M and F, product, B_k
+    tally = [0, 0]  # reduction steps, box drops
+    reduced = zeros = 0
+    for h in range(len(items)):
+        active, pairs = _gm_update(items, active, pairs, h, guard, weights, crit)
 
     while pairs:
-        lk, i, j = heapq.heappop(pairs)
-        treated.add((i, j))
-        a, b = items[i], items[j]
-        # coprime criterion: disjoint leading supports reduce to zero
-        if all(x == 0 or y == 0 for x, y in zip(a.exps, b.exps)):
+        lk, i, j, lp = heapq.heappop(pairs)
+        reduced += 1
+        work, packs = _spair(items[i], items[j], lk, lp, dom, guard)
+        terms, packed = _reduce_terms(work, packs, items, dom, guard, box, tally)
+        if not terms:
+            zeros += 1
             continue
-        # chain criterion
-        lcm = tuple(max(x, y) for x, y in zip(a.exps, b.exps))
-        skip = False
-        for k, c in enumerate(items):
-            if k == i or k == j:
-                continue
-            if all(ce <= le for ce, le in zip(c.exps, lcm)):
-                pik = (i, k) if i < k else (k, i)
-                pjk = (j, k) if j < k else (k, j)
-                if pik in treated and pjk in treated:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s_terms = _spair_terms(ring, a, b)
-        if not s_terms:
-            continue
-        remainder = _reduce_terms(s_terms, items, ring, packed_cache, guard)
-        if not remainder:
-            continue
-        new = _make_item(ring, remainder)
-        idx = len(items)
+        new = _make_item(ring, terms, packed)
         items.append(new)
-        for k in range(idx):
-            heapq.heappush(pairs, (lcm_key(items[k], new), k, idx))
+        if not new.tail:  # a monomial element, maybe a new pure power
+            box = _box_mask(items)
+        active, pairs = _gm_update(items, active, pairs, len(items) - 1, guard, weights, crit)
 
-    # minimalize: drop elements whose lead is divisible by another kept lead
-    order_idx = sorted(range(len(items)), key=lambda k: items[k].key)
+    # minimalize: drop elements whose lead is divisible by another kept lead;
+    # every minimal lead is still active
     kept: list[_Item] = []
-    for k in order_idx:
+    for k in sorted(active, key=lambda k: items[k].key):
         cand = items[k]
-        if any(all(a <= b for a, b in zip(it.exps, cand.exps)) for it in kept):
+        cg = cand.packed | guard
+        if any((cg - it.packed) & guard == guard for it in kept):
             continue
         kept.append(cand)
     # auto-reduce tails ascending; smaller leads are already final
     reduced_items: list[_Item] = []
-    elements = []
     for it in kept:
-        tail = _reduce_terms(it.tail, reduced_items, ring, packed_cache, guard)
-        final = _Item(it.key, it.exps, it.packed, tail)
-        reduced_items.append(final)
-        elements.append(Polynomial(ring, ((it.key, ring.domain.one),) + tail))
-    return GroebnerBasis(ring, elements)
+        packs = {k: p for (k, _), p in zip(it.tail, it.tail_packed)}
+        tail, tail_packed = _reduce_terms(dict(it.tail), packs, reduced_items, dom, guard, box, tally)
+        reduced_items.append(_Item(it.key, it.exps, it.packed, tail, tail_packed))
+    formed, by_m_f, by_product, by_b_k = crit
+    stats = BuchbergerStats(formed, by_product, by_b_k, by_m_f, reduced, zeros,
+                            tally[0], tally[1], len(items))
+    return GroebnerBasis._of_items(ring, reduced_items, stats)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:

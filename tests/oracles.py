@@ -18,11 +18,24 @@ _count_standard with _minimalize: the package's former staircase count,
 kept verbatim as the reference for the slice count that replaced it.  It
 splits on a pivot variable, len(R/I) = len(R/(I + (x))) + len(R/(I : x)),
 and its recursion depth grows with the exponents, so keep inputs small.
+
+classic_buchberger: the package's former Buchberger loop, kept verbatim as
+the reference for the Gebauer-Moller loop that replaced it.  Pairs are
+taken by the normal strategy and skipped by the product criterion or by a
+chain scan over every basis element against the set of treated pairs; the
+reducer decodes each popped term to packed exponents (through a per-call
+cache) and never truncates to a box.  It shares only the ring encoding,
+the coefficient arithmetic and the GroebnerBasis container with the code
+under test.
 """
 
-from itertools import product
+import heapq
+from itertools import combinations, product
 
-from hklab.coeff import PrimeField
+from hklab.coeff import Field, PrimeField
+from hklab.errors import ValidationError
+from hklab.groebner import GroebnerBasis
+from hklab.polyring import Polynomial
 
 
 def poly_dict(ring, f):
@@ -210,6 +223,212 @@ def pivot_split_colength(exp_vectors) -> int:
     """Colength of the finite-colength monomial ideal spanned by any
     exponent vectors, by the kept pivot split."""
     return _count_standard(tuple(sorted(_minimalize(exp_vectors))), {})
+
+
+_FIELD_WIDTH = 32
+
+
+def _pack(exps):
+    acc = 0
+    for i, e in enumerate(exps):
+        acc |= e << (_FIELD_WIDTH * i)
+    return acc
+
+
+def _guard_mask(nvars):
+    g = 0
+    for i in range(nvars):
+        g |= 1 << (_FIELD_WIDTH * i + _FIELD_WIDTH - 1)
+    return g
+
+
+class _Item:
+    """One monic basis element, preprocessed for the reduction loop."""
+
+    __slots__ = ("key", "exps", "packed", "tail")
+
+    def __init__(self, key, exps, packed, tail):
+        self.key = key
+        self.exps = exps
+        self.packed = packed
+        self.tail = tail  # ((key, raw), ...) strictly below `key`
+
+
+def _make_item(ring, terms):
+    """Monicize a nonzero term tuple and build its _Item."""
+    lead_key, lead_coeff = terms[0]
+    dom = ring.domain
+    if dom.is_zero(dom.sub(lead_coeff, dom.one)):
+        tail = terms[1:]
+    else:
+        inv = dom.inv(lead_coeff)
+        tail = tuple((k, dom.mul(c, inv)) for k, c in terms[1:])
+    exps = ring.decode(lead_key)
+    return _Item(lead_key, exps, _pack(exps), tail)
+
+
+def _reduce_terms(terms, items, ring, packed_cache, guard):
+    """Full normal form of a term list against monic items (fixed scan order).
+
+    Returns the remainder as a descending term tuple.
+    """
+    dom = ring.domain
+    prime = isinstance(dom, PrimeField)
+    p = dom.characteristic if prime else None
+    work = dict(terms)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    out = []
+    decode = ring.decode
+    while heap:
+        k = -heapq.heappop(heap)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        packed = packed_cache.get(k)
+        if packed is None:
+            packed = _pack(decode(k))
+            packed_cache[k] = packed
+        vp = packed | guard
+        for item in items:
+            if (vp - item.packed) & guard == guard:
+                shift = k - item.key
+                if prime:
+                    for k2, c2 in item.tail:
+                        kk = k2 + shift
+                        prev = work.get(kk)
+                        if prev is None:
+                            v = (-c * c2) % p
+                            if v:
+                                work[kk] = v
+                                heapq.heappush(heap, -kk)
+                        else:
+                            v = (prev - c * c2) % p
+                            if v:
+                                work[kk] = v
+                            else:
+                                del work[kk]
+                else:
+                    for k2, c2 in item.tail:
+                        kk = k2 + shift
+                        prev = work.get(kk)
+                        if prev is None:
+                            v = dom.neg(dom.mul(c, c2))
+                            if not dom.is_zero(v):
+                                work[kk] = v
+                                heapq.heappush(heap, -kk)
+                        else:
+                            v = dom.sub(prev, dom.mul(c, c2))
+                            if dom.is_zero(v):
+                                del work[kk]
+                            else:
+                                work[kk] = v
+                break
+        else:
+            out.append((k, c))
+    return tuple(out)
+
+
+def _spair_terms(ring, item_f, item_g):
+    """S-polynomial of two monic items, as a descending term tuple."""
+    dom = ring.domain
+    lcm = tuple(max(a, b) for a, b in zip(item_f.exps, item_g.exps))
+    lcm_key = ring.encode(lcm)
+    shift_f = lcm_key - item_f.key
+    shift_g = lcm_key - item_g.key
+    acc = {k + shift_f: c for k, c in item_f.tail}
+    for k, c in item_g.tail:
+        kk = k + shift_g
+        prev = acc.get(kk)
+        v = dom.neg(c) if prev is None else dom.sub(prev, c)
+        if dom.is_zero(v):
+            acc.pop(kk, None)
+        else:
+            acc[kk] = v
+    return tuple(sorted(acc.items(), reverse=True))
+
+
+def classic_buchberger(I, order=None):
+    """Reduced Groebner basis of the ideal generated by I, by the kept
+    classical pair loop (see module docstring)."""
+    ring = I.ring
+    if not isinstance(ring.domain, Field):
+        raise ValidationError("Groebner bases require field coefficients")
+    if order is not None and order != ring.order:
+        ring = ring.with_order(order)
+        gens = [ring.convert(g) for g in I.generators]
+    else:
+        gens = list(I.generators)
+
+    guard = _guard_mask(ring.nvars)
+    packed_cache: dict[int, int] = {}
+    items: list[_Item] = []
+    seen = set()
+    for g in gens:
+        item = _make_item(ring, g._terms)
+        sig = (item.key, item.tail)
+        if sig not in seen:
+            seen.add(sig)
+            items.append(item)
+
+    def lcm_key(a: _Item, b: _Item):
+        return ring.encode(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
+
+    pairs = []
+    for i, j in combinations(range(len(items)), 2):
+        heapq.heappush(pairs, (lcm_key(items[i], items[j]), i, j))
+    treated = set()
+
+    while pairs:
+        lk, i, j = heapq.heappop(pairs)
+        treated.add((i, j))
+        a, b = items[i], items[j]
+        # coprime criterion: disjoint leading supports reduce to zero
+        if all(x == 0 or y == 0 for x, y in zip(a.exps, b.exps)):
+            continue
+        # chain criterion
+        lcm = tuple(max(x, y) for x, y in zip(a.exps, b.exps))
+        skip = False
+        for k, c in enumerate(items):
+            if k == i or k == j:
+                continue
+            if all(ce <= le for ce, le in zip(c.exps, lcm)):
+                pik = (i, k) if i < k else (k, i)
+                pjk = (j, k) if j < k else (k, j)
+                if pik in treated and pjk in treated:
+                    skip = True
+                    break
+        if skip:
+            continue
+        s_terms = _spair_terms(ring, a, b)
+        if not s_terms:
+            continue
+        remainder = _reduce_terms(s_terms, items, ring, packed_cache, guard)
+        if not remainder:
+            continue
+        new = _make_item(ring, remainder)
+        idx = len(items)
+        items.append(new)
+        for k in range(idx):
+            heapq.heappush(pairs, (lcm_key(items[k], new), k, idx))
+
+    # minimalize: drop elements whose lead is divisible by another kept lead
+    order_idx = sorted(range(len(items)), key=lambda k: items[k].key)
+    kept: list[_Item] = []
+    for k in order_idx:
+        cand = items[k]
+        if any(all(a <= b for a, b in zip(it.exps, cand.exps)) for it in kept):
+            continue
+        kept.append(cand)
+    # auto-reduce tails ascending; smaller leads are already final
+    reduced_items: list[_Item] = []
+    elements = []
+    for it in kept:
+        tail = _reduce_terms(it.tail, reduced_items, ring, packed_cache, guard)
+        final = _Item(it.key, it.exps, it.packed, tail)
+        reduced_items.append(final)
+        elements.append(Polynomial(ring, ((it.key, ring.domain.one),) + tail))
+    return GroebnerBasis(ring, elements)
 
 
 def random_zero_dim_ideals(seed: int, count: int):

@@ -13,10 +13,12 @@ from hklab import (
     IdealPresentation,
     PolynomialRing,
     PrimeField,
+    RationalFunctionField,
     TermOrder,
     ValidationError,
     buchberger,
     colength,
+    frobenius_power,
     ideal_colon_m,
     is_primary_to_origin,
     make_extension,
@@ -24,10 +26,11 @@ from hklab import (
     normal_form,
     trace_discriminant,
 )
-from hklab.groebner import GroebnerBasis
+from hklab.groebner import BuchbergerStats, GroebnerBasis
 from hklab.linalg import mat_mul
 
 from .oracles import (
+    classic_buchberger,
     macaulay_colength,
     pivot_split_colength,
     poly_dict,
@@ -37,6 +40,9 @@ from .oracles import (
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+GF4 = make_extension(2, 2)
+F2T = RationalFunctionField(F2)
+MONSKY_T1 = "z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2"
 
 
 def test_buchberger_monomial_ideal_is_its_own_basis():
@@ -337,7 +343,6 @@ def test_trace_discriminant_examples():
     assert trace_discriminant(
         buchberger(IdealPresentation(R2, (x2**2 + x2 + 1,)))
     ) == F2(1)
-    GF4 = make_extension(2, 2)
     R4 = PolynomialRing(GF4, ("x",))
     x4 = R4.var("x")
     s = GF4.element((0, 1))
@@ -403,7 +408,6 @@ def test_extension_field_colength_matches_prime_field_model():
     # GF(4) = F_2[s]/(s^2 + s + 1) and compare colengths over both fields
     import random
 
-    GF4 = make_extension(2, 2)
     R4 = PolynomialRing(GF4, ("x", "y"))
     R2s = PolynomialRing(F2, ("s", "x", "y"))
     s_rel = R2s.parse("s^2 + s + 1")
@@ -441,34 +445,130 @@ def test_extension_field_colength_matches_prime_field_model():
         assert colength(gb2) == 2 * n4
 
 
+def assert_matches_sympy(sympy, ideal, gb):
+    """The reduced basis equals sympy's degrevlex basis over the same F_p."""
+    ring = ideal.ring
+    field = ring.domain
+    symbols = sympy.symbols(" ".join(ring.variables))
+    if ring.nvars == 1:
+        symbols = (symbols,)
+
+    def expr(g):
+        acc = 0
+        for k, c in g._terms:
+            mono = 1
+            for s, e in zip(symbols, ring.decode(k)):
+                mono *= s**e
+            acc += int(c) * mono
+        return acc
+
+    domain = sympy.GF(field.p)
+    reference = sympy.groebner(
+        [expr(g) for g in ideal.generators], *symbols, order="grevlex", domain=domain
+    )
+    ours = {sympy.Poly(expr(g), *symbols, domain=domain) for g in gb.elements}
+    assert ours == {sympy.Poly(e, *symbols, domain=domain) for e in reference.exprs}
+
+
 def test_reduced_basis_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for field, ring, ideal, gb in random_zero_dim_ideals(2718, 5):
-        symbols = sympy.symbols(" ".join(ring.variables))
-        if ring.nvars == 1:
-            symbols = (symbols,)
-        exprs = []
-        for g in ideal.generators:
-            acc = 0
-            for k, c in g._terms:
-                mono = 1
-                for s, e in zip(symbols, ring.decode(k)):
-                    mono *= s**e
-                acc += int(c) * mono
-            exprs.append(acc)
-        reference = sympy.groebner(
-            exprs, *symbols, order="grevlex", domain=sympy.GF(field.p)
-        )
-        ours = set()
-        for g in gb.elements:
-            acc = 0
-            for k, c in g._terms:
-                mono = 1
-                for s, e in zip(symbols, ring.decode(k)):
-                    mono *= s**e
-                acc += int(c) * mono
-            ours.add(sympy.Poly(acc, *symbols, domain=sympy.GF(field.p)))
-        theirs = {
-            sympy.Poly(e, *symbols, domain=sympy.GF(field.p)) for e in reference.exprs
-        }
-        assert ours == theirs
+        assert_matches_sympy(sympy, ideal, gb)
+
+
+@pytest.mark.parametrize("p, q", [(2, 32), (3, 27), (5, 25)])
+def test_box_truncated_basis_matches_sympy(p, q):
+    # f + m^[q] puts every x_i^q in the input; for (x+y, y^2, z)^[q] only y
+    # and z start with a pure power, and x^(2q) is found during the run
+    sympy = pytest.importorskip("sympy")
+    R = PolynomialRing(PrimeField(p), ("x", "y", "z"))
+    f = R.parse(MONSKY_T1)
+    for ideal in (R.gens(), tuple(map(R.parse, ("x + y", "y^2", "z")))):
+        bracket = frobenius_power(IdealPresentation(R, ideal), q).generators
+        I = IdealPresentation(R, (f,) + bracket)
+        gb = buchberger(I)
+        assert gb.stats.box_drops > 0
+        assert_matches_sympy(sympy, I, gb)
+
+
+def test_buchberger_exponent_overflow_stays_loud():
+    # reducing x*y^N by x - y^N gives y^(2^31); that term sets a guard bit
+    # of the packed exponents and must raise, not be dropped as outside
+    # the box of the pure power x^2
+    R = PolynomialRing(F3, ("x", "y"), TermOrder("lex"))
+    x, y = R.gens()
+    with pytest.raises(OverflowError):
+        buchberger(IdealPresentation(R, (x**2, x - y ** (2**30))))
+
+
+def test_pure_power_found_mid_run():
+    # lex with y > x: the pure power x^12 is a remainder, not an input
+    R = PolynomialRing(F3, ("x", "y"), TermOrder("lex", (1, 0)))
+    x, y = R.gens()
+    I = IdealPresentation(R, (x**3 - y, y**4))
+    assert buchberger(I).elements == classic_buchberger(I).elements == (x**12, y - x**3)
+
+
+ORACLE_FIELDS = (
+    (F2, ("1",)),
+    (F3, ("1", "2")),
+    (F5, ("1", "2", "3", "4")),
+    (GF4, ("1", "s", "s + 1")),
+    (F2T, ("1", "t", "t + 1")),
+)
+
+
+@st.composite
+def oracle_ideals(draw):
+    """Ideals in 1-3 variables over F_2, F_3, F_5 and GF(4), and in 1-2
+    over F_2(t), in degrevlex or lex under any variable priority:
+    inhomogeneous generators, pure powers of a random subset of the
+    variables, and sometimes a pair (x_j - x_i^a, x_j^b) that yields
+    x_i^(ab) during the run under lex."""
+    field, coeffs = draw(st.sampled_from(ORACLE_FIELDS))
+    n = draw(st.integers(1, 2 if field is F2T else 3))  # F_2(t) in 3 variables can take seconds
+    order = TermOrder(draw(st.sampled_from(("degrevlex", "lex"))), draw(st.permutations(range(n))))
+    ring = PolynomialRing(field, tuple("xyz"[:n]), order)
+    raws = [field.parse(c).raw for c in coeffs]
+    top = 3 if n < 3 else 2  # keeps lex bases in 3 variables small
+    monomial = st.tuples(*[st.integers(0, top)] * n).filter(any)  # no constants: not the unit ideal
+    gens = []
+    for terms in draw(st.lists(st.lists(st.tuples(monomial, st.sampled_from(raws)),
+                                        min_size=1, max_size=4), min_size=1, max_size=3)):
+        g = ring.polynomial((ring.encode(e), c) for e, c in terms)
+        if g:
+            gens.append(g)
+    v = ring.gens()
+    for i in draw(st.lists(st.integers(0, n - 1), unique=True)):
+        gens.append(v[i] ** draw(st.integers(1, 6)))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        gens += [v[j] - v[i] ** draw(st.integers(2, 3)), v[j] ** draw(st.integers(2, 3))]
+    if not gens:
+        gens.append(v[0])
+    return IdealPresentation(ring, draw(st.permutations(gens)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_ideals())
+def test_buchberger_matches_classic_loop(ideal):
+    G = buchberger(ideal)
+    assert G.elements == classic_buchberger(ideal).elements
+    s = G.stats
+    assert s.pairs_formed == s.by_product + s.by_b_k + s.by_m_f + s.pairs_reduced
+
+
+def test_buchberger_stats_repeat_and_count_box_drops():
+    R = PolynomialRing(F5, ("x", "y", "z"))
+    bracket = frobenius_power(IdealPresentation(R, R.gens()), 125).generators
+    I = IdealPresentation(R, (R.parse(MONSKY_T1),) + bracket)
+    first, second = buchberger(I), buchberger(I)
+    s = first.stats
+    assert isinstance(s, BuchbergerStats) and s == second.stats
+    assert s.box_drops > 0 and s.zero_reductions <= s.pairs_reduced
+    assert s.pairs_formed == s.by_product + s.by_b_k + s.by_m_f + s.pairs_reduced
+    assert s.max_basis >= len(first) == 153 and s.reduction_steps > 0
+    G = buchberger(IdealPresentation(R, (R.parse("x^2 - y"), R.parse("x*y - z"))))
+    assert len(G) == 3 and all(len(g._terms) == 2 for g in G)  # no monomial element
+    assert G.stats.box_drops == 0 and G.stats.pairs_reduced > 0
+    assert GroebnerBasis(R, G.elements).stats is None
