@@ -375,9 +375,6 @@ class GroebnerBasis:
                                  self._guard, self._box, [0, 0])
         return Polynomial(self.ring, terms)
 
-    def reduces_to_zero(self, f: Polynomial) -> bool:
-        return not self.normal_form(f)
-
     def staircase_bounds(self):
         """Per-variable minimal pure-power exponents of the leading-term
         ideal, or None if some variable has no pure power (infinite
@@ -546,15 +543,24 @@ def buchberger(I: IdealPresentation, order: TermOrder | None = None) -> Groebner
         if any((cg - it.packed) & guard == guard for it in kept):
             continue
         kept.append(cand)
-    # auto-reduce tails ascending; smaller leads are already final
+    max_basis = len(items)
+    del items, active  # free the dropped elements before the tails are rebuilt
+    # auto-reduce tails ascending, smaller leads being already final; each
+    # old item is released as its reduced one is made, and kept as it is
+    # when nothing in its tail reduces
+    kept.reverse()
     reduced_items: list[_Item] = []
-    for it in kept:
+    while kept:
+        it = kept.pop()
+        before = tally[:]
         packs = {k: p for (k, _), p in zip(it.tail, it.tail_packed)}
         tail, tail_packed = _reduce_terms(dict(it.tail), packs, reduced_items, dom, guard, box, tally)
-        reduced_items.append(_Item(it.key, it.exps, it.packed, tail, tail_packed))
+        if tally != before:
+            it = _Item(it.key, it.exps, it.packed, tail, tail_packed)
+        reduced_items.append(it)
     formed, by_m_f, by_product, by_b_k = crit
     stats = BuchbergerStats(formed, by_product, by_b_k, by_m_f, reduced, zeros,
-                            tally[0], tally[1], len(items))
+                            tally[0], tally[1], max_basis)
     return GroebnerBasis._of_items(ring, reduced_items, stats)
 
 

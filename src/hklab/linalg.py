@@ -85,19 +85,3 @@ def det(field, rows):
         acc = field.neg(acc)
     return acc
 
-
-def mat_mul(field, A, B):
-    nb = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        new = [field.zero] * nb
-        for k, a in enumerate(row):
-            if field.is_zero(a):
-                continue
-            brow = B[k]
-            for j in range(nb):
-                b = brow[j]
-                if not field.is_zero(b):
-                    new[j] = field.add(new[j], field.mul(a, b))
-        out.append(new)
-    return out

@@ -10,6 +10,17 @@ the empirical quantity 2*D_hat/p^e_max with
 an observable stand-in for the uniform-convergence constant whose
 existence the underlying theory guarantees without giving an algorithm.
 It is labeled heuristic in every output and never asserted as rigorous.
+
+Lengths do not depend on the term order: the standard monomials of any
+order form a basis of the same quotient.  So the bases that hk_function
+and hs_function use only for colengths are computed in the order of
+QuotientRingSpec.colength_ring(), chosen once per spec so that as many
+variables as possible have a pure power as the leading term of a defining
+generator.  For the Monsky quartics this makes z^4 the leading term of f,
+the quotient by f a free k[x,y]-module on 1, z, z^2, z^3 (Noether
+position), and the staircase four stacked plane staircases.  Every basis
+handed back to a caller (defining_gb, socle_basis, csig_search) stays in
+the ring's own order.
 """
 
 from __future__ import annotations
@@ -28,7 +39,14 @@ from .groebner import (
     buchberger,
     colength,
 )
-from .polyring import IdealPresentation, Polynomial, PolynomialRing, frobenius_power, ordinary_power
+from .polyring import (
+    IdealPresentation,
+    Polynomial,
+    PolynomialRing,
+    TermOrder,
+    frobenius_power,
+    ordinary_power,
+)
 
 
 class QuotientRingSpec:
@@ -44,6 +62,7 @@ class QuotientRingSpec:
                 raise ValidationError("zero generator in defining ideal")
         self._gb = None
         self._dim = None
+        self._colength_ring = None
         if self.defining:
             gb = self.defining_gb()
             if gb.is_unit_ideal():
@@ -57,6 +76,16 @@ class QuotientRingSpec:
             self._gb = buchberger(IdealPresentation(self.ring, self.defining))
         return self._gb
 
+    def colength_ring(self) -> PolynomialRing:
+        """The ring, differing from `ring` at most in the variable
+        priority of its term order, in which bases used only for colengths
+        are computed (see the module docstring).  Chosen on the first call
+        and cached; it is `ring` itself unless another priority makes
+        strictly more variables pure-power leading terms."""
+        if self._colength_ring is None:
+            self._colength_ring = _noether_ring(self.ring, self.defining)
+        return self._colength_ring
+
     @property
     def dimension(self) -> int:
         if self._dim is None:
@@ -67,6 +96,35 @@ class QuotientRingSpec:
         if not self.defining:
             return repr(self.ring)
         return f"{self.ring!r}/{list(self.defining)!r}"
+
+
+def _pure_power_leads(ring, term_exps) -> int:
+    """Number of variables x_i such that x_i^a (a >= 1) is the leading term,
+    in `ring`'s order, of some polynomial given by its exponent vectors."""
+    found = set()
+    for exps in term_exps:
+        lead = max(exps, key=ring.encode)
+        support = [i for i, e in enumerate(lead) if e]
+        if len(support) == 1:
+            found.add(support[0])
+    return len(found)
+
+
+def _noether_ring(ring: PolynomialRing, defining) -> PolynomialRing:
+    """`ring`, or the same ring with one variable moved to the front of its
+    priority, whichever makes the most variables pure-power leading terms
+    of the defining generators; `ring` itself on a tie.  The nvars
+    candidates keep the search polynomial in the number of variables."""
+    term_exps = [[ring.decode(k) for k, _ in g._terms] for g in defining]
+    best, best_count = ring, _pure_power_leads(ring, term_exps)
+    priority = ring.order.resolved_priority(ring.nvars)
+    for v in priority[1:]:
+        moved = (v,) + tuple(u for u in priority if u != v)
+        cand = PolynomialRing(ring.domain, ring.variables, TermOrder(ring.order.kind, moved))
+        count = _pure_power_leads(cand, term_exps)
+        if count > best_count:
+            best, best_count = cand, count
+    return best
 
 
 def krull_dimension(R: QuotientRingSpec) -> int:
@@ -136,15 +194,21 @@ def _combined_gens(R: QuotientRingSpec, I: IdealPresentation):
 
 
 def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerBasis:
-    """Groebner basis of defining + I^[q] in the ambient ring."""
-    bracket = frobenius_power(I, q)
-    return buchberger(IdealPresentation(R.ring, tuple(R.defining) + bracket.generators))
+    """Reduced Groebner basis of defining + I^[q] in R.colength_ring(), whose
+    term order may differ from R.ring's.  The ideal is the same, so its
+    colength, zero-dimensionality and primality to the origin are those
+    computed in R.ring: the standard monomials of any order are a basis
+    of the same quotient."""
+    ring = R.colength_ring()
+    gens = _combined_gens(R, frobenius_power(I, q))
+    return buchberger(IdealPresentation(ring, tuple(ring.convert(g) for g in gens)))
 
 
 def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
     """Hilbert-Kunz samples for e = 1..e_max.
 
-    Lengths are colengths of defining + I^[p^e]; the e = 1 stage also
+    Lengths are colengths of defining + I^[p^e], counted on the bases of
+    hk_sample_gb in R.colength_ring(); the e = 1 stage also
     validates zero-dimensionality and primality to the origin (trusted for
     larger e afterwards).  Samples normalize by q^d with d the dimension
     of the quotient ring itself.
@@ -192,14 +256,19 @@ def hk_estimate(samples) -> HKEstimate:
 
 
 def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
-    """Hilbert-Samuel samples: lengths of defining + I^n for n = 1..n_max."""
+    """Hilbert-Samuel samples: lengths of defining + I^n for n = 1..n_max,
+    counted on bases in R.colength_ring() (lengths do not depend on the
+    term order)."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1: {n_max}")
     _combined_gens(R, I)
+    ring = R.colength_ring()
+    defining = tuple(ring.convert(g) for g in R.defining)
+    I = IdealPresentation(ring, tuple(ring.convert(g) for g in I.generators))
     samples = []
     for n in range(1, n_max + 1):
         power = I if n == 1 else ordinary_power(I, n)
-        gb = buchberger(IdealPresentation(R.ring, tuple(R.defining) + power.generators))
+        gb = buchberger(IdealPresentation(ring, defining + power.generators))
         length = colength(gb)
         if length is INFINITE:
             raise ValidationError("ideal is not zero-dimensional; Hilbert-Samuel undefined")

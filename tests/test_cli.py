@@ -8,6 +8,7 @@ import pytest
 
 from hklab.cli import RunConfig, emit_plotdata, main, run
 from hklab.errors import ValidationError
+from hklab.multiplicity import QuotientRingSpec
 
 MONSKY_SWEEP = {
     "base": {"kind": "param", "p": 2, "params": ["t"]},
@@ -191,6 +192,47 @@ def test_modp_cli(tmp_path):
     assert payload["verdicts"]["modp_bounded"]["passed"] is True
     # without the flag: validation error
     assert run(RunConfig("modp", cfg, str(out))) == 2
+
+
+MODP_MONSKY = {
+    "base": {"kind": "integers"},
+    "vars": ["x", "y", "z"],
+    "defining": ["z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2"],
+    "ideal": ["x", "y", "z"],
+    "primes": [2, 3, 5],
+    "e_max": 3,
+}
+SWEEP_ALL_CHECKS = dict(
+    MONSKY_SWEEP,
+    fibers=MONSKY_SWEEP["fibers"] + [{"t": "s", "m": 2}],
+    n_max=4,
+    checks=["term_semicontinuity", "hk_monotonicity", "hs_lex", "uniform"],
+)
+
+
+@pytest.mark.parametrize("command, payload", [("sweep", SWEEP_ALL_CHECKS), ("modp", MODP_MONSKY)])
+def test_artifacts_do_not_depend_on_the_colength_order(tmp_path, monkeypatch, command, payload):
+    # lengths are counted on bases in QuotientRingSpec.colength_ring(); with
+    # that pinned to the ring's own order every artifact must be the same
+    cfg = write_config(tmp_path, "config.json", payload)
+    chosen, own = tmp_path / "chosen", tmp_path / "own"
+    choose = QuotientRingSpec.colength_ring
+    moved = []
+
+    def spy(R):
+        ring = choose(R)
+        moved.append(ring is not R.ring)
+        return ring
+
+    monkeypatch.setattr(QuotientRingSpec, "colength_ring", spy)
+    assert run(RunConfig(command, cfg, str(chosen), assume_reduced=True)) == 0
+    assert any(moved)  # the Monsky quartic is computed in Noether position
+    monkeypatch.setattr(QuotientRingSpec, "colength_ring", lambda R: R.ring)
+    assert run(RunConfig(command, cfg, str(own), assume_reduced=True)) == 0
+    files = sorted(path.name for path in chosen.iterdir())
+    assert files == sorted(path.name for path in own.iterdir())
+    for name in files:
+        assert (chosen / name).read_bytes() == (own / name).read_bytes(), name
 
 
 def test_groebner_cli_with_matrix(tmp_path):

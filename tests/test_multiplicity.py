@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hklab import (
     HKSample,
@@ -10,6 +12,8 @@ from hklab import (
     PolynomialRing,
     PrimeField,
     QuotientRingSpec,
+    RationalFunctionField,
+    TermOrder,
     ValidationError,
     buchberger,
     colength,
@@ -19,10 +23,14 @@ from hklab import (
     hs_function,
     hs_multiplicity,
     krull_dimension,
+    make_extension,
     normal_form,
     rsig_search,
     socle_basis,
 )
+from hklab.groebner import INFINITE, _primary_witness
+from hklab.multiplicity import hk_sample_gb
+from hklab.polyring import frobenius_power, ordinary_power
 
 from .oracles import bracket_colength_hypersurface, poly_dict
 
@@ -340,8 +348,6 @@ def test_degenerate_quartic_fiber_closed_form():
 
 
 def test_generic_fiber_against_rank_oracle_over_f2t():
-    from hklab import RationalFunctionField
-
     F2t = RationalFunctionField(F2)
     Rt = PolynomialRing(F2t, ("x", "y", "z"))
     quartic = Rt.parse("z^4 + x*y*z^2 + (x^3+y^3)*z + t*x^2*y^2")
@@ -351,3 +357,115 @@ def test_generic_fiber_against_rank_oracle_over_f2t():
     raw = poly_dict(Rt, quartic)
     for s in samples:  # exact rational-function elimination, q <= 4
         assert s.length == bracket_colength_hypersurface(F2t, 3, raw, s.q)
+
+
+def test_generic_fiber_at_e6():
+    # the e = 6 value of the generic-fiber gate, 3q^2 - 4 at q = 64
+    Rt = PolynomialRing(RationalFunctionField(F2), ("x", "y", "z"))
+    R = QuotientRingSpec(Rt, (Rt.parse("z^4 + x*y*z^2 + (x^3+y^3)*z + t*x^2*y^2"),))
+    samples = hk_function(R, IdealPresentation(Rt, Rt.gens()), 6)
+    assert [s.length for s in samples] == [8, 44, 188, 764, 3068, 12284]
+
+
+def test_colength_ring_is_chosen_once_and_used_only_for_colengths():
+    R = QuotientRingSpec(R3, (MONSKY0,))
+    ring = R.colength_ring()
+    assert ring is R.colength_ring()
+    assert ring.order == TermOrder("degrevlex", (2, 0, 1))
+    assert ring.convert(MONSKY0).leading_monomial().exponents == (0, 0, 4)
+    m = IdealPresentation(R3, R3.gens())
+    assert hk_sample_gb(R, m, 4).ring is ring
+    # bases a caller sees stay in the ring's own order
+    assert R.defining_gb().ring is R3
+    assert R.defining_gb().elements == (MONSKY0,)
+    assert all(s.ring is R3 for s in socle_basis(R, IdealPresentation(R3, R3.gens()[:2])))
+
+    # ties keep the ring itself: the twisted cubic's leads y^2, yz, z^2
+    # give two pure powers in its own order, and no defining ideal none
+    R4 = PolynomialRing(F2, ("x", "y", "z", "w"))
+    x, y, z, w = R4.gens()
+    cubic = QuotientRingSpec(R4, (x * z - y**2, x * w - y * z, y * w - z**2))
+    regular = QuotientRingSpec(R3)
+    for _ in range(2):
+        assert cubic.colength_ring() is R4
+        assert regular.colength_ring() is R3
+
+
+GF4 = make_extension(2, 2)
+SPEC_FIELDS = ((F2, ("1",)), (F3, ("1", "2")), (GF4, ("1", "s", "s + 1")))
+
+
+@st.composite
+def quotient_cases(draw):
+    """(R, I) over F_2, F_3 or GF(4) in 2-3 variables, in degrevlex or lex
+    under any priority.  R has 1-3 defining generators; some carry a pure
+    power x_i^a as a term, often with x_i not first in the priority and a
+    the top degree of the other terms, so that moving x_i to the front can
+    make it the leading term.  I is the maximal
+    ideal, or (x_i^a or x_i^a - x_i for each i), which is zero-dimensional
+    but may have points off the origin, or 1-3 polynomials that may have
+    constant terms."""
+    field, coeffs = draw(st.sampled_from(SPEC_FIELDS))
+    n = draw(st.integers(2, 3))
+    order = TermOrder(draw(st.sampled_from(("degrevlex", "lex"))), draw(st.permutations(range(n))))
+    ring = PolynomialRing(field, tuple("xyz"[:n]), order)
+    v = ring.gens()
+    raws = [field.parse(c).raw for c in coeffs]
+    top = 3 if n < 3 else 2
+
+    def polys(monomial):
+        gens = []
+        for terms in draw(st.lists(st.lists(st.tuples(monomial, st.sampled_from(raws)),
+                                            min_size=1, max_size=3), min_size=1, max_size=3)):
+            gens.append(ring.polynomial((ring.encode(e), c) for e, c in terms))
+        return [g for g in gens if g]
+
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    defining = polys(exps.filter(any))
+    later = order.resolved_priority(n)[1:]  # not yet first in the priority
+    for k, g in enumerate(defining):
+        if draw(st.booleans()):
+            if draw(st.booleans()):
+                defining[k] = g + v[draw(st.sampled_from(later))] ** max(g.degree(), 1)
+            else:
+                defining[k] = g + v[draw(st.integers(0, n - 1))] ** draw(st.integers(1, 4))
+    defining = [g for g in defining if g]
+    assume(defining)
+    try:
+        R = QuotientRingSpec(ring, defining)
+    except ValidationError:  # the unit ideal
+        assume(False)
+    kind = draw(st.sampled_from(("maximal", "points", "random")))
+    if kind == "maximal":
+        ideal = list(v)
+    elif kind == "points":
+        ideal = [x ** draw(st.integers(2, 3)) - (x if draw(st.booleans()) else 0) for x in v]
+    else:
+        ideal = polys(exps)
+    assume(ideal)
+    return R, IdealPresentation(ring, ideal)
+
+
+def _user_order_basis(R, J):
+    return buchberger(IdealPresentation(R.ring, R.defining + J.generators))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_cases())
+def test_colength_ring_keeps_lengths_and_verdicts(case):
+    R, I = case
+    p = R.ring.domain.characteristic
+    for q in (p, p * p) if p == 2 else (p,):
+        chosen = hk_sample_gb(R, I, q)
+        user = _user_order_basis(R, frobenius_power(I, q))
+        assert chosen.ring is R.colength_ring()
+        assert colength(chosen) == colength(user)
+        if q == p and colength(user) is not INFINITE:
+            assert _primary_witness(chosen) == _primary_witness(user)
+    lengths = [colength(_user_order_basis(R, I if n == 1 else ordinary_power(I, n)))
+               for n in (1, 2)]
+    if INFINITE in lengths:
+        with pytest.raises(ValidationError, match="zero-dimensional"):
+            hs_function(R, I, 2)
+    else:
+        assert [s.length for s in hs_function(R, I, 2)] == lengths
