@@ -20,9 +20,7 @@ from .family import (
     ModpResult,
     SweepResult,
     Verdict,
-    hk_family_rows,
     hk_sweep,
-    hs_family_rows,
     modp_sweep,
     specialize_fiber,
     verdict_hk_monotonicity,

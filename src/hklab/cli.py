@@ -6,7 +6,8 @@ output directory; stdout carries a human-readable summary.
 
 Exit codes: 0 success (all verdicts PASS), 1 a mathematical check FAILed,
 2 validation/config error (including an unknown sweep check name, two
-sweep fibers with the same label, or a prime listed twice for modp),
+sweep fibers with the same label, a prime listed twice for modp, or an
+integer field such as e_max given as a string, float or bool),
 3 internal error.  Identical configs produce byte-identical artifacts.
 The --threads flag is accepted for compatibility and ignored: every run
 is sequential.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .coeff import field_from_config
+from .coeff import config_int, field_from_config
 from .errors import HKLabError, StructuralError, ValidationError
 from .family import DEFAULT_CHECKS, FamilySpec, hk_sweep, modp_sweep, parse_fibers
 from .groebner import (
@@ -214,9 +215,9 @@ def _cmd_groebner(run: RunConfig, cfg: dict):
 
 def _cmd_hk(run: RunConfig, cfg: dict):
     ring = _build_ring(cfg)
+    e_max = config_int(_need(cfg, "e_max"), "e_max")
     R = _quotient(ring, cfg)
     ideal = _parse_ideal(ring, _need(cfg, "ideal"), "ideal")
-    e_max = _need(cfg, "e_max")
     samples = hk_function(R, ideal, e_max)
     est = hk_estimate(samples) if len(samples) >= 2 else None
     files = _write_csv(run, "hk.csv", HK_HEADER, _hk_csv_rows("-", samples, est, ""))
@@ -242,9 +243,9 @@ def _cmd_hk(run: RunConfig, cfg: dict):
 
 def _cmd_hs(run: RunConfig, cfg: dict):
     ring = _build_ring(cfg)
+    n_max = config_int(_need(cfg, "n_max"), "n_max")
     R = _quotient(ring, cfg)
     ideal = _parse_ideal(ring, _need(cfg, "ideal"), "ideal")
-    n_max = _need(cfg, "n_max")
     samples = hs_function(R, ideal, n_max)
     payload = {
         "dimension": R.dimension,
@@ -273,12 +274,15 @@ def _cmd_hs(run: RunConfig, cfg: dict):
 
 def _cmd_rsig(run: RunConfig, cfg: dict):
     ring = _build_ring(cfg)
-    R = _quotient(ring, cfg)
-    sop = _parse_ideal(ring, _need(cfg, "sop"), "sop")
     grid = None
     if "grid" in cfg:
-        grid = [ring.domain(v) for v in cfg["grid"]]
-    result = rsig_search(R, sop, coefficient_grid=grid, e_max=cfg.get("e_max", 2))
+        grid = [
+            ring.domain(v if isinstance(v, str) else config_int(v, "grid")) for v in cfg["grid"]
+        ]
+    e_max = config_int(cfg.get("e_max", 2), "e_max")
+    R = _quotient(ring, cfg)
+    sop = _parse_ideal(ring, _need(cfg, "sop"), "sop")
+    result = rsig_search(R, sop, coefficient_grid=grid, e_max=e_max)
     rows = [
         (i, "|".join(repr(c) for c in r.coefficients), repr(r.u),
          _frac(r.ehk_x.value), _frac(r.ehk_xu.value), _frac(r.difference),
@@ -307,13 +311,14 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
 
 def _cmd_csig(run: RunConfig, cfg: dict):
     ring = _build_ring(cfg)
+    e_max = config_int(cfg.get("e_max", 2), "e_max")
     R = _quotient(ring, cfg)
     sop = _parse_ideal(ring, _need(cfg, "sop"), "sop")
     candidates = [
         _parse_ideal(ring, gens, f"candidates[{i}]")
         for i, gens in enumerate(_need(cfg, "candidates"))
     ]
-    result = csig_search(R, sop, candidates, e_max=cfg.get("e_max", 2))
+    result = csig_search(R, sop, candidates, e_max=e_max)
     rows = []
     for r in result.rows:
         rows.append(
@@ -361,8 +366,9 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
     F = FamilySpec.from_config(cfg)
     fibers = parse_fibers(F, _need(cfg, "fibers"))
     checks = tuple(cfg.get("checks", DEFAULT_CHECKS))
+    n_max = config_int(cfg["n_max"], "n_max") if "n_max" in cfg else None
     result = hk_sweep(
-        F, fibers, _need(cfg, "e_max"), checks=checks, n_max=cfg.get("n_max"),
+        F, fibers, config_int(_need(cfg, "e_max"), "e_max"), checks=checks, n_max=n_max,
         assume_reduced=run.assume_reduced,
     )
     verdicts = result.verdicts
@@ -411,8 +417,8 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
 
 def _cmd_modp(run: RunConfig, cfg: dict):
     F = FamilySpec.from_config(cfg)
-    primes = _need(cfg, "primes")
-    e_max = _need(cfg, "e_max")
+    primes = [config_int(p, "primes") for p in _need(cfg, "primes")]
+    e_max = config_int(_need(cfg, "e_max"), "e_max")
     result = modp_sweep(F, primes, e_max, assume_reduced=run.assume_reduced)
     csv_rows = []
     for row in result.rows:

@@ -757,6 +757,14 @@ def make_extension(p: int, m: int) -> Field:
     raise ValidationError(f"no irreducible modulus found for GF({p}^{m})")  # unreachable
 
 
+def config_int(value, name: str) -> int:
+    """`value` of the config field `name` when it is an integer; a bool,
+    a string, a float or a missing (None) value is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"config field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def field_from_config(cfg: dict) -> Field:
     """Build a field from its JSON-config form."""
     try:
@@ -764,12 +772,13 @@ def field_from_config(cfg: dict) -> Field:
     except (TypeError, KeyError):
         raise ValidationError(f"field config must have a 'kind': {cfg!r}")
     if kind == "prime":
-        return PrimeField(cfg["p"])
+        return PrimeField(config_int(cfg.get("p"), "p"))
     if kind == "extension":
+        p = config_int(cfg.get("p"), "p")
         if "modulus" in cfg:
-            return ExtensionField(cfg["p"], tuple(cfg["modulus"]))
-        return make_extension(cfg["p"], cfg["m"])
+            return ExtensionField(p, tuple(cfg["modulus"]))
+        return make_extension(p, config_int(cfg.get("m"), "m"))
     if kind == "rational_function":
-        base = make_extension(cfg["p"], cfg.get("m", 1))
+        base = make_extension(config_int(cfg.get("p"), "p"), config_int(cfg.get("m", 1), "m"))
         return RationalFunctionField(base, cfg.get("var", "t"))
     raise ValidationError(f"unknown field kind {kind!r}")

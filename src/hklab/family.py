@@ -30,7 +30,9 @@ from .coeff import (
     FieldElement,
     PrimeField,
     RationalFunctionField,
+    config_int,
     is_prime,
+    make_extension,
 )
 from .errors import StructuralError, ValidationError
 from .multiplicity import (
@@ -117,13 +119,12 @@ class FamilySpec:
 class FiberSpec:
     """A point of the family base: SPECIAL values, GENERIC, or PRIME(p)."""
 
-    def __init__(self, kind, assignments=None, prime=None, extension_degree=1):
+    def __init__(self, kind, assignments=None, prime=None):
         if kind not in ("special", "generic", "prime"):
             raise ValidationError(f"unknown fiber kind {kind!r}")
         self.kind = kind
         self.assignments = dict(assignments or {})
         self.prime = prime
-        self.extension_degree = extension_degree
         if kind == "prime":
             if prime is None or not is_prime(prime):
                 raise ValidationError(f"PRIME fiber needs a prime number: {prime!r}")
@@ -311,27 +312,11 @@ def _require_unique_labels(fibers):
         raise ValidationError(f"sweep fibers need distinct labels, got {labels}")
 
 
-def hk_family_rows(F: FamilySpec, fibers, e_max: int):
-    """Hilbert-Kunz sample rows for each fiber, in the given fiber order."""
-    rows = []
-    for fiber in fibers:
-        R, I = specialize_fiber(F, fiber)
-        samples = tuple(hk_function(R, I, e_max))
-        est = hk_estimate(samples) if len(samples) >= 2 else None
-        rows.append(
-            HKFiberRow(label=fiber.label, dimension=R.dimension, samples=samples, estimate=est)
-        )
-    return tuple(rows)
-
-
-def hs_family_rows(F: FamilySpec, fibers, n_max: int):
-    """Hilbert-Samuel sample rows for each fiber, in the given fiber order."""
-    rows = []
-    for fiber in fibers:
-        R, I = specialize_fiber(F, fiber)
-        samples = tuple(hs_function(R, I, n_max))
-        rows.append(HSFiberRow(label=fiber.label, dimension=R.dimension, samples=samples))
-    return tuple(rows)
+def _hk_row(label: str, R: QuotientRingSpec, I: IdealPresentation, e_max: int) -> HKFiberRow:
+    """Hilbert-Kunz row of a specialized fiber (R, I)."""
+    samples = tuple(hk_function(R, I, e_max))
+    est = hk_estimate(samples) if len(samples) >= 2 else None
+    return HKFiberRow(label=label, dimension=R.dimension, samples=samples, estimate=est)
 
 
 def _dimension_warnings(rows):
@@ -341,71 +326,61 @@ def _dimension_warnings(rows):
     return ()
 
 
-def verdict_term_semicontinuity(rows) -> Verdict:
-    """PASS iff generic lengths are <= every special fiber's, term by term."""
+def _split_generic(rows, what: str):
+    """(generic row, special rows) of a row table."""
     generic = next((r for r in rows if r.label == "generic"), None)
     if generic is None:
-        raise ValidationError("term semicontinuity verdict needs a generic row")
-    witnesses = []
-    for row in rows:
-        if row.label == "generic":
-            continue
-        for gs, ss in zip(generic.samples, row.samples):
-            if gs.length > ss.length:
-                witnesses.append((row.label, gs.e))
-    if witnesses:
-        return Verdict(
-            name="term_semicontinuity",
-            passed=False,
-            details="generic length exceeds a special length at "
-            + ", ".join(f"(fiber {l}, e={e})" for l, e in witnesses),
-            witnesses=tuple(witnesses),
-        )
-    return Verdict(
-        name="term_semicontinuity",
-        passed=True,
-        details="generic length <= special length for every sampled e",
+        raise ValidationError(f"{what} verdict needs a generic row")
+    return generic, [r for r in rows if r.label != "generic"]
+
+
+def _verdict(name: str, witnesses, pass_details: str, fail_prefix: str, index: str = "e"):
+    """PASS with `pass_details` when there is no witness, else FAIL with
+    details `fail_prefix` followed by every (fiber, index) witness."""
+    listed = ", ".join(f"(fiber {l}, {index}={i})" for l, i in witnesses)
+    details = fail_prefix + listed if witnesses else pass_details
+    return Verdict(name=name, passed=not witnesses, details=details, witnesses=tuple(witnesses))
+
+
+def verdict_term_semicontinuity(rows) -> Verdict:
+    """PASS iff generic lengths are <= every special fiber's, term by term."""
+    generic, specials = _split_generic(rows, "term semicontinuity")
+    witnesses = [
+        (row.label, gs.e)
+        for row in specials
+        for gs, ss in zip(generic.samples, row.samples)
+        if gs.length > ss.length
+    ]
+    return _verdict(
+        "term_semicontinuity", witnesses,
+        "generic length <= special length for every sampled e",
+        "generic length exceeds a special length at ",
     )
 
 
 def verdict_hk_monotonicity(rows) -> Verdict:
     """PASS iff the generic estimate is <= each special estimate plus the
     combined empirical error bounds."""
-    generic = next((r for r in rows if r.label == "generic"), None)
-    if generic is None:
-        raise ValidationError("monotonicity verdict needs a generic row")
-    witnesses = []
-    for row in rows:
-        if row.label == "generic":
-            continue
-        slack = generic.estimate.error_bound + row.estimate.error_bound
-        if generic.estimate.value > row.estimate.value + slack:
-            witnesses.append((row.label, row.samples[-1].e))
-    if witnesses:
-        return Verdict(
-            name="hk_monotonicity",
-            passed=False,
-            details="generic estimate exceeds special estimate + bounds at "
-            + ", ".join(f"(fiber {l}, e={e})" for l, e in witnesses),
-            witnesses=tuple(witnesses),
-        )
-    return Verdict(
-        name="hk_monotonicity",
-        passed=True,
-        details="generic estimate <= special estimates within combined error bounds",
+    generic, specials = _split_generic(rows, "monotonicity")
+    g = generic.estimate
+    witnesses = [
+        (row.label, row.samples[-1].e)
+        for row in specials
+        if g.value > row.estimate.value + g.error_bound + row.estimate.error_bound
+    ]
+    return _verdict(
+        "hk_monotonicity", witnesses,
+        "generic estimate <= special estimates within combined error bounds",
+        "generic estimate exceeds special estimate + bounds at ",
     )
 
 
 def verdict_hs_lex(rows) -> Verdict:
     """PASS iff the generic Hilbert-Samuel tuple is lex-<= every special one."""
-    generic = next((r for r in rows if r.label == "generic"), None)
-    if generic is None:
-        raise ValidationError("Hilbert-Samuel verdict needs a generic row")
+    generic, specials = _split_generic(rows, "Hilbert-Samuel")
     gtuple = tuple(s.length for s in generic.samples)
     witnesses = []
-    for row in rows:
-        if row.label == "generic":
-            continue
+    for row in specials:
         stuple = tuple(s.length for s in row.samples)
         if gtuple > stuple:  # tuple comparison is lexicographic
             # witness: first index where generic exceeds
@@ -413,18 +388,11 @@ def verdict_hs_lex(rows) -> Verdict:
                 if g != s:
                     witnesses.append((row.label, i + 1))
                     break
-    if witnesses:
-        return Verdict(
-            name="hs_lex_semicontinuity",
-            passed=False,
-            details="generic Hilbert-Samuel tuple is lex-greater at "
-            + ", ".join(f"(fiber {l}, n={n})" for l, n in witnesses),
-            witnesses=tuple(witnesses),
-        )
-    return Verdict(
-        name="hs_lex_semicontinuity",
-        passed=True,
-        details="generic Hilbert-Samuel tuple is lex-<= every special tuple",
+    return _verdict(
+        "hs_lex_semicontinuity", witnesses,
+        "generic Hilbert-Samuel tuple is lex-<= every special tuple",
+        "generic Hilbert-Samuel tuple is lex-greater at ",
+        index="n",
     )
 
 
@@ -467,6 +435,9 @@ def hk_sweep(F: FamilySpec, fibers, e_max: int, checks=DEFAULT_CHECKS, n_max: in
     table when `hs_lex` or `uniform` is among the checks (it needs
     `n_max`), and each requested verdict computed from those tables.
 
+    Each fiber is specialized once, before any row, so a degenerate fiber
+    fails before any row is computed; both rows of a fiber share its (R, I).
+
     Verdicts come out in the order: Hilbert-Kunz checks as listed, then
     `hs_lex_semicontinuity`, then `uniform_bounds_finite`.  The uniform
     probe leans on the uniform-convergence theorem and so requires
@@ -493,8 +464,12 @@ def hk_sweep(F: FamilySpec, fibers, e_max: int, checks=DEFAULT_CHECKS, n_max: in
     if need_hs and n_max is None:
         raise ValidationError("the hs_lex and uniform checks need n_max")
 
-    rows = hk_family_rows(F, fibers, e_max)
-    hs_rows = hs_family_rows(F, fibers, n_max) if need_hs else ()
+    specialized = [(fiber.label, *specialize_fiber(F, fiber)) for fiber in fibers]
+    rows = tuple(_hk_row(label, R, I, e_max) for label, R, I in specialized)
+    hs_rows = tuple(
+        HSFiberRow(label=label, dimension=R.dimension, samples=tuple(hs_function(R, I, n_max)))
+        for label, R, I in specialized
+    ) if need_hs else ()
     verdicts = {name: HK_VERDICTS[name](rows) for name in checks if name in HK_VERDICTS}
     if "hs_lex" in checks:
         verdicts["hs_lex_semicontinuity"] = verdict_hs_lex(hs_rows)
@@ -512,12 +487,8 @@ def hk_sweep(F: FamilySpec, fibers, e_max: int, checks=DEFAULT_CHECKS, n_max: in
 
 
 @dataclass(frozen=True)
-class ModpRow:
-    label: str
+class ModpRow(HKFiberRow):
     prime: int
-    dimension: int
-    samples: tuple
-    estimate: HKEstimate
     deltas: tuple  # |normalized(e+1) - normalized(e)| as Fractions
     p_deltas: tuple  # p * delta
 
@@ -566,21 +537,12 @@ def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False) 
         except ValidationError as err:
             warnings.append(f"prime {p} skipped: {err}")
             continue
-        samples = tuple(hk_function(R, I, e_max))
-        est = hk_estimate(samples)
+        row = _hk_row(fiber.label, R, I, e_max)
         deltas = tuple(
-            abs(b.normalized - a.normalized) for a, b in zip(samples, samples[1:])
+            abs(b.normalized - a.normalized) for a, b in zip(row.samples, row.samples[1:])
         )
         rows.append(
-            ModpRow(
-                label=fiber.label,
-                prime=p,
-                dimension=R.dimension,
-                samples=samples,
-                estimate=est,
-                deltas=deltas,
-                p_deltas=tuple(p * d for d in deltas),
-            )
+            ModpRow(**vars(row), prime=p, deltas=deltas, p_deltas=tuple(p * d for d in deltas))
         )
     rows = tuple(rows)
     warnings = tuple(warnings) + _dimension_warnings(rows)
@@ -613,8 +575,6 @@ def parse_fibers(F: FamilySpec, fiber_cfgs) -> list:
     """Fiber list from the JSON config form: {"generic": true},
     {"t": "0", ...} with optional "m" for GF(p^m) values, or
     {"primes": [...]} handled by the caller for mod-p sweeps."""
-    from .coeff import make_extension
-
     fibers = []
     for cfg in fiber_cfgs:
         if not isinstance(cfg, dict):
@@ -622,7 +582,7 @@ def parse_fibers(F: FamilySpec, fiber_cfgs) -> list:
         if cfg.get("generic"):
             fibers.append(FiberSpec.generic())
             continue
-        m = cfg.get("m", 1)
+        m = config_int(cfg.get("m", 1), "m")
         field = make_extension(F.p, m) if F.p is not None else None
         assignments = {}
         for key, value in cfg.items():
@@ -632,6 +592,6 @@ def parse_fibers(F: FamilySpec, fiber_cfgs) -> list:
                 raise ValidationError(f"fiber assigns unknown parameter {key!r}")
             if field is None:
                 raise ValidationError("special fibers need a parameter-base family")
-            assignments[key] = field(value) if isinstance(value, (str, int)) else value
+            assignments[key] = field(value if isinstance(value, str) else config_int(value, key))
         fibers.append(FiberSpec("special", assignments=assignments))
     return fibers

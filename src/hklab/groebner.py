@@ -46,7 +46,7 @@ from typing import NamedTuple
 from . import linalg
 from .coeff import Field, FieldElement, PrimeField
 from .errors import StructuralError, ValidationError
-from .polyring import IdealPresentation, Polynomial, PolynomialRing, TermOrder
+from .polyring import IdealPresentation, Polynomial, PolynomialRing
 
 INFINITE = math.inf
 
@@ -486,17 +486,12 @@ def _slice_points(gens):
     return points
 
 
-def buchberger(I: IdealPresentation, order: TermOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by I; its `stats`
-    hold the counters of the run."""
+def buchberger(I: IdealPresentation) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by I, in the term
+    order of I's ring; its `stats` hold the counters of the run."""
     ring = I.ring
     if not isinstance(ring.domain, Field):
         raise ValidationError("Groebner bases require field coefficients")
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        gens = [ring.convert(g) for g in I.generators]
-    else:
-        gens = list(I.generators)
 
     dom = ring.domain
     n = ring.nvars
@@ -504,7 +499,7 @@ def buchberger(I: IdealPresentation, order: TermOrder | None = None) -> Groebner
     weights = [ring.encode(tuple(int(i == j) for j in range(n))) for i in range(n)]
     items: list[_Item] = []
     seen = set()
-    for g in gens:
+    for g in I.generators:
         item = _make_item(ring, g._terms)
         sig = (item.key, item.tail)
         if sig not in seen:

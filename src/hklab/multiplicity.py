@@ -470,26 +470,16 @@ def csig_search(
                 )
         len_c = colength(gb_c)
         denom = len_x - len_c
+        est = ratio = None
         if denom == 0:
             warnings.append(
                 f"candidate #{idx} skipped: equal colength {len_x} (zero denominator)"
             )
-            rows.append(
-                CSigRow(
-                    index=idx,
-                    candidate=cand,
-                    ehk_x=ehk_x,
-                    ehk_candidate=None,
-                    colength_x=len_x,
-                    colength_candidate=len_c,
-                    denominator=0,
-                    ratio=None,
-                    skipped=True,
-                )
-            )
-            continue
-        est = hk_estimate(hk_function(R, cand, e_max))
-        ratio = (ehk_x.value - est.value) / denom
+        else:
+            est = hk_estimate(hk_function(R, cand, e_max))
+            ratio = (ehk_x.value - est.value) / denom
+            if minimum is None or ratio < minimum:
+                minimum = ratio
         rows.append(
             CSigRow(
                 index=idx,
@@ -500,9 +490,7 @@ def csig_search(
                 colength_candidate=len_c,
                 denominator=denom,
                 ratio=ratio,
-                skipped=False,
+                skipped=denom == 0,
             )
         )
-        if minimum is None or ratio < minimum:
-            minimum = ratio
     return CSigResult(sop=x, rows=tuple(rows), minimum=minimum, warnings=tuple(warnings))

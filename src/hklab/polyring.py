@@ -133,9 +133,6 @@ class Monomial:
         self.degree = degree
         self.key = key
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and other.exponents == self.exponents
 
@@ -282,11 +279,6 @@ class PolynomialRing:
             pow_int=lambda a, n: a**n,
         ).evaluate(text)
 
-    def with_order(self, order: TermOrder) -> "PolynomialRing":
-        if order == self.order:
-            return self
-        return PolynomialRing(self.domain, self.variables, order)
-
     def convert(self, poly: "Polynomial") -> "Polynomial":
         """Re-sort a polynomial from a ring that differs only in term order."""
         if poly.ring is self or poly.ring == self:
@@ -350,11 +342,6 @@ class Polynomial:
         if not self._terms:
             raise ValidationError("zero polynomial has no leading monomial")
         return self.ring.monomial_from_key(self._terms[0][0])
-
-    def leading_coefficient(self):
-        if not self._terms:
-            raise ValidationError("zero polynomial has no leading coefficient")
-        return self._terms[0][1]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

@@ -348,17 +348,13 @@ def _spair_terms(ring, item_f, item_g):
     return tuple(sorted(acc.items(), reverse=True))
 
 
-def classic_buchberger(I, order=None):
+def classic_buchberger(I):
     """Reduced Groebner basis of the ideal generated by I, by the kept
     classical pair loop (see module docstring)."""
     ring = I.ring
     if not isinstance(ring.domain, Field):
         raise ValidationError("Groebner bases require field coefficients")
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        gens = [ring.convert(g) for g in I.generators]
-    else:
-        gens = list(I.generators)
+    gens = list(I.generators)
 
     guard = _guard_mask(ring.nvars)
     packed_cache: dict[int, int] = {}

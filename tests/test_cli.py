@@ -90,6 +90,48 @@ def test_malformed_config_exit_2(tmp_path):
     assert run(RunConfig("hk", str(tmp_path / "nope.json"), str(tmp_path))) == 2
 
 
+HK_PLANE = {
+    "field": {"kind": "prime", "p": 2},
+    "vars": ["x", "y"],
+    "ideal": ["x", "y"],
+    "e_max": 2,
+}
+RSIG_PLANE = {"field": {"kind": "prime", "p": 2}, "vars": ["x", "y"], "sop": ["x", "y"]}
+MODP_PLANE = {
+    "base": {"kind": "integers"},
+    "vars": ["x", "y"],
+    "ideal": ["x", "y"],
+    "primes": [2, 3],
+    "e_max": 2,
+}
+
+
+@pytest.mark.parametrize("command, payload, name", [
+    ("hk", dict(HK_PLANE, e_max="2"), "e_max"),
+    ("hk", dict(HK_PLANE, e_max=2.5), "e_max"),
+    ("hk", dict(HK_PLANE, e_max=True), "e_max"),
+    ("hs", dict(HK_PLANE, n_max="3"), "n_max"),
+    ("rsig", dict(RSIG_PLANE, e_max="2"), "e_max"),
+    ("rsig", dict(RSIG_PLANE, grid=[0, 1.5]), "grid"),
+    ("csig", dict(RSIG_PLANE, candidates=[["x", "y"]], e_max=2.0), "e_max"),
+    ("sweep", dict(MONSKY_SWEEP, e_max="2"), "e_max"),
+    ("sweep", dict(MONSKY_SWEEP, checks=["hs_lex"], n_max="3"), "n_max"),
+    ("sweep", dict(MONSKY_SWEEP, fibers=[{"generic": True}, {"t": "s", "m": "2"}]), "m"),
+    ("sweep", dict(MONSKY_SWEEP, fibers=[{"generic": True}, {"t": 1.5}]), "t"),
+    ("modp", dict(MODP_PLANE, e_max="2"), "e_max"),
+    ("modp", dict(MODP_PLANE, primes=[2, "3"]), "primes"),
+    ("modp", dict(MODP_PLANE, primes=[2, 3.0]), "primes"),
+    ("hk", dict(HK_PLANE, field={"kind": "prime"}), "p"),
+    ("hk", dict(HK_PLANE, field={"kind": "rational_function"}), "p"),
+    ("hk", dict(HK_PLANE, field={"kind": "extension", "p": 2, "m": "2"}), "m"),
+    ("hk", dict(HK_PLANE, field={"kind": "rational_function", "p": 2, "m": "2"}), "m"),
+])
+def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command, payload, name):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert run(RunConfig(command, cfg, str(tmp_path / "out"), assume_reduced=True)) == 2
+    assert f"config field {name!r}" in capsys.readouterr().err
+
+
 def test_sweep_monsky_passes_and_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, "sweep.json", MONSKY_SWEEP)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -14,9 +14,7 @@ from hklab import (
     ValidationError,
     buchberger,
     frobenius_power,
-    hk_family_rows,
     hk_sweep,
-    hs_family_rows,
     make_extension,
     modp_sweep,
     specialize_fiber,
@@ -149,10 +147,16 @@ def test_sweeps_reject_bad_input_before_computing(monsky_family, monsky_z_family
         hk_sweep(monsky_family, FIBERS + [FiberSpec.special(t=1)], e_max=2)
     with pytest.raises(ValidationError, match="more than once"):
         modp_sweep(monsky_z_family, [3, 3], e_max=2, assume_reduced=True)
+    # a degenerate last fiber is found before the first row is computed
+    vanishing = FamilySpec("param", ("x", "y"), ("t*x^3 + t*y^2",), ("x", "y"), p=2,
+                           parameters=("t",))
+    with pytest.raises(ValidationError, match="degenerate fiber"):
+        hk_sweep(vanishing, FIBERS[:1] + [FiberSpec.special(t=1), FiberSpec.special(t=0)],
+                 e_max=2)
 
 
 def test_sweep_computes_each_row_table_once(monsky_family, monkeypatch):
-    calls = {"hk_function": 0, "hs_function": 0}
+    calls = {"hk_function": 0, "hs_function": 0, "specialize_fiber": 0}
     for name in calls:
         original = getattr(family, name)
 
@@ -164,7 +168,9 @@ def test_sweep_computes_each_row_table_once(monsky_family, monkeypatch):
     checks = ("term_semicontinuity", "hk_monotonicity", "hs_lex", "uniform")
     result = hk_sweep(monsky_family, FIBERS, e_max=2, checks=checks, n_max=3,
                       assume_reduced=True)
-    assert calls == {"hk_function": len(FIBERS), "hs_function": len(FIBERS)}
+    assert calls == {
+        "hk_function": len(FIBERS), "hs_function": len(FIBERS), "specialize_fiber": len(FIBERS)
+    }
     assert list(result.verdicts) == [
         "term_semicontinuity", "hk_monotonicity", "hs_lex_semicontinuity",
         "uniform_bounds_finite",
@@ -194,8 +200,8 @@ def test_verdicts_are_pure_functions_of_rows(monsky_family):
 
 def test_verdict_fail_names_fiber_and_e():
     # doctored rows: generic longer than special at e = 2
-    from hklab.family import HKFiberRow
-    from hklab.multiplicity import HKEstimate, HKSample
+    from hklab.family import HKFiberRow, HSFiberRow
+    from hklab.multiplicity import HKEstimate, HKSample, HSSample
 
     def mk(label, lengths):
         samples = tuple(
@@ -204,12 +210,27 @@ def test_verdict_fail_names_fiber_and_e():
         est = HKEstimate(samples[-1].normalized, Fraction(0), Fraction(0), samples)
         return HKFiberRow(label, 2, samples, est)
 
-    rows = (mk("generic", [8, 60]), mk("t=0", [8, 44]))
+    def mk_hs(label, lengths):
+        return HSFiberRow(label, 2, tuple(HSSample(n, L) for n, L in enumerate(lengths, 1)))
+
+    rows = (mk("generic", [8, 60]), mk("t=0", [8, 44]), mk("t=1", [9, 50]))
     verdict = verdict_term_semicontinuity(rows)
     assert not verdict.passed
-    assert ("t=0", 2) in verdict.witnesses
+    assert verdict.witnesses == (("t=0", 2), ("t=1", 2))
+    assert verdict.details == (
+        "generic length exceeds a special length at (fiber t=0, e=2), (fiber t=1, e=2)"
+    )
     mono = verdict_hk_monotonicity(rows)
-    assert not mono.passed and mono.witnesses
+    assert not mono.passed and mono.witnesses == (("t=0", 2), ("t=1", 2))
+    assert mono.details == (
+        "generic estimate exceeds special estimate + bounds at (fiber t=0, e=2), (fiber t=1, e=2)"
+    )
+    hs_rows = (mk_hs("generic", [3, 7]), mk_hs("t=0", [3, 6]), mk_hs("t=1", [2, 9]))
+    lex = verdict_hs_lex(hs_rows)
+    assert not lex.passed and lex.witnesses == (("t=0", 2), ("t=1", 1))
+    assert lex.details == (
+        "generic Hilbert-Samuel tuple is lex-greater at (fiber t=0, n=2), (fiber t=1, n=1)"
+    )
 
 
 def test_hs_family_sweep_on_monsky(monsky_family):
@@ -304,9 +325,9 @@ def test_uniform_probe_on_regular_family():
 
 
 def test_uniform_probe_single_fiber_reduces_to_its_estimates(monsky_family):
-    fiber = [FiberSpec.special(t=0)]
-    hk_rows = hk_family_rows(monsky_family, fiber, e_max=3)
-    hs_rows = hs_family_rows(monsky_family, fiber, n_max=4)
+    result = hk_sweep(monsky_family, [FiberSpec.generic(), FiberSpec.special(t=0)], e_max=3,
+                      checks=("uniform",), n_max=4, assume_reduced=True)
+    hk_rows, hs_rows = result.rows[1:], result.hs_rows[1:]  # the t=0 fiber alone
     _, c_hat, d_hat = verdict_uniform_bounds(hk_rows, hs_rows)
     assert d_hat == hk_rows[0].estimate.d_hat
     row = hs_rows[0]

@@ -44,6 +44,12 @@ F2T = RationalFunctionField(F2)
 MONSKY_T1 = "z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2"
 
 
+def in_order(ideal, order):
+    """The same ideal in a ring that differs from its own only in the term order."""
+    ring = PolynomialRing(ideal.ring.domain, ideal.ring.variables, order)
+    return IdealPresentation(ring, tuple(ring.convert(g) for g in ideal.generators))
+
+
 def test_buchberger_monomial_ideal_is_its_own_basis():
     for order in (TermOrder("degrevlex"), TermOrder("lex")):
         R = PolynomialRing(F5, ("x", "y"), order)
@@ -136,14 +142,14 @@ def test_colength_monsky_e1():
 
 def test_colength_is_term_order_independent():
     for field, ring, ideal, gb in random_zero_dim_ideals(99, 6):
-        lex_gb = buchberger(ideal, TermOrder("lex"))
+        lex_gb = buchberger(in_order(ideal, TermOrder("lex")))
         assert colength(lex_gb) == colength(gb)
 
 
 def test_normal_form_converts_across_orders():
     R = PolynomialRing(F5, ("x", "y"))
     x, y = R.gens()
-    lex_gb = buchberger(IdealPresentation(R, (x - y**2, y**3)), TermOrder("lex"))
+    lex_gb = buchberger(in_order(IdealPresentation(R, (x - y**2, y**3)), TermOrder("lex")))
     f = x * y + y  # built in the degrevlex ring, reduced against a lex basis
     nf = lex_gb.normal_form(f)
     assert nf == lex_gb.ring.var("y")
@@ -410,7 +416,7 @@ def test_colength_invariant_under_priority_permutation():
     for field, ring, ideal, gb in random_zero_dim_ideals(31337, 5):
         n = ring.nvars
         perm = tuple(reversed(range(n)))
-        permuted = buchberger(ideal, TermOrder("degrevlex", perm))
+        permuted = buchberger(in_order(ideal, TermOrder("degrevlex", perm)))
         assert colength(permuted) == colength(gb)
 
 
