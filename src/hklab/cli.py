@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .coeff import config_int, field_from_config
+from .coeff import config_int, config_list, field_from_config
 from .errors import HKLabError, StructuralError, ValidationError
 from .family import DEFAULT_CHECKS, FamilySpec, hk_sweep, modp_sweep, parse_fibers
 from .groebner import (
@@ -95,17 +95,17 @@ def _need(cfg: dict, key: str):
 def _build_ring(cfg: dict) -> PolynomialRing:
     field = field_from_config(_need(cfg, "field"))
     order = TermOrder(cfg.get("order", "degrevlex"), cfg.get("priority"))
-    return PolynomialRing(field, _need(cfg, "vars"), order)
+    return PolynomialRing(field, config_list(_need(cfg, "vars"), "vars"), order)
 
 
 def _parse_ideal(ring, strings, what: str) -> IdealPresentation:
-    if not strings:
+    if not config_list(strings, what):
         raise ValidationError(f"config field {what!r} must be a nonempty list")
     return IdealPresentation(ring, tuple(ring.parse(s) for s in strings))
 
 
 def _quotient(ring, cfg) -> QuotientRingSpec:
-    defining = tuple(ring.parse(s) for s in cfg.get("defining", ()))
+    defining = tuple(ring.parse(s) for s in config_list(cfg.get("defining", []), "defining"))
     return QuotientRingSpec(ring, defining)
 
 
@@ -277,7 +277,8 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
     grid = None
     if "grid" in cfg:
         grid = [
-            ring.domain(v if isinstance(v, str) else config_int(v, "grid")) for v in cfg["grid"]
+            ring.domain(v if isinstance(v, str) else config_int(v, "grid"))
+            for v in config_list(cfg["grid"], "grid")
         ]
     e_max = config_int(cfg.get("e_max", 2), "e_max")
     R = _quotient(ring, cfg)
@@ -316,7 +317,7 @@ def _cmd_csig(run: RunConfig, cfg: dict):
     sop = _parse_ideal(ring, _need(cfg, "sop"), "sop")
     candidates = [
         _parse_ideal(ring, gens, f"candidates[{i}]")
-        for i, gens in enumerate(_need(cfg, "candidates"))
+        for i, gens in enumerate(config_list(_need(cfg, "candidates"), "candidates"))
     ]
     result = csig_search(R, sop, candidates, e_max=e_max)
     rows = []
@@ -364,8 +365,8 @@ def _print_verdicts(verdicts: dict):
 
 def _cmd_sweep(run: RunConfig, cfg: dict):
     F = FamilySpec.from_config(cfg)
-    fibers = parse_fibers(F, _need(cfg, "fibers"))
-    checks = tuple(cfg.get("checks", DEFAULT_CHECKS))
+    fibers = parse_fibers(F, config_list(_need(cfg, "fibers"), "fibers"))
+    checks = tuple(config_list(cfg.get("checks", DEFAULT_CHECKS), "checks"))
     n_max = config_int(cfg["n_max"], "n_max") if "n_max" in cfg else None
     result = hk_sweep(
         F, fibers, config_int(_need(cfg, "e_max"), "e_max"), checks=checks, n_max=n_max,
@@ -417,7 +418,7 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
 
 def _cmd_modp(run: RunConfig, cfg: dict):
     F = FamilySpec.from_config(cfg)
-    primes = [config_int(p, "primes") for p in _need(cfg, "primes")]
+    primes = [config_int(p, "primes") for p in config_list(_need(cfg, "primes"), "primes")]
     e_max = config_int(_need(cfg, "e_max"), "e_max")
     result = modp_sweep(F, primes, e_max, assume_reduced=run.assume_reduced)
     csv_rows = []

@@ -765,6 +765,14 @@ def config_int(value, name: str) -> int:
     return value
 
 
+def config_list(value, name: str) -> list:
+    """`value` of the config field `name` when it is a list or a tuple;
+    anything else, such as a string, is a ValidationError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"config field {name!r} must be a list, got {value!r}")
+    return value
+
+
 def field_from_config(cfg: dict) -> Field:
     """Build a field from its JSON-config form."""
     try:
@@ -776,7 +784,8 @@ def field_from_config(cfg: dict) -> Field:
     if kind == "extension":
         p = config_int(cfg.get("p"), "p")
         if "modulus" in cfg:
-            return ExtensionField(p, tuple(cfg["modulus"]))
+            modulus = config_list(cfg["modulus"], "modulus")
+            return ExtensionField(p, tuple(config_int(c, "modulus") for c in modulus))
         return make_extension(p, config_int(cfg.get("m"), "m"))
     if kind == "rational_function":
         base = make_extension(config_int(cfg.get("p"), "p"), config_int(cfg.get("m", 1), "m"))

@@ -31,6 +31,7 @@ from .coeff import (
     PrimeField,
     RationalFunctionField,
     config_int,
+    config_list,
     is_prime,
     make_extension,
 )
@@ -95,23 +96,21 @@ class FamilySpec:
         for key in ("vars", "ideal"):
             if key not in cfg:
                 raise ValidationError(f"family config is missing {key!r}")
+        variables, defining, ideal = (
+            config_list(cfg.get(key, []), key) for key in ("vars", "defining", "ideal")
+        )
         if base["kind"] == "integers":
-            return cls(
-                "integers",
-                cfg["vars"],
-                cfg.get("defining", ()),
-                cfg["ideal"],
-            )
+            return cls("integers", variables, defining, ideal)
         if base["kind"] == "param":
             if "p" not in base:
                 raise ValidationError("parameter-base family config needs base.p")
             return cls(
                 "param",
-                cfg["vars"],
-                cfg.get("defining", ()),
-                cfg["ideal"],
+                variables,
+                defining,
+                ideal,
                 p=base["p"],
-                parameters=base.get("params", ()),
+                parameters=config_list(base.get("params", []), "params"),
             )
         raise ValidationError(f"unknown base kind {base['kind']!r}")
 

@@ -26,6 +26,28 @@ every such variable, the test is (packed + BOX) & GUARD on the packed
 exponents, and the same test catches an exponent that reached 2^31,
 which raises OverflowError.
 
+Inside buchberger the reducer finds irreducible terms through a divisor
+index, in the spirit of the short exponent vectors of Bachmann and
+Schonemann ("Monomial representations for Groebner bases computations",
+ISSAC 1998).  It keys a term on its packed exponents with the field of
+one variable cleared: the variable last in the ring's priority.  That is
+never the variable QuotientRingSpec.colength_ring() moves to the front,
+whose exponents stay below the degree of its pure-power leading term
+(z^4 for the Monsky quartics), so keys repeat across terms; dropping z
+there instead made the loop about twice as slow.  An entry holds the
+least exponent of the dropped variable among the reducers whose other
+exponents divide the key, and the number of reducers it has seen; the
+reducer list only grows by appending, so an entry is brought up to date
+from the reducers appended since when a lookup needs it.  A term whose
+dropped exponent is below that least exponent has no divisor and goes to
+the remainder without a scan.  Every other term is scanned in list order
+as before, so the first divisor is still the reducer chosen, and every
+reduction step, counter and basis is the same as without the index.
+buchberger keeps one index for the pair loop and one for the final
+interreduction, and consults it only while the reducer list is longer
+than _INDEX_MIN_ITEMS (16): on shorter lists a lookup costs more than
+the scan it saves.  GroebnerBasis.normal_form scans without an index.
+
 Pairs are managed by the update of Gebauer and Moller ("On an
 installation of Buchberger's algorithm", JSC 1988) in the UPDATE form of
 Becker and Weispfenning (Groebner Bases, 1993, p. 230), run once per new
@@ -131,13 +153,53 @@ def _box_mask(items):
     return sum((_GUARD_BIT - b) << (_FIELD_WIDTH * i) for i, b in bounds.items())
 
 
-def _reduce_terms(work, packs, items, dom, guard, box, tally):
+class _DivisorIndex:
+    """The divisor index of the module docstring, for one reducer list that
+    only grows by appending.  `table` maps a term's packed exponents with
+    the field of the dropped variable cleared (at bit offset `drop`) to
+    (seen << _FIELD_WIDTH) | low: `low` is the least dropped exponent among
+    the first `seen` reducers whose other exponents divide the term's, and
+    2^31 when none does."""
+
+    __slots__ = ("drop", "guard", "fill", "table")
+
+    def __init__(self, ring):
+        self.drop = _FIELD_WIDTH * ring.order.resolved_priority(ring.nvars)[-1]
+        self.guard = _guard_mask(ring.nvars)
+        # every bit of the dropped field set: a probe that ignores that field
+        self.fill = (_FIELD_MASK << self.drop) | self.guard
+        self.table = {}
+
+    def update(self, items, masked, entry):
+        """The entry of `masked` brought up to date with the items appended
+        since it was made, stored and returned."""
+        probe = masked | self.fill
+        guard = self.guard
+        drop = self.drop
+        low = entry & _FIELD_MASK
+        for item in items[entry >> _FIELD_WIDTH:]:
+            ip = item.packed
+            if (probe - ip) & guard == guard:
+                d = (ip >> drop) & _FIELD_MASK
+                if d < low:
+                    low = d
+        entry = self.table[masked] = (len(items) << _FIELD_WIDTH) | low
+        return entry
+
+
+_INDEX_MIN_ITEMS = 16  # shorter reducer lists are scanned without the index
+_NO_DIVISOR = _GUARD_BIT  # the entry with seen = 0 and low = 2^31
+
+
+def _reduce_terms(work, packs, items, dom, guard, box, tally, index=None):
     """Full normal form of the terms of `work` (key -> raw, consumed)
     against monic items, in a fixed scan order.  `packs` maps each key of
     `work` to its packed exponents, all below 2^31; terms outside the box
-    are dropped.  Returns the remainder as descending (key, raw) pairs and
-    their packed exponents, and adds the reduction steps and the box drops
-    to tally[0] and tally[1]."""
+    are dropped.  `index`, a _DivisorIndex over `items`, sends terms that
+    no item divides to the remainder without a scan.  Returns the
+    remainder as descending (key, raw) pairs and their packed exponents,
+    and adds the reduction steps and the box drops to tally[0] and
+    tally[1]."""
     prime = isinstance(dom, PrimeField)
     p = dom.characteristic
     steps = dropped = 0
@@ -145,6 +207,13 @@ def _reduce_terms(work, packs, items, dom, guard, box, tally):
         for k in [k for k in work if (packs[k] + box) & guard]:
             del work[k]
             dropped += 1
+    n = len(items)
+    indexed = index is not None and n > _INDEX_MIN_ITEMS
+    if indexed:
+        lookup = index.table.get
+        update = index.update
+        drop = index.drop
+        mask = _FIELD_MASK
     heap = [-k for k in work]
     heapq.heapify(heap)
     out = []
@@ -155,6 +224,19 @@ def _reduce_terms(work, packs, items, dom, guard, box, tally):
         if c is None:
             continue
         packed = packs[k]
+        if indexed:
+            e = (packed >> drop) & mask
+            masked = packed - (e << drop)
+            entry = lookup(masked, _NO_DIVISOR)
+            # reducers are only appended, so a stale entry that finds a
+            # divisor is still right; one that finds none is brought up to date
+            if e < entry & mask:
+                if entry >> _FIELD_WIDTH < n:
+                    entry = update(items, masked, entry)
+                if e < entry & mask:
+                    out.append((k, c))
+                    out_packed.append(packed)
+                    continue
         vp = packed | guard
         for item in items:
             if (vp - item.packed) & guard == guard:
@@ -512,6 +594,7 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
     crit = [0, 0, 0, 0]  # pairs formed; dropped by M and F, product, B_k
     tally = [0, 0]  # reduction steps, box drops
     reduced = zeros = 0
+    index = _DivisorIndex(ring)
     for h in range(len(items)):
         active, pairs = _gm_update(items, active, pairs, h, guard, weights, crit)
 
@@ -519,7 +602,7 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
         lk, i, j, lp = heapq.heappop(pairs)
         reduced += 1
         work, packs = _spair(items[i], items[j], lk, lp, dom, guard)
-        terms, packed = _reduce_terms(work, packs, items, dom, guard, box, tally)
+        terms, packed = _reduce_terms(work, packs, items, dom, guard, box, tally, index)
         if not terms:
             zeros += 1
             continue
@@ -539,17 +622,19 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
             continue
         kept.append(cand)
     max_basis = len(items)
-    del items, active  # free the dropped elements before the tails are rebuilt
+    del items, active, index  # free the dropped elements before the tails are rebuilt
     # auto-reduce tails ascending, smaller leads being already final; each
     # old item is released as its reduced one is made, and kept as it is
     # when nothing in its tail reduces
     kept.reverse()
     reduced_items: list[_Item] = []
+    index = _DivisorIndex(ring)
     while kept:
         it = kept.pop()
         before = tally[:]
         packs = {k: p for (k, _), p in zip(it.tail, it.tail_packed)}
-        tail, tail_packed = _reduce_terms(dict(it.tail), packs, reduced_items, dom, guard, box, tally)
+        tail, tail_packed = _reduce_terms(dict(it.tail), packs, reduced_items, dom, guard, box,
+                                          tally, index)
         if tally != before:
             it = _Item(it.key, it.exps, it.packed, tail, tail_packed)
         reduced_items.append(it)

@@ -125,6 +125,19 @@ MODP_PLANE = {
     ("hk", dict(HK_PLANE, field={"kind": "rational_function"}), "p"),
     ("hk", dict(HK_PLANE, field={"kind": "extension", "p": 2, "m": "2"}), "m"),
     ("hk", dict(HK_PLANE, field={"kind": "rational_function", "p": 2, "m": "2"}), "m"),
+    # a string where a list belongs used to run one generator per character
+    ("hk", dict(HK_PLANE, vars=["x", "y", "z"], defining="xy", ideal=["x", "y", "z"]), "defining"),
+    ("hk", dict(HK_PLANE, vars=["x", "y", "z"], ideal="xyz"), "ideal"),
+    ("sweep", dict(MONSKY_SWEEP, defining="xy"), "defining"),
+    ("modp", dict(MODP_PLANE, primes=5), "primes"),
+    ("hk", dict(HK_PLANE, field={"kind": "extension", "p": 2, "modulus": [1, "1", 1]}), "modulus"),
+    ("hk", dict(HK_PLANE, vars="xy"), "vars"),
+    ("rsig", dict(RSIG_PLANE, sop="xy"), "sop"),
+    ("rsig", dict(RSIG_PLANE, grid="01"), "grid"),
+    ("csig", dict(RSIG_PLANE, candidates="xy"), "candidates"),
+    ("sweep", dict(MONSKY_SWEEP, fibers="g"), "fibers"),
+    ("sweep", dict(MONSKY_SWEEP, checks="uniform"), "checks"),
+    ("sweep", dict(MONSKY_SWEEP, base={"kind": "param", "p": 2, "params": "t"}), "params"),
 ])
 def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command, payload, name):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -26,6 +26,7 @@ from hklab import (
     normal_form,
     trace_discriminant,
 )
+from hklab import groebner
 from hklab.groebner import BuchbergerStats, GroebnerBasis
 
 from .oracles import (
@@ -585,7 +586,77 @@ def test_buchberger_stats_repeat_and_count_box_drops():
     assert s.box_drops > 0 and s.zero_reductions <= s.pairs_reduced
     assert s.pairs_formed == s.by_product + s.by_b_k + s.by_m_f + s.pairs_reduced
     assert s.max_basis >= len(first) == 153 and s.reduction_steps > 0
+    assert s == (11628, 3, 144, 11175, 306, 157, 91693, 15032, 153)
     G = buchberger(IdealPresentation(R, (R.parse("x^2 - y"), R.parse("x*y - z"))))
     assert len(G) == 3 and all(len(g._terms) == 2 for g in G)  # no monomial element
     assert G.stats.box_drops == 0 and G.stats.pairs_reduced > 0
     assert GroebnerBasis(R, G.elements).stats is None
+
+
+COLENGTH_ORDER = TermOrder("degrevlex", (2, 0, 1))  # the Monsky quartic leads with z^4
+
+
+def monsky_bracket(field, q, order=None, pure=3):
+    """(f, x^q, y^q, z^q) for the t = 1 Monsky quartic f, or (f, x^q, y^q)
+    for pure=2."""
+    R = PolynomialRing(field, ("x", "y", "z"), order)
+    powers = frobenius_power(IdealPresentation(R, R.gens()[:pure]), q).generators
+    return IdealPresentation(R, (R.parse(MONSKY_T1),) + powers)
+
+
+def twisted_cubic_bracket(q, order):
+    """The twisted-cubic cone plus (x, y, z, w)^[q] over GF(4)."""
+    R = PolynomialRing(GF4, ("x", "y", "z", "w"), order)
+    cubic = tuple(map(R.parse, ("x*z - y^2", "x*w - y*z", "y*w - z^2")))
+    return IdealPresentation(R, cubic + frobenius_power(IdealPresentation(R, R.gens()), q).generators)
+
+
+def index_rejects(index, items, packed):
+    """Whether `index`, up to date with `items`, sends the term with these
+    packed exponents to the remainder without a scan."""
+    width, mask = groebner._FIELD_WIDTH, groebner._FIELD_MASK
+    e = (packed >> index.drop) & mask
+    entry = index.table.get(packed - (e << index.drop))
+    return entry is not None and entry >> width == len(items) and e < entry & mask
+
+
+@pytest.mark.parametrize("make", [
+    # over F_2 in the user order the working set first passes the cutoff at q = 64
+    pytest.param(lambda: monsky_bracket(F2, 64), id="F2-q64"),
+    pytest.param(lambda: monsky_bracket(F3, 27), id="F3-q27"),
+    pytest.param(lambda: monsky_bracket(F5, 25), id="F5-q25"),
+    pytest.param(lambda: monsky_bracket(F2, 32, COLENGTH_ORDER), id="F2-q32-colength-order"),
+    pytest.param(lambda: monsky_bracket(F3, 27, COLENGTH_ORDER), id="F3-q27-colength-order"),
+    pytest.param(lambda: monsky_bracket(F5, 25, COLENGTH_ORDER), id="F5-q25-colength-order"),
+    pytest.param(lambda: monsky_bracket(F3, 9, TermOrder("lex")), id="F3-q9-lex"),
+    pytest.param(lambda: monsky_bracket(F5, 25, pure=2), id="F5-q25-no-pure-power-of-z"),
+    # in degrevlex this working set stays at 13 elements, below the cutoff
+    pytest.param(lambda: twisted_cubic_bracket(8, TermOrder("lex")), id="GF4-cubic-q8-lex"),
+])
+def test_indexed_reducer_matches_classic_loop(monkeypatch, make):
+    rejected = []
+    reduce_terms = groebner._reduce_terms
+
+    def spy(work, packs, items, dom, guard, box, tally, index=None):
+        terms, packed = reduce_terms(work, packs, items, dom, guard, box, tally, index)
+        if index is not None:
+            rejected.extend(p for p in packed if index_rejects(index, items, p))
+        return terms, packed
+
+    monkeypatch.setattr(groebner, "_reduce_terms", spy)
+    I = make()
+    G = buchberger(I)
+    assert G.elements == classic_buchberger(I).elements
+    assert G.stats.max_basis > groebner._INDEX_MIN_ITEMS and rejected
+
+
+@pytest.mark.parametrize("p, q, length, stats", [
+    (5, 125, 46870, (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)),
+    (3, 243, 177142, (19701, 4, 202, 19100, 395, 200, 13120, 21599, 199)),
+])
+def test_colength_order_counters_are_pinned(p, q, length, stats):
+    # values measured with the plain scan: choosing another reducer for any
+    # term would move reduction_steps or the basis
+    G = buchberger(monsky_bracket(PrimeField(p), q, COLENGTH_ORDER))
+    assert G.colength() == length
+    assert G.stats == stats
