@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .coeff import config_int, config_list, field_from_config
+from .coeff import config_int, config_list, config_strings, field_from_config
 from .errors import HKLabError, StructuralError, ValidationError
 from .family import DEFAULT_CHECKS, FamilySpec, hk_sweep, modp_sweep, parse_fibers
 from .groebner import (
@@ -94,18 +94,21 @@ def _need(cfg: dict, key: str):
 
 def _build_ring(cfg: dict) -> PolynomialRing:
     field = field_from_config(_need(cfg, "field"))
-    order = TermOrder(cfg.get("order", "degrevlex"), cfg.get("priority"))
-    return PolynomialRing(field, config_list(_need(cfg, "vars"), "vars"), order)
+    priority = cfg.get("priority")
+    if priority is not None:
+        priority = [config_int(i, "priority") for i in config_list(priority, "priority")]
+    order = TermOrder(cfg.get("order", "degrevlex"), priority)
+    return PolynomialRing(field, config_strings(_need(cfg, "vars"), "vars"), order)
 
 
 def _parse_ideal(ring, strings, what: str) -> IdealPresentation:
-    if not config_list(strings, what):
+    if not config_strings(strings, what):
         raise ValidationError(f"config field {what!r} must be a nonempty list")
     return IdealPresentation(ring, tuple(ring.parse(s) for s in strings))
 
 
 def _quotient(ring, cfg) -> QuotientRingSpec:
-    defining = tuple(ring.parse(s) for s in config_list(cfg.get("defining", []), "defining"))
+    defining = tuple(ring.parse(s) for s in config_strings(cfg.get("defining", []), "defining"))
     return QuotientRingSpec(ring, defining)
 
 
@@ -203,8 +206,11 @@ def _cmd_groebner(run: RunConfig, cfg: dict):
     if "matrix_of" in cfg:
         if length is INFINITE:
             raise ValidationError("matrix_of needs a zero-dimensional ideal")
-        M = multiplication_matrix(G, ring.parse(cfg["matrix_of"]))
-        payload["matrix_of"] = cfg["matrix_of"]
+        matrix_of = cfg["matrix_of"]
+        if not isinstance(matrix_of, str):
+            raise ValidationError(f"config field 'matrix_of' must be a string, got {matrix_of!r}")
+        M = multiplication_matrix(G, ring.parse(matrix_of))
+        payload["matrix_of"] = matrix_of
         payload["matrix"] = [[repr(v) for v in row] for row in M]
     files = _write_json(run, "groebner.json", payload)
     print(f"reduced basis: {len(G.elements)} elements; colength {payload['colength']}")

@@ -773,6 +773,15 @@ def config_list(value, name: str) -> list:
     return value
 
 
+def config_strings(value, name: str) -> list:
+    """`value` of the config field `name` when it is a list of strings,
+    such as variable names or polynomials."""
+    for entry in config_list(value, name):
+        if not isinstance(entry, str):
+            raise ValidationError(f"config field {name!r} must hold strings, got {entry!r}")
+    return value
+
+
 def field_from_config(cfg: dict) -> Field:
     """Build a field from its JSON-config form."""
     try:

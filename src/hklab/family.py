@@ -32,6 +32,7 @@ from .coeff import (
     RationalFunctionField,
     config_int,
     config_list,
+    config_strings,
     is_prime,
     make_extension,
 )
@@ -70,18 +71,22 @@ class FamilySpec:
             raise ValidationError(f"parameters and variables overlap: {sorted(overlap)}")
         # internal parse ring: ambient variables first, then parameters
         self._ring = PolynomialRing(domain, self.variables + self.parameters)
-        self.defining = tuple(self._parse_all(defining))
-        self.ideal = tuple(self._parse_all(ideal))
+        self.defining = tuple(self._parse_all(defining, "defining"))
+        self.ideal = tuple(self._parse_all(ideal, "ideal"))
         if not self.ideal:
             raise ValidationError("family ideal needs at least one generator")
         for g in self.defining + self.ideal:
             if g.is_zero():
                 raise ValidationError("zero generator in family")
 
-    def _parse_all(self, gens):
+    def _parse_all(self, gens, what):
         out = []
         for g in gens:
-            out.append(self._ring.parse(g) if isinstance(g, str) else g)
+            if isinstance(g, str):
+                g = self._ring.parse(g)
+            elif not isinstance(g, Polynomial):
+                raise ValidationError(f"config field {what!r} must hold strings, got {g!r}")
+            out.append(g)
         return out
 
     def __repr__(self):
@@ -96,9 +101,8 @@ class FamilySpec:
         for key in ("vars", "ideal"):
             if key not in cfg:
                 raise ValidationError(f"family config is missing {key!r}")
-        variables, defining, ideal = (
-            config_list(cfg.get(key, []), key) for key in ("vars", "defining", "ideal")
-        )
+        variables = config_strings(cfg["vars"], "vars")
+        defining, ideal = (config_list(cfg.get(key, []), key) for key in ("defining", "ideal"))
         if base["kind"] == "integers":
             return cls("integers", variables, defining, ideal)
         if base["kind"] == "param":
@@ -110,7 +114,7 @@ class FamilySpec:
                 defining,
                 ideal,
                 p=base["p"],
-                parameters=config_list(base.get("params", []), "params"),
+                parameters=config_strings(base.get("params", []), "params"),
             )
         raise ValidationError(f"unknown base kind {base['kind']!r}")
 

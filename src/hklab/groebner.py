@@ -9,27 +9,26 @@ JPAA 1997; Roune, "A slice algorithm for corners and Hilbert-Poincare
 series of monomial ideals", ISSAC 2010), and standard_monomials() walks
 the same slices.
 
-The reducer works on the integer-key term representation of polyring.
-Divisibility of monomials is tested on packed exponent integers (32 bits
-per variable, one guard bit): with exponents below 2^31, `all(v_i >= u_i)`
-is the single int test ((vp | GUARD) - up) & GUARD == GUARD.  Every term
-carries its packed exponents alongside its key (an element's tail in
-`_Item.tail_packed`), so a term created by a reduction step gets them by
-one addition, like its key, and nothing is decoded in the loop.
+The reducer works on the order keys of polyring, whose low bits are the
+exponent fields of the monomial (32 bits per variable, one guard bit).
+Divisibility, lcms and the box test below act on those fields of the
+keys themselves: with exponents below 2^31, `all(v_i >= u_i)` is the
+single int test ((v | GUARD) - u) & GUARD == GUARD, and a term created
+by a reduction step gets its key, exponent fields included, by one
+addition, so nothing is decoded in the loop.
 
 Bracket powers put the pure powers x_i^q into the ideal.  While the
 working set holds a one-term pure power x_i^b, a term with e_i >= b is
 dropped when it is created, since removing a multiple of a monomial
 element is itself a reduction step; the reduced basis is unique, so the
 result does not change.  With BOX holding 2^31 - b_i in the field of
-every such variable, the test is (packed + BOX) & GUARD on the packed
-exponents, and the same test catches an exponent that reached 2^31,
-which raises OverflowError.
+every such variable, the test is (key + BOX) & GUARD, and the same test
+catches an exponent that reached 2^31, which raises OverflowError.
 
 Inside buchberger the reducer finds irreducible terms through a divisor
 index, in the spirit of the short exponent vectors of Bachmann and
 Schonemann ("Monomial representations for Groebner bases computations",
-ISSAC 1998).  It keys a term on its packed exponents with the field of
+ISSAC 1998).  It keys a term on its exponent fields with the field of
 one variable cleared: the variable last in the ring's priority.  That is
 never the variable QuotientRingSpec.colength_ring() moves to the front,
 whose exponents stay below the degree of its pure-power leading term
@@ -68,70 +67,29 @@ from typing import NamedTuple
 from . import linalg
 from .coeff import Field, FieldElement, PrimeField
 from .errors import StructuralError, ValidationError
-from .polyring import IdealPresentation, Polynomial, PolynomialRing
+from .polyring import (EXP_BITS, FIELD_MASK, MAX_EXPONENT, IdealPresentation, Polynomial,
+                       PolynomialRing)
 
 INFINITE = math.inf
 
-_FIELD_WIDTH = 32
-_FIELD_MASK = (1 << _FIELD_WIDTH) - 1
-_GUARD_BIT = 1 << (_FIELD_WIDTH - 1)
-
 
 def _overflow():
-    return OverflowError(f"exponent exceeds 2^{_FIELD_WIDTH - 1}")
-
-
-def _pack(exps):
-    acc = 0
-    for i, e in enumerate(exps):
-        if e >= _GUARD_BIT:
-            raise _overflow()
-        acc |= e << (_FIELD_WIDTH * i)
-    return acc
-
-
-def _guard_mask(nvars):
-    g = 0
-    for i in range(nvars):
-        g |= _GUARD_BIT << (_FIELD_WIDTH * i)
-    return g
-
-
-def _lcm_packed(a, b, guard):
-    """Packed lcm (fieldwise maximum) of two packed exponent vectors."""
-    a_ge_b = ((a | guard) - b) & guard
-    mask = (a_ge_b >> (_FIELD_WIDTH - 1)) * _FIELD_MASK
-    return (a & mask) | (b & ~mask)
-
-
-def _key_of_packed(packed, weights):
-    """Order key of packed exponents; weights[i] is the key of x_i, and
-    keys are linear in the exponents."""
-    key = 0
-    for w in weights:
-        key += (packed & _FIELD_MASK) * w
-        packed >>= _FIELD_WIDTH
-    return key
+    return OverflowError(f"exponent exceeds 2^{EXP_BITS - 1}")
 
 
 class _Item:
     """One monic basis element, preprocessed for the reduction loop."""
 
-    __slots__ = ("key", "exps", "packed", "tail", "tail_packed")
+    __slots__ = ("key", "exps", "tail")
 
-    def __init__(self, key, exps, packed, tail, tail_packed):
+    def __init__(self, key, exps, tail):
         self.key = key
         self.exps = exps
-        self.packed = packed
         self.tail = tail  # ((key, raw), ...) strictly below `key`
-        self.tail_packed = tail_packed  # packed exponents of the tail keys
 
 
-def _make_item(ring, terms, packs=None):
-    """Monicize a nonzero term tuple and build its _Item; `packs` are the
-    packed exponents of the terms, decoded here when not given."""
-    if packs is None:
-        packs = tuple(_pack(ring.decode(k)) for k, _ in terms)
+def _make_item(ring, terms):
+    """Monicize a nonzero term tuple and build its _Item."""
     lead_key, lead_coeff = terms[0]
     dom = ring.domain
     if dom.is_zero(dom.sub(lead_coeff, dom.one)):
@@ -139,7 +97,7 @@ def _make_item(ring, terms, packs=None):
     else:
         inv = dom.inv(lead_coeff)
         tail = tuple((k, dom.mul(c, inv)) for k, c in terms[1:])
-    return _Item(lead_key, ring.decode(lead_key), packs[0], tail, packs[1:])
+    return _Item(lead_key, ring.decode(lead_key), tail)
 
 
 def _box_mask(items):
@@ -150,24 +108,25 @@ def _box_mask(items):
         if not item.tail and len(support) == 1:
             i = support[0]
             bounds[i] = min(bounds.get(i, item.exps[i]), item.exps[i])
-    return sum((_GUARD_BIT - b) << (_FIELD_WIDTH * i) for i, b in bounds.items())
+    return sum((MAX_EXPONENT - b) << (EXP_BITS * i) for i, b in bounds.items())
 
 
 class _DivisorIndex:
     """The divisor index of the module docstring, for one reducer list that
-    only grows by appending.  `table` maps a term's packed exponents with
-    the field of the dropped variable cleared (at bit offset `drop`) to
-    (seen << _FIELD_WIDTH) | low: `low` is the least dropped exponent among
-    the first `seen` reducers whose other exponents divide the term's, and
-    2^31 when none does."""
+    only grows by appending.  `table` maps a term's exponent fields with
+    the field of the dropped variable (at bit offset `drop`) cleared, that
+    is the key masked by `keep`, to (seen << EXP_BITS) | low: `low` is the
+    least dropped exponent among the first `seen` reducers whose other
+    exponents divide the term's, and 2^31 when none does."""
 
-    __slots__ = ("drop", "guard", "fill", "table")
+    __slots__ = ("drop", "keep", "guard", "fill", "table")
 
     def __init__(self, ring):
-        self.drop = _FIELD_WIDTH * ring.order.resolved_priority(ring.nvars)[-1]
-        self.guard = _guard_mask(ring.nvars)
+        self.drop = EXP_BITS * ring.order.resolved_priority(ring.nvars)[-1]
+        self.keep = ring.exp_mask ^ (FIELD_MASK << self.drop)
+        self.guard = ring.guard
         # every bit of the dropped field set: a probe that ignores that field
-        self.fill = (_FIELD_MASK << self.drop) | self.guard
+        self.fill = (FIELD_MASK << self.drop) | self.guard
         self.table = {}
 
     def update(self, items, masked, entry):
@@ -176,35 +135,34 @@ class _DivisorIndex:
         probe = masked | self.fill
         guard = self.guard
         drop = self.drop
-        low = entry & _FIELD_MASK
-        for item in items[entry >> _FIELD_WIDTH:]:
-            ip = item.packed
-            if (probe - ip) & guard == guard:
-                d = (ip >> drop) & _FIELD_MASK
+        low = entry & FIELD_MASK
+        for item in items[entry >> EXP_BITS:]:
+            ik = item.key
+            if (probe - ik) & guard == guard:
+                d = (ik >> drop) & FIELD_MASK
                 if d < low:
                     low = d
-        entry = self.table[masked] = (len(items) << _FIELD_WIDTH) | low
+        entry = self.table[masked] = (len(items) << EXP_BITS) | low
         return entry
 
 
 _INDEX_MIN_ITEMS = 16  # shorter reducer lists are scanned without the index
-_NO_DIVISOR = _GUARD_BIT  # the entry with seen = 0 and low = 2^31
+_NO_DIVISOR = MAX_EXPONENT  # the entry with seen = 0 and low = 2^31
 
 
-def _reduce_terms(work, packs, items, dom, guard, box, tally, index=None):
+def _reduce_terms(work, items, dom, guard, box, tally, index=None):
     """Full normal form of the terms of `work` (key -> raw, consumed)
-    against monic items, in a fixed scan order.  `packs` maps each key of
-    `work` to its packed exponents, all below 2^31; terms outside the box
-    are dropped.  `index`, a _DivisorIndex over `items`, sends terms that
-    no item divides to the remainder without a scan.  Returns the
-    remainder as descending (key, raw) pairs and their packed exponents,
-    and adds the reduction steps and the box drops to tally[0] and
-    tally[1]."""
+    against monic items, in a fixed scan order.  The exponents of the keys
+    of `work` are all below 2^31; terms outside the box are dropped.
+    `index`, a _DivisorIndex over `items`, sends terms that no item
+    divides to the remainder without a scan.  Returns the remainder as
+    descending (key, raw) pairs, and adds the reduction steps and the box
+    drops to tally[0] and tally[1]."""
     prime = isinstance(dom, PrimeField)
     p = dom.characteristic
     steps = dropped = 0
     if box:
-        for k in [k for k in work if (packs[k] + box) & guard]:
+        for k in [k for k in work if (k + box) & guard]:
             del work[k]
             dropped += 1
     n = len(items)
@@ -213,53 +171,47 @@ def _reduce_terms(work, packs, items, dom, guard, box, tally, index=None):
         lookup = index.table.get
         update = index.update
         drop = index.drop
-        mask = _FIELD_MASK
+        keep = index.keep
+        mask = FIELD_MASK
     heap = [-k for k in work]
     heapq.heapify(heap)
     out = []
-    out_packed = []
     while heap:
         k = -heapq.heappop(heap)
         c = work.pop(k, None)
         if c is None:
             continue
-        packed = packs[k]
         if indexed:
-            e = (packed >> drop) & mask
-            masked = packed - (e << drop)
+            e = (k >> drop) & mask
+            masked = k & keep
             entry = lookup(masked, _NO_DIVISOR)
             # reducers are only appended, so a stale entry that finds a
             # divisor is still right; one that finds none is brought up to date
             if e < entry & mask:
-                if entry >> _FIELD_WIDTH < n:
+                if entry >> EXP_BITS < n:
                     entry = update(items, masked, entry)
                 if e < entry & mask:
                     out.append((k, c))
-                    out_packed.append(packed)
                     continue
-        vp = packed | guard
+        vk = k | guard
         for item in items:
-            if (vp - item.packed) & guard == guard:
+            if (vk - item.key) & guard == guard:
                 steps += 1
                 shift = k - item.key
-                dp = packed - item.packed
-                # the term k lies in the box and dp <= packed fieldwise, so
-                # np + box cannot carry across fields: its guard bits mark
-                # exactly the terms outside the box and the exponents that
-                # reached 2^31
+                # the term k lies in the box and shift divides it, so kk + box
+                # cannot carry across fields: its guard bits mark exactly the
+                # terms outside the box and the exponents that reached 2^31
                 if prime:
-                    for (k2, c2), p2 in zip(item.tail, item.tail_packed):
+                    for k2, c2 in item.tail:
                         kk = k2 + shift
                         prev = work.get(kk)
                         if prev is None:
-                            np = p2 + dp
-                            if (np + box) & guard:
-                                if np & guard:
+                            if (kk + box) & guard:
+                                if kk & guard:
                                     raise _overflow()
                                 dropped += 1
                                 continue
                             work[kk] = (-c * c2) % p
-                            packs[kk] = np
                             heapq.heappush(heap, -kk)
                         else:
                             v = (prev - c * c2) % p
@@ -268,18 +220,16 @@ def _reduce_terms(work, packs, items, dom, guard, box, tally, index=None):
                             else:
                                 del work[kk]
                 else:
-                    for (k2, c2), p2 in zip(item.tail, item.tail_packed):
+                    for k2, c2 in item.tail:
                         kk = k2 + shift
                         prev = work.get(kk)
                         if prev is None:
-                            np = p2 + dp
-                            if (np + box) & guard:
-                                if np & guard:
+                            if (kk + box) & guard:
+                                if kk & guard:
                                     raise _overflow()
                                 dropped += 1
                                 continue
                             work[kk] = dom.neg(dom.mul(c, c2))
-                            packs[kk] = np
                             heapq.heappush(heap, -kk)
                         else:
                             v = dom.sub(prev, dom.mul(c, c2))
@@ -290,24 +240,20 @@ def _reduce_terms(work, packs, items, dom, guard, box, tally, index=None):
                 break
         else:
             out.append((k, c))
-            out_packed.append(packed)
     tally[0] += steps
     tally[1] += dropped
-    return tuple(out), tuple(out_packed)
+    return tuple(out)
 
 
-def _spair(item_f, item_g, lcm_key, lcm_packed, dom, guard):
+def _spair(item_f, item_g, lcm_key, dom, guard):
     """S-polynomial of two monic items with the given lcm, as the
-    (key -> raw, key -> packed) dicts that _reduce_terms takes."""
+    key -> raw dict that _reduce_terms takes."""
     work = {}
-    packs = {}
     for item, minus in ((item_f, False), (item_g, True)):
         shift = lcm_key - item.key
-        dp = lcm_packed - item.packed
-        for (k, c), p in zip(item.tail, item.tail_packed):
+        for k, c in item.tail:
             kk = k + shift
-            np = p + dp
-            if np & guard:
+            if kk & guard:
                 raise _overflow()
             if minus:
                 prev = work.get(kk)
@@ -316,26 +262,28 @@ def _spair(item_f, item_g, lcm_key, lcm_packed, dom, guard):
                     work.pop(kk, None)
                     continue
             work[kk] = c
-            packs[kk] = np
-    return work, packs
+    return work
 
 
-def _gm_update(items, active, pairs, h, guard, weights, tally):
+def _gm_update(items, active, pairs, h, ring, tally):
     """The Gebauer-Moller UPDATE for the new element items[h].
 
     `active` lists the indices that may form new pairs and `pairs` is the
-    heap of queued (lcm key, i, j, packed lcm) with i < j.  Returns the new
-    active list and pair heap, and adds to tally[0..3] the new pairs
-    formed, the new pairs dropped by criteria M and F and by the product
-    criterion, and the queued pairs dropped by criterion B_k."""
-    hp = items[h].packed
-    # new pairs by ascending packed lcm: a proper divisor comes first, and
-    # among equal lcms a coprime pair, which then removes the others
+    heap of queued (lcm key, i, j) with i < j.  Returns the new active
+    list and pair heap, and adds to tally[0..3] the new pairs formed, the
+    new pairs dropped by criteria M and F and by the product criterion,
+    and the queued pairs dropped by criterion B_k."""
+    guard = ring.guard
+    exp_mask = ring.exp_mask
+    lcm = ring.lcm_fields
+    hk = items[h].key
+    # new pairs by ascending lcm exponent fields: a proper divisor comes
+    # first, and among equal lcms a coprime pair, which then removes the others
     cands = []
     for g in active:
-        gp = items[g].packed
-        lp = _lcm_packed(gp, hp, guard)
-        cands.append((lp, lp != gp + hp, g))
+        gk = items[g].key
+        lp = lcm(gk, hk)
+        cands.append((lp, lp != (gk + hk) & exp_mask, g))
     cands.sort()
     witnesses = []
     new = []
@@ -347,7 +295,7 @@ def _gm_update(items, active, pairs, h, guard, weights, tally):
             continue
         witnesses.append(lp)
         if overlap:
-            new.append((_key_of_packed(lp, weights), g, h, lp))
+            new.append((ring.key_of_fields(lp), g, h))
         else:
             by_product += 1
     # queued pairs (i, j) whose lcm lead(h) divides, and equals neither
@@ -355,14 +303,15 @@ def _gm_update(items, active, pairs, h, guard, weights, tally):
     lcm_h = {g: lp for lp, _, g in cands}
     kept = []
     for pair in pairs:
-        lp = pair[3]
-        if ((lp | guard) - hp) & guard == guard:
+        lk = pair[0]
+        if ((lk | guard) - hk) & guard == guard:
+            lp = lk & exp_mask
             li = lcm_h.get(pair[1])
             if li is None:
-                li = _lcm_packed(items[pair[1]].packed, hp, guard)
+                li = lcm(items[pair[1]].key, hk)
             lj = lcm_h.get(pair[2])
             if lj is None:
-                lj = _lcm_packed(items[pair[2]].packed, hp, guard)
+                lj = lcm(items[pair[2]].key, hk)
             if li != lp and lj != lp:
                 continue
         kept.append(pair)
@@ -373,7 +322,7 @@ def _gm_update(items, active, pairs, h, guard, weights, tally):
     else:
         for pair in new:
             heapq.heappush(pairs, pair)
-    active = [g for g in active if ((items[g].packed | guard) - hp) & guard != guard]
+    active = [g for g in active if ((items[g].key | guard) - hk) & guard != guard]
     active.append(h)
     tally[0] += len(cands)
     tally[1] += by_m_f
@@ -404,8 +353,7 @@ class GroebnerBasis:
     the BuchbergerStats of the run that computed it (None when it was
     built from given elements)."""
 
-    __slots__ = ("ring", "elements", "stats", "_items", "_guard", "_box",
-                 "_colength", "_bounds")
+    __slots__ = ("ring", "elements", "stats", "_items", "_box", "_colength", "_bounds")
 
     def __init__(self, ring: PolynomialRing, elements):
         elements = tuple(elements)
@@ -413,7 +361,7 @@ class GroebnerBasis:
 
     @classmethod
     def _of_items(cls, ring, items, stats):
-        """The basis of reduced items, reusing their packed exponents."""
+        """The basis of reduced items."""
         one = ring.domain.one
         elements = tuple(Polynomial(ring, ((it.key, one),) + it.tail) for it in items)
         basis = cls.__new__(cls)
@@ -425,7 +373,6 @@ class GroebnerBasis:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_guard", _guard_mask(ring.nvars))
         object.__setattr__(self, "_box", _box_mask(items))
         object.__setattr__(self, "_colength", None)
         object.__setattr__(self, "_bounds", None)
@@ -451,10 +398,8 @@ class GroebnerBasis:
                 f = self.ring.convert(f)
             else:
                 raise StructuralError("polynomial from a different ring/order")
-        decode = self.ring.decode
-        packs = {k: _pack(decode(k)) for k, _ in f._terms}
-        terms, _ = _reduce_terms(dict(f._terms), packs, self._items, self.ring.domain,
-                                 self._guard, self._box, [0, 0])
+        terms = _reduce_terms(dict(f._terms), self._items, self.ring.domain, self.ring.guard,
+                              self._box, [0, 0])
         return Polynomial(self.ring, terms)
 
     def staircase_bounds(self):
@@ -576,9 +521,7 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
         raise ValidationError("Groebner bases require field coefficients")
 
     dom = ring.domain
-    n = ring.nvars
-    guard = _guard_mask(n)
-    weights = [ring.encode(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    guard = ring.guard
     items: list[_Item] = []
     seen = set()
     for g in I.generators:
@@ -596,29 +539,29 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
     reduced = zeros = 0
     index = _DivisorIndex(ring)
     for h in range(len(items)):
-        active, pairs = _gm_update(items, active, pairs, h, guard, weights, crit)
+        active, pairs = _gm_update(items, active, pairs, h, ring, crit)
 
     while pairs:
-        lk, i, j, lp = heapq.heappop(pairs)
+        lk, i, j = heapq.heappop(pairs)
         reduced += 1
-        work, packs = _spair(items[i], items[j], lk, lp, dom, guard)
-        terms, packed = _reduce_terms(work, packs, items, dom, guard, box, tally, index)
+        work = _spair(items[i], items[j], lk, dom, guard)
+        terms = _reduce_terms(work, items, dom, guard, box, tally, index)
         if not terms:
             zeros += 1
             continue
-        new = _make_item(ring, terms, packed)
+        new = _make_item(ring, terms)
         items.append(new)
         if not new.tail:  # a monomial element, maybe a new pure power
             box = _box_mask(items)
-        active, pairs = _gm_update(items, active, pairs, len(items) - 1, guard, weights, crit)
+        active, pairs = _gm_update(items, active, pairs, len(items) - 1, ring, crit)
 
     # minimalize: drop elements whose lead is divisible by another kept lead;
     # every minimal lead is still active
     kept: list[_Item] = []
     for k in sorted(active, key=lambda k: items[k].key):
         cand = items[k]
-        cg = cand.packed | guard
-        if any((cg - it.packed) & guard == guard for it in kept):
+        cg = cand.key | guard
+        if any((cg - it.key) & guard == guard for it in kept):
             continue
         kept.append(cand)
     max_basis = len(items)
@@ -632,11 +575,9 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
     while kept:
         it = kept.pop()
         before = tally[:]
-        packs = {k: p for (k, _), p in zip(it.tail, it.tail_packed)}
-        tail, tail_packed = _reduce_terms(dict(it.tail), packs, reduced_items, dom, guard, box,
-                                          tally, index)
+        tail = _reduce_terms(dict(it.tail), reduced_items, dom, guard, box, tally, index)
         if tally != before:
-            it = _Item(it.key, it.exps, it.packed, tail, tail_packed)
+            it = _Item(it.key, it.exps, tail)
         reduced_items.append(it)
     formed, by_m_f, by_product, by_b_k = crit
     stats = BuchbergerStats(formed, by_product, by_b_k, by_m_f, reduced, zeros,

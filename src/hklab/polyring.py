@@ -1,19 +1,32 @@
 """Sparse multivariate polynomials, term orders, and ideal presentations.
 
-Monomials are encoded as single integers ("order keys") chosen so that
+A monomial is encoded as one integer, its order key:
 
-  * integer comparison of keys equals the term-order comparison, and
-  * key addition equals monomial multiplication.
+    key = (order fields << nvars * EXP_BITS) | exponent fields
 
-For degrevlex with priority x_(s0) > x_(s1) > ... the key is
+The exponent fields hold e_0, ..., e_(n-1) in variable order, EXP_BITS
+(32) bits each, e_i at bit EXP_BITS * i.  The top bit of each field is a
+guard bit: exponents stay below 2^31 (MAX_EXPONENT) wherever monomials
+are created or multiplied through the public API, and exceeding the
+bound raises OverflowError instead of silently corrupting lengths.  The
+order fields above them are, most significant first,
 
-    deg * K^n  -  sum_j  e[rev_j] * K^(n-1-j)
+    degrevlex:  deg, deg - e[rev_0], ..., deg - e[rev_(n-2)]
+    lex:        the exponents in priority order
 
-with K = 2^40 and rev the reversed priority; for lex it is the plain
-base-K value of the prioritized exponents.  Exponents are validated to
-stay below 2^31 wherever monomials are created or multiplied through the
-public API, so key digits can never collide; exceeding the bound raises
-OverflowError instead of silently corrupting lengths.
+with rev the reversed priority, each just wide enough for a degree up
+to nvars * 2^32, which covers a sum of two keys whose exponents are each
+below 2^31.
+
+Both parts are linear in the exponent vector and every field stays
+nonnegative, so the key is one weighted sum of the exponents (`encode`),
+key addition is monomial multiplication, scaling a key by q raises the
+monomial to the q-th power, and the fields never carry into each other.
+Integer comparison of keys is then the term order, decided by the order
+fields, and `decode` reads the exponent fields.  The groebner module
+tests divisibility on the exponent fields of the keys themselves: with
+exponents below 2^31, u divides v exactly when ((v | guard) - u) & guard
+== guard, and the order part above cannot reach those bits.
 
 A polynomial stores its terms as a tuple of (key, raw coefficient) pairs
 sorted strictly descending; the raw coefficients live in the ring's
@@ -27,8 +40,9 @@ from ._expr import Evaluator
 from .coeff import Field, FieldElement
 from .errors import StructuralError, ValidationError
 
-KEY_BASE = 1 << 40
-MAX_EXPONENT = 1 << 31
+EXP_BITS = 32  # width of one exponent field
+FIELD_MASK = (1 << EXP_BITS) - 1
+MAX_EXPONENT = 1 << (EXP_BITS - 1)  # the guard bit of a field
 
 
 class IntegerDomain:
@@ -156,47 +170,53 @@ class PolynomialRing:
         self._priority = self.order.resolved_priority(self.nvars)
         self._intern: dict[int, Monomial] = {}
         n = self.nvars
+        # the layout of the module docstring
+        self.exp_mask = (1 << (n * EXP_BITS)) - 1
+        self.guard = sum(MAX_EXPONENT << (EXP_BITS * i) for i in range(n))
+        width = (n << EXP_BITS).bit_length()  # of one order field
+        fields = [1 << (n * EXP_BITS + width * (n - 1 - j)) for j in range(n)]
+        high = [0] * n
         if self.order.kind == "degrevlex":
-            # weight of e[i] inside the negative digit block
-            self._weights = [0] * n
+            # x_var counts in the degree field and in each deg - e[u], u != var
+            every = sum(fields)
+            own = fields[1:] + [0]
             for j, var in enumerate(reversed(self._priority)):
-                self._weights[var] = KEY_BASE ** (n - 1 - j)
-            self._deg_weight = KEY_BASE**n
+                high[var] = every - own[j]
+            self._degree_shift = n * EXP_BITS + width * (n - 1)
         else:  # lex
-            self._weights = [0] * n
             for i, var in enumerate(self._priority):
-                self._weights[var] = KEY_BASE ** (n - 1 - i)
-            self._deg_weight = 0
+                high[var] = fields[i]
+        # the key of x_i
+        self._weights = [(1 << (EXP_BITS * i)) + high[i] for i in range(n)]
 
     # -- monomial encoding ---------------------------------------------------
 
     def encode(self, exponents) -> int:
-        degree = 0
-        acc = 0
+        key = 0
         for e, w in zip(exponents, self._weights):
             if e >= MAX_EXPONENT:
                 raise OverflowError(f"exponent {e} exceeds 2^31")
-            degree += e
-            acc += e * w
-        if self.order.kind == "degrevlex":
-            return degree * self._deg_weight - acc
-        return acc
+            key += e * w
+        return key
 
     def decode(self, key: int):
-        n = self.nvars
-        if n == 0:
-            return ()
-        exps = [0] * n
-        if self.order.kind == "degrevlex":
-            deg = -((-key) // self._deg_weight)
-            rest = deg * self._deg_weight - key
-            for j, var in enumerate(reversed(self._priority)):
-                exps[var] = (rest // KEY_BASE ** (n - 1 - j)) % KEY_BASE
-        else:
-            rest = key
-            for i, var in enumerate(self._priority):
-                exps[var] = (rest // KEY_BASE ** (n - 1 - i)) % KEY_BASE
-        return tuple(exps)
+        return tuple((key >> (EXP_BITS * i)) & FIELD_MASK for i in range(self.nvars))
+
+    def key_of_fields(self, fields: int) -> int:
+        """The key whose exponent fields are `fields`."""
+        key = 0
+        for w in self._weights:
+            key += (fields & FIELD_MASK) * w
+            fields >>= EXP_BITS
+        return key
+
+    def lcm_fields(self, a: int, b: int) -> int:
+        """Exponent fields of the lcm (fieldwise maximum) of the monomials
+        with keys, or exponent fields, a and b."""
+        guard = self.guard
+        a_ge_b = ((a | guard) - b) & guard
+        mask = (a_ge_b >> (EXP_BITS - 1)) * FIELD_MASK
+        return (a & mask) | (b & (self.exp_mask ^ mask))
 
     def monomial(self, exponents) -> Monomial:
         exponents = tuple(exponents)
@@ -348,7 +368,7 @@ class Polynomial:
         if not self._terms:
             return -1
         if self.ring.order.kind == "degrevlex":
-            return -((-self._terms[0][0]) // self.ring._deg_weight)
+            return self._terms[0][0] >> self.ring._degree_shift
         return max(sum(self.ring.decode(k)) for k, _ in self._terms)
 
     def max_exponent(self) -> int:

@@ -138,6 +138,21 @@ MODP_PLANE = {
     ("sweep", dict(MONSKY_SWEEP, fibers="g"), "fibers"),
     ("sweep", dict(MONSKY_SWEEP, checks="uniform"), "checks"),
     ("sweep", dict(MONSKY_SWEEP, base={"kind": "param", "p": 2, "params": "t"}), "params"),
+    # a non-string where a polynomial or a variable name belongs
+    ("hk", dict(HK_PLANE, ideal=["x", 1]), "ideal"),
+    ("hk", dict(HK_PLANE, defining=[3]), "defining"),
+    ("hk", dict(HK_PLANE, vars=["x", 1]), "vars"),
+    ("groebner", dict(HK_PLANE, generators=["x", 1]), "generators"),
+    ("groebner", dict(HK_PLANE, generators=["x^2", "y^2"], matrix_of=5), "matrix_of"),
+    ("rsig", dict(RSIG_PLANE, sop=["x", 2]), "sop"),
+    ("csig", dict(RSIG_PLANE, candidates=[["x", "y"], ["x", 1]]), "candidates[1]"),
+    ("modp", dict(MODP_PLANE, ideal=["x", "y", 7]), "ideal"),
+    ("modp", dict(MODP_PLANE, defining=[7]), "defining"),
+    ("modp", dict(MODP_PLANE, vars=["x", 1]), "vars"),
+    ("sweep", dict(MONSKY_SWEEP, base={"kind": "param", "p": 2, "params": [1]}), "params"),
+    ("hk", dict(HK_PLANE, priority=[0, "1"]), "priority"),
+    ("hk", dict(HK_PLANE, priority=[0, 1.0]), "priority"),
+    ("hk", dict(HK_PLANE, priority=5), "priority"),
 ])
 def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command, payload, name):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -28,6 +28,7 @@ from hklab import (
 )
 from hklab import groebner
 from hklab.groebner import BuchbergerStats, GroebnerBasis
+from hklab.polyring import EXP_BITS, FIELD_MASK
 
 from .oracles import (
     classic_buchberger,
@@ -511,8 +512,8 @@ def test_box_truncated_basis_matches_sympy(p, q):
 
 def test_buchberger_exponent_overflow_stays_loud():
     # reducing x*y^N by x - y^N gives y^(2^31); that term sets a guard bit
-    # of the packed exponents and must raise, not be dropped as outside
-    # the box of the pure power x^2
+    # of its key and must raise, not be dropped as outside the box of the
+    # pure power x^2
     R = PolynomialRing(F3, ("x", "y"), TermOrder("lex"))
     x, y = R.gens()
     with pytest.raises(OverflowError):
@@ -611,13 +612,12 @@ def twisted_cubic_bracket(q, order):
     return IdealPresentation(R, cubic + frobenius_power(IdealPresentation(R, R.gens()), q).generators)
 
 
-def index_rejects(index, items, packed):
-    """Whether `index`, up to date with `items`, sends the term with these
-    packed exponents to the remainder without a scan."""
-    width, mask = groebner._FIELD_WIDTH, groebner._FIELD_MASK
-    e = (packed >> index.drop) & mask
-    entry = index.table.get(packed - (e << index.drop))
-    return entry is not None and entry >> width == len(items) and e < entry & mask
+def index_rejects(index, items, key):
+    """Whether `index`, up to date with `items`, sends the term with this
+    key to the remainder without a scan."""
+    e = (key >> index.drop) & FIELD_MASK
+    entry = index.table.get(key & index.keep)
+    return entry is not None and entry >> EXP_BITS == len(items) and e < entry & FIELD_MASK
 
 
 @pytest.mark.parametrize("make", [
@@ -637,11 +637,11 @@ def test_indexed_reducer_matches_classic_loop(monkeypatch, make):
     rejected = []
     reduce_terms = groebner._reduce_terms
 
-    def spy(work, packs, items, dom, guard, box, tally, index=None):
-        terms, packed = reduce_terms(work, packs, items, dom, guard, box, tally, index)
+    def spy(work, items, dom, guard, box, tally, index=None):
+        terms = reduce_terms(work, items, dom, guard, box, tally, index)
         if index is not None:
-            rejected.extend(p for p in packed if index_rejects(index, items, p))
-        return terms, packed
+            rejected.extend(k for k, _ in terms if index_rejects(index, items, k))
+        return terms
 
     monkeypatch.setattr(groebner, "_reduce_terms", spy)
     I = make()

@@ -1,5 +1,7 @@
 """Polynomials, term orders, and ideal powers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,28 +48,57 @@ def test_term_order_is_total_multiplicative_with_1_minimal(order):
             assert ring.encode(uw) < ring.encode(vw)
         assert ring.encode((0, 0, 0)) <= ku  # 1 is minimal
         assert ring.decode(ku) == u
+        # the exponent fields of the keys give divisibility and lcms
+        guard = ring.guard
+        assert (((kv | guard) - ku) & guard == guard) == all(a <= b for a, b in zip(u, v))
+        lcm = tuple(max(a, b) for a, b in zip(u, v))
+        fields = ring.lcm_fields(ku, kv)
+        assert fields == ring.encode(lcm) & ring.exp_mask
+        assert ring.key_of_fields(fields) == ring.encode(lcm)
 
     run()
 
 
+def reference_less(u, v):
+    """u < v in degrevlex with x_0 > x_1 > ..."""
+    if sum(u) != sum(v):
+        return sum(u) < sum(v)
+    for a, b in zip(reversed(u), reversed(v)):
+        if a != b:
+            return a > b
+    return False
+
+
 def test_degrevlex_reference_comparator():
     ring = PolynomialRing(F2, ("x", "y", "z"))
-
-    def reference_less(u, v):
-        if sum(u) != sum(v):
-            return sum(u) < sum(v)
-        for a, b in zip(reversed(u), reversed(v)):
-            if a != b:
-                return a > b
-        return False
-
-    import random
-
     rng = random.Random(7)
     for _ in range(500):
         u = tuple(rng.randrange(8) for _ in range(3))
         v = tuple(rng.randrange(8) for _ in range(3))
         assert (ring.encode(u) < ring.encode(v)) == reference_less(u, v)
+
+
+def test_degrevlex_wide_ring_with_largest_exponents():
+    # 300 variables with exponents near 2^31: every order field of a key,
+    # and of a sum of two keys, must hold its value without carrying
+    n = 300
+    ring = PolynomialRing(F2, tuple(f"x{i}" for i in range(n)))
+    rng = random.Random(11)
+    top = (1 << 31) - 1
+    for _ in range(100):
+        u = [top - rng.randrange(4) for _ in range(n)]
+        v = [top - rng.randrange(4) for _ in range(n)] if rng.randrange(2) else rng.sample(u, n)
+        ku, kv = ring.encode(u), ring.encode(v)
+        assert (ku < kv) == reference_less(u, v)
+        assert ring.decode(ku) == tuple(u)
+        assert ring.polynomial([(ku, 1)]).degree() == sum(u)
+        w = [top - rng.randrange(4) for _ in range(n)]
+        kw = ring.encode(w)
+        uw = [a + b for a, b in zip(u, w)]
+        vw = [a + b for a, b in zip(v, w)]
+        assert (ku + kw < kv + kw) == reference_less(uw, vw)
+        assert ring.decode(ku + kw) == tuple(uw)
+        assert ring.polynomial([(ku + kw, 1)]).degree() == sum(uw)
 
 
 def test_poly_arithmetic_examples():
