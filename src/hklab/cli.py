@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .coeff import config_int, config_list, config_strings, field_from_config
+from .coeff import (MAX_CHARACTERISTIC, config_int, config_list, config_strings,
+                    field_from_config, is_prime)
 from .errors import HKLabError, StructuralError, ValidationError
 from .family import DEFAULT_CHECKS, FamilySpec, hk_sweep, modp_sweep, parse_fibers
 from .groebner import (
@@ -425,6 +426,8 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
 def _cmd_modp(run: RunConfig, cfg: dict):
     F = FamilySpec.from_config(cfg)
     primes = [config_int(p, "primes") for p in config_list(_need(cfg, "primes"), "primes")]
+    if not primes or not all(2 <= p < MAX_CHARACTERISTIC and is_prime(p) for p in primes):
+        raise ValidationError(f"config field 'primes' must list primes below 2^31, got {primes!r}")
     e_max = config_int(_need(cfg, "e_max"), "e_max")
     result = modp_sweep(F, primes, e_max, assume_reduced=run.assume_reduced)
     csv_rows = []
@@ -460,7 +463,8 @@ def _cmd_modp(run: RunConfig, cfg: dict):
         "caveat": FAMILY_CAVEAT,
     }
     files += _write_json(run, "modp.json", payload)
-    files += emit_plotdata(result, run.out_dir, "modp")
+    if result.rows:  # every prime skipped: the verdict fails, nothing to plot
+        files += emit_plotdata(result, run.out_dir, "modp")
     print(f"note: {FAMILY_CAVEAT}")
     for row in result.rows:
         print(f"{row.label}: lengths {[s.length for s in row.samples]}, "

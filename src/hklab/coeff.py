@@ -748,12 +748,10 @@ def make_extension(p: int, m: int) -> Field:
         for j in range(m - 1, -1, -1):  # fill from the x^(m-1) digit down
             coeffs[j] = rest // p**j
             rest %= p**j
-        modulus = tuple(coeffs) + (1,)
         try:
-            _validate_irreducible(p, modulus)
-        except ValidationError:
-            continue
-        return ExtensionField(p, modulus)
+            return ExtensionField(p, tuple(coeffs) + (1,))
+        except ValidationError:  # a reducible candidate
+            pass
     raise ValidationError(f"no irreducible modulus found for GF({p}^{m})")  # unreachable
 
 

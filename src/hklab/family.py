@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import (
+    MAX_CHARACTERISTIC,
     FieldElement,
     PrimeField,
     RationalFunctionField,
@@ -129,8 +130,10 @@ class FiberSpec:
         self.assignments = dict(assignments or {})
         self.prime = prime
         if kind == "prime":
-            if prime is None or not is_prime(prime):
-                raise ValidationError(f"PRIME fiber needs a prime number: {prime!r}")
+            # the range first: trial division of a large number would not end
+            if not (isinstance(prime, int) and 2 <= prime < MAX_CHARACTERISTIC
+                    and is_prime(prime)):
+                raise ValidationError(f"PRIME fiber needs a prime number below 2^31: {prime!r}")
 
     @classmethod
     def special(cls, **assignments) -> "FiberSpec":

@@ -3,6 +3,18 @@ normal forms, colengths, primality-to-origin, colon ideals by linear
 algebra, multiplication matrices, and the trace-form discriminant of a
 finite quotient algebra.
 
+Linear algebra on a finite quotient goes through one helper,
+_multiplication_maps: given a basis of finite colength and multipliers
+f, it returns the standard monomials e_j and, for each f, the matrix of
+multiplication by f on them, whose column j holds the coordinates of
+normal_form(normal_form(f) * e_j) (Cox, Little and O'Shea, Using
+Algebraic Geometry, ch. 2, sec. 4).  multiplication_matrix passes f
+itself, socle_lifts the variables, whose stacked maps have the socle as
+kernel, and trace_discriminant the e_i.  check_primary_to_origin is the
+one primality check of the package: it raises a ValidationError that
+names the caller's object, and the witness variable when one is not
+nilpotent.
+
 Colengths count the staircase of the leading monomials by slicing on one
 variable at a time (Bigatti, "Computation of Hilbert-Poincare series",
 JPAA 1997; Roune, "A slice algorithm for corners and Hilbert-Poincare
@@ -23,7 +35,7 @@ dropped when it is created, since removing a multiple of a monomial
 element is itself a reduction step; the reduced basis is unique, so the
 result does not change.  With BOX holding 2^31 - b_i in the field of
 every such variable, the test is (key + BOX) & GUARD, and the same test
-catches an exponent that reached 2^31, which raises OverflowError.
+catches an exponent that reached 2^31, which raises ExponentOverflow.
 
 Inside buchberger the reducer finds irreducible terms through a divisor
 index, in the spirit of the short exponent vectors of Bachmann and
@@ -66,7 +78,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .coeff import Field, FieldElement, PrimeField
-from .errors import StructuralError, ValidationError
+from .errors import ExponentOverflow, StructuralError, ValidationError
 from .polyring import (EXP_BITS, FIELD_MASK, MAX_EXPONENT, IdealPresentation, Polynomial,
                        PolynomialRing)
 
@@ -74,7 +86,7 @@ INFINITE = math.inf
 
 
 def _overflow():
-    return OverflowError(f"exponent exceeds 2^{EXP_BITS - 1}")
+    return ExponentOverflow(f"exponent exceeds 2^{EXP_BITS - 1}")
 
 
 class _Item:
@@ -109,6 +121,19 @@ def _box_mask(items):
             i = support[0]
             bounds[i] = min(bounds.get(i, item.exps[i]), item.exps[i])
     return sum((MAX_EXPONENT - b) << (EXP_BITS * i) for i, b in bounds.items())
+
+
+def _staircase_bounds(items, n):
+    """GroebnerBasis.staircase_bounds() of the basis of `items`."""
+    if any(item.key == 0 for item in items):  # the unit ideal
+        return (0,) * n
+    bounds = {}
+    for item in items:
+        support = [i for i, e in enumerate(item.exps) if e]
+        if len(support) == 1:
+            i = support[0]
+            bounds[i] = min(bounds.get(i, item.exps[i]), item.exps[i])
+    return tuple(bounds[i] for i in range(n)) if len(bounds) == n else None
 
 
 class _DivisorIndex:
@@ -375,7 +400,7 @@ class GroebnerBasis:
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_box", _box_mask(items))
         object.__setattr__(self, "_colength", None)
-        object.__setattr__(self, "_bounds", None)
+        object.__setattr__(self, "_bounds", _staircase_bounds(items, ring.nvars))
 
     def __setattr__(self, *_):
         raise AttributeError("GroebnerBasis is immutable")
@@ -406,45 +431,21 @@ class GroebnerBasis:
         """Per-variable minimal pure-power exponents of the leading-term
         ideal, or None if some variable has no pure power (infinite
         colength).  The unit ideal yields all-zero bounds."""
-        cached = self._bounds
-        if cached is not None:
-            return cached if cached is not False else None
-        n = self.ring.nvars
-        bounds = [None] * n
-        for item in self._items:
-            support = [i for i, e in enumerate(item.exps) if e]
-            if not support:  # the unit ideal
-                bounds = [0] * n
-                break
-            if len(support) == 1:
-                i = support[0]
-                e = item.exps[i]
-                if bounds[i] is None or e < bounds[i]:
-                    bounds[i] = e
-        if any(b is None for b in bounds):
-            object.__setattr__(self, "_bounds", False)
-            return None
-        bounds = tuple(bounds)
-        object.__setattr__(self, "_bounds", bounds)
-        return bounds
+        return self._bounds
 
     def colength(self):
         """Number of standard monomials (the slice count), or INFINITE."""
         cached = self._colength
         if cached is not None:
             return cached
-        bounds = self.staircase_bounds()
-        if bounds is None:
-            result = INFINITE
-        else:
-            result = _slice_count(self.leading_exponents())
+        result = INFINITE if self._bounds is None else _slice_count(self.leading_exponents())
         object.__setattr__(self, "_colength", result)
         return result
 
     def standard_monomials(self):
         """The standard monomial basis, ascending in the term order, walked
         slice by slice like colength().  Raises for infinite colength."""
-        if self.staircase_bounds() is None:
+        if self._bounds is None:
             raise ValidationError("standard monomials are infinite for this ideal")
         found = [self.ring.monomial(e) for e in _slice_points(self.leading_exponents())]
         found.sort(key=lambda m: m.key)
@@ -595,16 +596,15 @@ def colength(G: GroebnerBasis):
     return G.colength()
 
 
-def _primary_witness(G: GroebnerBasis):
+def _primary_witness(G: GroebnerBasis, what="ideal"):
     """None if the ideal is primary to the origin, else an offending
-    variable name; requires finite colength."""
+    variable name; an ideal of infinite colength is a ValidationError
+    naming `what`."""
     n = G.colength()
     if n is INFINITE:
-        raise ValidationError("primality test needs finite colength")
-    ring = G.ring
-    for i, name in enumerate(ring.variables):
-        exps = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        t = G.normal_form(Polynomial(ring, ((ring.encode(exps), ring.domain.one),)))
+        raise ValidationError(f"{what} is not zero-dimensional")
+    for name, v in zip(G.ring.variables, G.ring.gens()):
+        t = G.normal_form(v)
         k = 1
         while k < n and t:
             t = G.normal_form(t * t)
@@ -621,59 +621,63 @@ def is_primary_to_origin(G: GroebnerBasis) -> bool:
     return _primary_witness(G) is None
 
 
-def _coords(G: GroebnerBasis, basis_index, f: Polynomial):
-    vec = [G.ring.domain.zero] * len(basis_index)
-    for k, c in f._terms:
-        idx = basis_index.get(k)
-        if idx is None:
-            raise StructuralError("normal form left the standard-monomial span")
-        vec[idx] = c
-    return vec
+def check_primary_to_origin(G: GroebnerBasis, what: str) -> None:
+    """Raise a ValidationError naming `what` unless the ideal of G has
+    finite colength and is primary to the origin."""
+    witness = _primary_witness(G, what)
+    if witness is not None:
+        raise ValidationError(
+            f"{what} is not primary to the origin: variable {witness!r} is not nilpotent"
+        )
+
+
+def _multiplication_maps(G: GroebnerBasis, multipliers):
+    """The standard monomials e_0 < e_1 < ... of a finite-colength G and,
+    for each f in `multipliers`, the matrix of multiplication by f on them
+    as a list of columns: column j holds the coordinates of
+    normal_form(normal_form(f) * e_j)."""
+    ring = G.ring
+    zero = ring.domain.zero
+    smb = G.standard_monomials()
+    index = {m.key: i for i, m in enumerate(smb)}
+    maps = []
+    for f in multipliers:
+        terms = G.normal_form(f)._terms
+        cols = []
+        for m in smb:
+            col = [zero] * len(smb)
+            shifted = Polynomial(ring, tuple((k + m.key, c) for k, c in terms))
+            for k, c in G.normal_form(shifted)._terms:
+                i = index.get(k)
+                if i is None:
+                    raise StructuralError("normal form left the standard-monomial span")
+                col[i] = c
+            cols.append(col)
+        maps.append(cols)
+    return smb, maps
 
 
 def multiplication_matrix(G: GroebnerBasis, f: Polynomial):
     """Matrix of multiplication-by-f on the standard-monomial basis;
     column j holds the coordinates of normal_form(f * e_j)."""
-    if G.colength() is INFINITE:
-        raise ValidationError("multiplication matrix needs finite colength")
-    smb = G.standard_monomials()
-    basis_index = {m.key: i for i, m in enumerate(smb)}
+    smb, (cols,) = _multiplication_maps(G, (f,))
     field = G.ring.domain
-    n = len(smb)
-    cols = []
-    nf_f = G.normal_form(f)
-    for m in smb:
-        shifted = Polynomial(G.ring, tuple((k + m.key, c) for k, c in nf_f._terms))
-        cols.append(_coords(G, basis_index, G.normal_form(shifted)))
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return [[FieldElement(field, v) for v in row] for row in matrix]
+    return [[FieldElement(field, col[i]) for col in cols] for i in range(len(smb))]
 
 
-def _socle_lifts(G: GroebnerBasis):
+def socle_lifts(G: GroebnerBasis):
     """Polynomials lifting a basis of the kernel of the stacked
     multiplication-by-variable maps on the standard-monomial basis of a
     finite-colength G, i.e. of the socle of the quotient."""
     ring = G.ring
     field = ring.domain
-    smb = G.standard_monomials()
-    basis_index = {m.key: i for i, m in enumerate(smb)}
-    stacked = []
+    smb, maps = _multiplication_maps(G, ring.gens())
     n = len(smb)
-    for i in range(ring.nvars):
-        exps = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        var_key = ring.encode(exps)
-        cols = []
-        for m in smb:
-            prod = Polynomial(ring, ((m.key + var_key, field.one),))
-            cols.append(_coords(G, basis_index, G.normal_form(prod)))
-        for r in range(n):
-            stacked.append([cols[c][r] for c in range(n)])
-    kernel = linalg.kernel_basis(field, stacked, n)
-    lifts = []
-    for vec in kernel:
-        terms = [(smb[i].key, v) for i, v in enumerate(vec) if not field.is_zero(v)]
-        lifts.append(ring.polynomial(terms))
-    return lifts
+    stacked = [[col[r] for col in cols] for cols in maps for r in range(n)]
+    return [
+        ring.polynomial([(smb[i].key, v) for i, v in enumerate(vec) if not field.is_zero(v)])
+        for vec in linalg.kernel_basis(field, stacked, n)
+    ]
 
 
 def ideal_colon_m(J: IdealPresentation) -> IdealPresentation:
@@ -681,50 +685,28 @@ def ideal_colon_m(J: IdealPresentation) -> IdealPresentation:
     kernel of the stacked multiplication-by-variable maps on the
     standard-monomial basis, lifted back to polynomial generators."""
     G = buchberger(J)
-    if G.colength() is INFINITE:
-        raise ValidationError("colon ideal computation needs finite colength")
-    witness = _primary_witness(G)
-    if witness is not None:
-        raise ValidationError(
-            f"ideal is not primary to the origin: variable {witness!r} is a unit direction"
-        )
-    return IdealPresentation(J.ring, tuple(J.generators) + tuple(_socle_lifts(G)))
+    check_primary_to_origin(G, "ideal")
+    return IdealPresentation(J.ring, tuple(J.generators) + tuple(socle_lifts(G)))
 
 
 def trace_discriminant(G: GroebnerBasis) -> FieldElement:
     """Determinant of the trace-pairing Gram matrix on the canonical
     standard-monomial basis (sorted by the term order, which pins the
     unit ambiguity of a basis change)."""
-    if G.colength() is INFINITE:
-        raise ValidationError("trace discriminant needs finite colength")
     ring = G.ring
     field = ring.domain
-    smb = G.standard_monomials()
-    n = len(smb)
-    basis_index = {m.key: i for i, m in enumerate(smb)}
-    # coords of nf(e_i * e_j), computed once per pair
-    prods = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = Polynomial(ring, ((smb[i].key + smb[j].key, field.one),))
-            vec = _coords(G, basis_index, G.normal_form(prod))
-            prods[i][j] = vec
-            prods[j][i] = vec
-    # T[c] = trace of multiplication by e_c
-    traces = [None] * n
-    for c in range(n):
+    basis = [Polynomial(ring, ((m.key, field.one),)) for m in G.standard_monomials()]
+    # prods[i][j] holds the coordinates of nf(e_i * e_j)
+    _, prods = _multiplication_maps(G, basis)
+    n = len(basis)
+
+    def total(values):
         acc = field.zero
-        for j in range(n):
-            acc = field.add(acc, prods[c][j][j])
-        traces[c] = acc
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = field.zero
-            for c, v in enumerate(prods[i][j]):
-                if not field.is_zero(v):
-                    acc = field.add(acc, field.mul(v, traces[c]))
-            row.append(acc)
-        gram.append(row)
+        for v in values:
+            acc = field.add(acc, v)
+        return acc
+
+    traces = [total(prods[c][j][j] for j in range(n)) for c in range(n)]  # of e_c
+    gram = [[total(field.mul(v, t) for v, t in zip(prods[i][j], traces) if not field.is_zero(v))
+             for j in range(n)] for i in range(n)]
     return FieldElement(field, linalg.det(field, gram))

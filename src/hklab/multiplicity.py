@@ -34,10 +34,10 @@ from .errors import ValidationError
 from .groebner import (
     INFINITE,
     GroebnerBasis,
-    _primary_witness,
-    _socle_lifts,
     buchberger,
+    check_primary_to_origin,
     colength,
+    socle_lifts,
 )
 from .polyring import (
     IdealPresentation,
@@ -230,12 +230,7 @@ def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
                 f"ideal is not zero-dimensional at q = {q}; Hilbert-Kunz undefined"
             )
         if e == 1:
-            witness = _primary_witness(gb)
-            if witness is not None:
-                raise ValidationError(
-                    f"ideal is not primary to the origin: {witness!r} has a power "
-                    "with nonzero normal form"
-                )
+            check_primary_to_origin(gb, "ideal")
         return HKSample(e=e, q=q, length=length, normalized=Fraction(length, q**d))
 
     return [sample(e) for e in range(1, e_max + 1)]
@@ -314,16 +309,10 @@ def socle_basis(R: QuotientRingSpec, x: IdealPresentation):
     ring = R.ring
     gens = _combined_gens(R, x)
     gb = buchberger(IdealPresentation(ring, gens))
-    if colength(gb) is INFINITE:
-        raise ValidationError("parameter ideal is not zero-dimensional")
+    check_primary_to_origin(gb, "parameter ideal")
     if colength(gb) == 0:
         raise ValidationError("parameter ideal is the unit ideal; socle is empty")
-    witness = _primary_witness(gb)
-    if witness is not None:
-        raise ValidationError(
-            f"parameter ideal is not primary to the origin (witness {witness!r})"
-        )
-    return _socle_lifts(gb)
+    return socle_lifts(gb)
 
 
 @dataclass(frozen=True)

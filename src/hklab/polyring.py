@@ -8,8 +8,9 @@ The exponent fields hold e_0, ..., e_(n-1) in variable order, EXP_BITS
 (32) bits each, e_i at bit EXP_BITS * i.  The top bit of each field is a
 guard bit: exponents stay below 2^31 (MAX_EXPONENT) wherever monomials
 are created or multiplied through the public API, and exceeding the
-bound raises OverflowError instead of silently corrupting lengths.  The
-order fields above them are, most significant first,
+bound raises ExponentOverflow (an OverflowError and a ValidationError)
+instead of silently corrupting lengths.  The order fields above them
+are, most significant first,
 
     degrevlex:  deg, deg - e[rev_0], ..., deg - e[rev_(n-2)]
     lex:        the exponents in priority order
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from ._expr import Evaluator
 from .coeff import Field, FieldElement
-from .errors import StructuralError, ValidationError
+from .errors import ExponentOverflow, StructuralError, ValidationError
 
 EXP_BITS = 32  # width of one exponent field
 FIELD_MASK = (1 << EXP_BITS) - 1
@@ -163,6 +164,8 @@ class PolynomialRing:
     def __init__(self, domain, variables, order: TermOrder | None = None):
         self.domain = domain
         self.variables = tuple(variables)
+        if not self.variables:
+            raise ValidationError("a polynomial ring needs at least one variable: 'vars' is empty")
         if len(set(self.variables)) != len(self.variables):
             raise ValidationError(f"duplicate variable names: {self.variables}")
         self.nvars = len(self.variables)
@@ -195,7 +198,7 @@ class PolynomialRing:
         key = 0
         for e, w in zip(exponents, self._weights):
             if e >= MAX_EXPONENT:
-                raise OverflowError(f"exponent {e} exceeds 2^31")
+                raise ExponentOverflow(f"exponent {e} exceeds 2^31")
             key += e * w
         return key
 
@@ -423,7 +426,7 @@ class Polynomial:
         if not self._terms or not other._terms:
             return self.ring.zero
         if self.max_exponent() + other.max_exponent() >= MAX_EXPONENT:
-            raise OverflowError("monomial exponent overflow in product")
+            raise ExponentOverflow("monomial exponent overflow in product")
         dom = self.ring.domain
         acc: dict = {}
         short, long_ = (self._terms, other._terms)
@@ -550,7 +553,7 @@ def frobenius_power(I: IdealPresentation, q: int) -> IdealPresentation:
     gens = []
     for g in I.generators:
         if g.max_exponent() * q >= MAX_EXPONENT:
-            raise OverflowError("monomial exponent overflow in bracket power")
+            raise ExponentOverflow("monomial exponent overflow in bracket power")
         # key scaling is exact: encode is linear in the exponent vector
         gens.append(
             Polynomial(ring, tuple((k * q, dom.frobenius_raw(c, e)) for k, c in g._terms))

@@ -493,3 +493,41 @@ def test_csv_format_flag(tmp_path):
     assert run(RunConfig("hk", cfg, str(out), formats=("csv",))) == 0
     assert (out / "hk.csv").exists()
     assert not (out / "hk.json").exists()
+
+
+@pytest.mark.parametrize("command, payload, name", [
+    ("modp", dict(MODP_PLANE, primes=[2**31 + 11]), "primes"),
+    ("modp", dict(MODP_PLANE, primes=[2**61 - 1]), "primes"),
+    ("modp", dict(MODP_PLANE, primes=[]), "primes"),
+    ("hk", dict(HK_PLANE, vars=[]), "vars"),
+    ("modp", dict(MODP_PLANE, vars=[], ideal=["2"]), "vars"),
+    ("sweep", {"base": {"kind": "param", "p": 2, "params": ["t"]}, "vars": [], "ideal": ["t"],
+               "fibers": [{"generic": True}, {"t": "1"}], "e_max": 2}, "vars"),
+])
+def test_bad_input_exits_2_naming_the_field_before_writing(tmp_path, capsys, command, payload,
+                                                           name):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "out"
+    assert run(RunConfig(command, cfg, str(out), assume_reduced=True)) == 2
+    assert repr(name) in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("hk", dict(HK_PLANE, e_max=40)),
+    ("groebner", dict(HK_PLANE, vars=["x"], generators=["x^2147483648"])),
+])
+def test_exponent_overflow_exits_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "big.json", payload)
+    assert run(RunConfig(command, cfg, str(tmp_path / "out"))) == 2
+    assert capsys.readouterr().err.startswith("error: monomial exponent overflow")
+
+
+def test_modp_with_every_prime_skipped_exits_1_without_plot_files(tmp_path, capsys):
+    cfg = write_config(tmp_path, "modp.json", dict(MODP_PLANE, defining=["6*x^2 + 6*y^3"]))
+    out = tmp_path / "out"
+    assert run(RunConfig("modp", cfg, str(out), assume_reduced=True)) == 1
+    printed = capsys.readouterr().out
+    assert printed.count("warning: prime") == 2
+    assert "modp_bounded: FAIL" in printed
+    assert sorted(p.name for p in out.iterdir()) == ["modp.csv", "modp.json"]

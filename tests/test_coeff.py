@@ -196,3 +196,19 @@ def test_field_elements_are_immutable():
     a = F5(2)
     with pytest.raises(AttributeError):
         a.raw = 3
+
+
+def test_make_extension_checks_each_candidate_modulus_once(monkeypatch):
+    from hklab import coeff
+
+    checked = []
+    validate = coeff._validate_irreducible
+
+    def counting(p, modulus):
+        checked.append(modulus)
+        validate(p, modulus)
+
+    monkeypatch.setattr(coeff, "_validate_irreducible", counting)
+    field = make_extension(2, 4)
+    assert checked[-1] == field.modulus
+    assert len(checked) == len(set(checked))

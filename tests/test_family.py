@@ -383,3 +383,11 @@ def test_generic_lengths_below_special_on_random_families():
             continue  # a fiber degenerated or lost finite colength; resample
         checked += 1
         assert result.passed, (gens, result.verdicts)
+
+
+def test_prime_fiber_checks_the_range_before_primality():
+    # 2^31 + 11 is prime but no characteristic; trial division of 2^61 - 1
+    # would run for minutes
+    for p in (2**31 + 11, 2**61 - 1, 1, 4, None):
+        with pytest.raises(ValidationError, match="PRIME fiber"):
+            FiberSpec.at_prime(p)

@@ -660,3 +660,30 @@ def test_colength_order_counters_are_pinned(p, q, length, stats):
     G = buchberger(monsky_bracket(PrimeField(p), q, COLENGTH_ORDER))
     assert G.colength() == length
     assert G.stats == stats
+
+
+def test_trace_discriminant_is_the_discriminant_of_a_univariate_modulus():
+    # the trace form of F_p[x]/(g) on 1, x, ..., x^(n-1) has determinant disc(g)
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    rng = random.Random(2024)
+    X = sympy.Symbol("x")
+    for _ in range(100):
+        p = rng.choice((2, 3, 5, 7, 11))
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]  # monic
+        R = PolynomialRing(PrimeField(p), ("x",))
+        g = R.polynomial([(R.encode((i,)), c) for i, c in enumerate(coeffs)])
+        expected = sympy.discriminant(sum(c * X**i for i, c in enumerate(coeffs)), X) % p
+        assert trace_discriminant(buchberger(IdealPresentation(R, (g,)))).raw == expected
+
+
+def test_finite_quotient_maps_reject_bad_ideals():
+    R = PolynomialRing(F5, ("x", "y"))
+    x, y = R.gens()
+    with pytest.raises(ValidationError, match="infinite"):
+        multiplication_matrix(buchberger(IdealPresentation(R, (x,))), y)
+    with pytest.raises(ValidationError, match="^ideal is not zero-dimensional"):
+        ideal_colon_m(IdealPresentation(R, (x, x * y)))
+    with pytest.raises(ValidationError, match="^ideal is not primary to the origin: variable 'x'"):
+        ideal_colon_m(IdealPresentation(R, (x - 1, y)))

@@ -1,0 +1,17 @@
+"""Module boundaries: no hklab module imports a private name of another."""
+
+import ast
+from pathlib import Path
+
+import hklab
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted(Path(hklab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "hklab"
+            ):
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

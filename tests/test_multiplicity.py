@@ -469,3 +469,14 @@ def test_colength_ring_keeps_lengths_and_verdicts(case):
             hs_function(R, I, 2)
     else:
         assert [s.length for s in hs_function(R, I, 2)] == lengths
+
+
+def test_socle_basis_rejects_a_sop_that_is_not_zero_dimensional_or_not_primary():
+    Rxy = PolynomialRing(F5, ("x", "y"))
+    x, y = Rxy.gens()
+    R = QuotientRingSpec(Rxy)
+    with pytest.raises(ValidationError, match="^parameter ideal is not zero-dimensional"):
+        socle_basis(R, IdealPresentation(Rxy, (x, x * y)))
+    with pytest.raises(ValidationError,
+                       match="^parameter ideal is not primary to the origin: variable 'x'"):
+        socle_basis(R, IdealPresentation(Rxy, (x - 1, y)))
