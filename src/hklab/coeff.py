@@ -18,6 +18,12 @@ Raw representations, chosen so that canonical form makes `==` work:
 Field objects expose raw-level methods (add, mul, inv, ...) used by the
 polynomial engine's hot loops; FieldElement is a thin immutable wrapper
 with operator overloading for everything user-facing.
+
+A GF(p^m) of at most _TABLE_MAX_SIZE elements multiplies, inverts and
+raises to powers by discrete-log (log/antilog) table lookup; its raw
+elements are the same m-tuples.  Larger extensions keep the convolution
+multiply and the extended-Euclid inverse, which are also the reference
+the table path is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from ._expr import Evaluator
 from .errors import StructuralError, ValidationError
 
 MAX_CHARACTERISTIC = 1 << 31
+_TABLE_MAX_SIZE = 1 << 12  # larger GF(p^m) multiply by convolution, without tables
 
 
 def is_prime(n: int) -> bool:
@@ -42,6 +49,20 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _prime_divisors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +251,17 @@ class _DensePolys:
 # ---------------------------------------------------------------------------
 
 
+def _power(mul, one, a, n):
+    """a^n for n >= 0 by square-and-multiply with the product `mul`."""
+    r = one
+    while n:
+        if n & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        n >>= 1
+    return r
+
+
 class Field:
     """Common raw-level interface; concrete classes fill in the arithmetic."""
 
@@ -249,13 +281,7 @@ class Field:
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        r = self.one
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return _power(self.mul, self.one, a, n)
 
     def frobenius_raw(self, a, e):
         return self.pow(a, self.characteristic**e)
@@ -386,7 +412,13 @@ def _validate_irreducible(p: int, modulus: tuple) -> None:
 
 
 class ExtensionField(Field):
-    """GF(p^m) presented as F_p[s]/(modulus); raw elements are m-tuples."""
+    """GF(p^m) presented as F_p[s]/(modulus); raw elements are m-tuples.
+
+    Up to _TABLE_MAX_SIZE elements, `_exp[k]` is g^k for a primitive
+    element g (listed twice, so a sum of two logarithms needs no modulo)
+    and `_log` maps each nonzero m-tuple to its exponent; above the cap
+    both are None and arithmetic convolves and runs extended Euclid.
+    """
 
     kind = "extension"
 
@@ -414,6 +446,36 @@ class ExtensionField(Field):
             self._reduction.append(power)
             shifted = (0,) + power
             power = self._reduce_once(shifted)
+        self._log = self._exp = None
+        if self.size <= _TABLE_MAX_SIZE:
+            self._build_tables(self._primitive_element())
+
+    def _primitive_element(self):
+        """The first element, in `elements()` order, of multiplicative order
+        q - 1: g^((q-1)/r) != 1 for every prime r dividing q - 1.  The
+        generator s need not be one."""
+        order = self.size - 1
+        cofactors = [order // r for r in _prime_divisors(order)]
+        for g in self.elements():
+            if g != self.zero and all(
+                _power(self._mul_conv, self.one, g, c) != self.one for c in cofactors
+            ):
+                return g
+        raise StructuralError(f"{self} has no primitive element")  # unreachable
+
+    def _build_tables(self, g):
+        """Fill the log/antilog tables from the powers of g, which must be
+        q - 1 distinct nonzero elements; a StructuralError otherwise, with
+        the tables left as they were."""
+        order = self.size - 1
+        exp = [self.one]
+        for _ in range(order - 1):
+            exp.append(self._mul_conv(exp[-1], g))
+        log = {a: k for k, a in enumerate(exp)}
+        if len(log) != order or self.zero in log:
+            raise StructuralError(f"{g} is not a primitive element of {self}")
+        self._exp = exp + exp
+        self._log = log
 
     def _reduce_once(self, cs):
         m, p = self.degree, self.p
@@ -436,9 +498,20 @@ class ExtensionField(Field):
 
     def neg(self, a):
         p = self.p
+        if p == 2:
+            return a
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
+        log = self._log
+        if log is None:
+            return self._mul_conv(a, b)
+        zero = self.zero
+        if a == zero or b == zero:
+            return zero
+        return self._exp[log[a] + log[b]]
+
+    def _mul_conv(self, a, b):
         m, p = self.degree, self.p
         conv = [0] * (2 * m - 1)
         for i, ca in enumerate(a):
@@ -450,6 +523,8 @@ class ExtensionField(Field):
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inversion of zero")
+        if self._log is not None:
+            return self._exp[-self._log[a] % (self.size - 1)]
         ops = self._ops
         # extended Euclid in F_p[s]
         r0, r1 = self.modulus, ops._trim(a)
@@ -461,6 +536,17 @@ class ExtensionField(Field):
         scale = self.prime.inv(r0[0])  # r0 is a nonzero constant
         inv = tuple(self.prime.mul(c, scale) for c in s0)
         return inv + (0,) * (self.degree - len(inv))
+
+    def pow(self, a, n):
+        if self._log is None or a == self.zero:
+            return Field.pow(self, a, n)
+        return self._exp[n * self._log[a] % (self.size - 1)]
+
+    def frobenius_raw(self, a, e):
+        if self._log is None or a == self.zero:
+            return Field.frobenius_raw(self, a, e)
+        order = self.size - 1
+        return self._exp[pow(self.p, e, order) * self._log[a] % order]
 
     def from_int(self, n):
         return (n % self.p,) + (0,) * (self.degree - 1)
@@ -548,6 +634,9 @@ class RationalFunctionField(Field):
 
     def add(self, a, b):
         ops = self._ops
+        one = ops.one
+        if a[1] == one and b[1] == one:  # polynomials: nothing to cancel
+            return (ops.add(a[0], b[0]), one)
         n = ops.add(ops.mul(a[0], b[1]), ops.mul(b[0], a[1]))
         return self._canon(n, ops.mul(a[1], b[1]))
 
@@ -559,6 +648,9 @@ class RationalFunctionField(Field):
 
     def mul(self, a, b):
         ops = self._ops
+        one = ops.one
+        if a[1] == one and b[1] == one:
+            return (ops.mul(a[0], b[0]), one)
         return self._canon(ops.mul(a[0], b[0]), ops.mul(a[1], b[1]))
 
     def inv(self, a):

@@ -10,6 +10,7 @@ from hklab import (
     RationalFunctionField,
     StructuralError,
     ValidationError,
+    coeff,
     field_from_config,
     frobenius,
     make_extension,
@@ -23,8 +24,11 @@ GF9 = make_extension(3, 2)
 F2T = RationalFunctionField(PrimeField(2))
 F3T = RationalFunctionField(PrimeField(3))
 GF4T = RationalFunctionField(GF4)
+# above the table cap: convolution multiply and extended-Euclid inverse
+GF67_2 = make_extension(67, 2)
+GF2_13 = make_extension(2, 13)
 
-ALL_FIELDS = [F2, F5, GF4, GF9, F2T, F3T, GF4T]
+ALL_FIELDS = [F2, F5, GF4, GF9, GF67_2, GF2_13, F2T, F3T, GF4T]
 
 
 def element_strategy(field):
@@ -64,6 +68,7 @@ def test_field_laws(field):
         assert a + field(0) == a
         assert a * field(1) == a
         assert a - a == field(0)
+        assert a + (-a) == field(0)
         if a != field(0):
             assert a * a.inverse() == field(1)
 
@@ -199,8 +204,6 @@ def test_field_elements_are_immutable():
 
 
 def test_make_extension_checks_each_candidate_modulus_once(monkeypatch):
-    from hklab import coeff
-
     checked = []
     validate = coeff._validate_irreducible
 
@@ -212,3 +215,108 @@ def test_make_extension_checks_each_candidate_modulus_once(monkeypatch):
     field = make_extension(2, 4)
     assert checked[-1] == field.modulus
     assert len(checked) == len(set(checked))
+
+
+def test_table_cap_decides_which_fields_get_tables():
+    for field in (GF4, GF9, make_extension(2, 12)):
+        q = field.size
+        assert q <= coeff._TABLE_MAX_SIZE
+        assert len(field._exp) == 2 * (q - 1) and len(field._log) == q - 1
+    for field in (GF67_2, GF2_13):
+        assert field.size > coeff._TABLE_MAX_SIZE
+        assert field._log is None and field._exp is None
+
+
+def _irreducible_moduli(p, m):
+    for v in range(p**m):
+        tail = tuple((v // p**j) % p for j in range(m))
+        try:
+            ExtensionField(p, tail + (1,))
+        except ValidationError:
+            continue
+        yield tail + (1,)
+
+
+SMALL_EXTENSIONS = [(p, m) for p in (2, 3, 5, 7) for m in range(2, 7) if p**m <= 64]
+
+
+@pytest.mark.parametrize("p,m", SMALL_EXTENSIONS, ids=lambda v: str(v))
+def test_table_arithmetic_agrees_with_convolution_on_every_modulus(p, m, monkeypatch):
+    moduli = list(_irreducible_moduli(p, m))
+    assert moduli
+    for modulus in moduli:
+        table = ExtensionField(p, modulus)
+        with monkeypatch.context() as patch:
+            patch.setattr(coeff, "_TABLE_MAX_SIZE", 0)
+            reference = ExtensionField(p, modulus)
+        assert table._log is not None and reference._log is None
+        q = table.size
+        elements = list(table.elements())
+        for a in elements:
+            for b in elements:
+                assert table.mul(a, b) == reference.mul(a, b)
+            if a != table.zero:
+                assert table.inv(a) == reference.inv(a)
+            for n in (-3, -2, -1, 0, 1, 2, 3, q - 2, q - 1, q, 2 * q - 1, 5 * q + 3):
+                if a == table.zero and n < 0:
+                    continue
+                assert table.pow(a, n) == reference.pow(a, n)
+            for e in range(m + 2):
+                assert table.frobenius_raw(a, e) == reference.frobenius_raw(a, e)
+        with pytest.raises(ZeroDivisionError):
+            table.inv(table.zero)
+        with pytest.raises(ZeroDivisionError):
+            table.pow(table.zero, -1)
+
+
+def test_tables_do_not_need_a_primitive_generator():
+    # s is a root of x^4 + x^3 + x^2 + x + 1, which divides x^5 - 1
+    field = ExtensionField(2, (1, 1, 1, 1, 1))
+    s = (0, 1, 0, 0)
+    assert field.pow(s, 5) == field.one
+    assert field._exp[1] != s
+    assert len(set(field._exp[:15])) == 15
+    assert (1, 1, 1, 1, 1) in _irreducible_moduli(2, 4)
+
+
+def test_table_build_rejects_a_non_primitive_element():
+    field = ExtensionField(2, (1, 1, 1, 1, 1))
+    exp, log = field._exp, field._log
+    with pytest.raises(StructuralError):
+        field._build_tables((0, 1, 0, 0))  # s has order 5, not 15
+    with pytest.raises(StructuralError):
+        GF9._build_tables(GF9.from_int(2))  # -1 has order 2, not 8
+    assert field._exp is exp and field._log is log
+
+
+def _polynomial_or_fraction(field):
+    ops = field._ops
+    return st.builds(
+        lambda x, poly: field.element((x.raw[0], ops.one)) if poly else x,
+        element_strategy(field),
+        st.booleans(),
+    )
+
+
+@pytest.mark.parametrize("field", [F2T, GF4T], ids=repr)
+def test_rational_function_fast_path_matches_canon(field):
+    ops = field._ops
+
+    @settings(max_examples=200, deadline=None)
+    @given(_polynomial_or_fraction(field), _polynomial_or_fraction(field))
+    def run(x, y):
+        (an, ad), (bn, bd) = x.raw, y.raw
+        sum_num = ops.add(ops.mul(an, bd), ops.mul(bn, ad))
+        assert field.add(x.raw, y.raw) == field._canon(sum_num, ops.mul(ad, bd))
+        assert field.mul(x.raw, y.raw) == field._canon(ops.mul(an, bn), ops.mul(ad, bd))
+
+    run()
+
+
+def test_rational_function_polynomials_skip_the_gcd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(F2T, "_canon", lambda n, d: calls.append((n, d)))
+    t, t1 = F2T.t, (0b11, 1)
+    assert F2T.add(t, t1) == (1, 1)
+    assert F2T.mul(t, t1) == (0b110, 1)
+    assert calls == []
