@@ -5,9 +5,10 @@ Each takes a JSON config file and writes CSV/JSON artifacts into the
 output directory; stdout carries a human-readable summary.
 
 Exit codes: 0 success (all verdicts PASS), 1 a mathematical check FAILed,
-2 validation/config error (including an unknown sweep check name, two
-sweep fibers with the same label, a prime listed twice for modp, or an
-integer field such as e_max given as a string, float or bool),
+2 validation/config error (including a config that is not a JSON object,
+an unknown sweep check name, two sweep fibers with the same label, a
+prime listed twice for modp, or an integer field such as e_max given as
+a string, float or bool),
 3 internal error.  Identical configs produce byte-identical artifacts.
 The --threads flag is accepted for compatibility and ignored: every run
 is sequential.
@@ -80,11 +81,14 @@ def _frac(x: Fraction) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ValidationError(f"config is not valid JSON ({err})")
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _need(cfg: dict, key: str):
@@ -98,7 +102,10 @@ def _build_ring(cfg: dict) -> PolynomialRing:
     priority = cfg.get("priority")
     if priority is not None:
         priority = [config_int(i, "priority") for i in config_list(priority, "priority")]
-    order = TermOrder(cfg.get("order", "degrevlex"), priority)
+    order = cfg.get("order", "degrevlex")
+    if not isinstance(order, str):
+        raise ValidationError(f"config field 'order' must be a string, got {order!r}")
+    order = TermOrder(order, priority)
     return PolynomialRing(field, config_strings(_need(cfg, "vars"), "vars"), order)
 
 
@@ -258,7 +265,6 @@ def _cmd_hs(run: RunConfig, cfg: dict):
         "dimension": R.dimension,
         "samples": [{"n": s.n, "length": s.length} for s in samples],
     }
-    exit_code = 0
     try:
         est = hs_multiplicity(samples, R.dimension)
         payload["multiplicity"] = est.multiplicity
@@ -276,7 +282,7 @@ def _cmd_hs(run: RunConfig, cfg: dict):
         print(f"multiplicity {payload['multiplicity']} (window n={payload['stabilization_window']})")
     else:
         print(f"no stabilization: {payload['diagnostic']}")
-    return exit_code, files
+    return 0, files
 
 
 def _cmd_rsig(run: RunConfig, cfg: dict):
@@ -420,7 +426,7 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
     for w in warnings:
         print(f"warning: {w}")
     _print_verdicts(verdicts)
-    return (0 if all(v.passed for v in verdicts.values()) else 1), files
+    return (0 if result.passed else 1), files
 
 
 def _cmd_modp(run: RunConfig, cfg: dict):

@@ -319,9 +319,6 @@ class Field:
         """Iterate all elements (finite fields only), in a fixed order."""
         raise ValidationError(f"{self} is not a finite field")
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class PrimeField(Field):
     """The prime field F_p; raw elements are ints in [0, p)."""
@@ -393,19 +390,14 @@ def _validate_irreducible(p: int, modulus: tuple) -> None:
     root (linear factor) check.
     """
     ops = _DensePolys(PrimeField(p))
-    m = ops.deg(modulus)
+
+    def mulmod(a, b):
+        return ops.divmod(ops.mul(a, b), modulus)[1]
+
     x = (0, 1)
     t = x
-    for _ in range(m // 2):
-        # t <- t^p mod f, so after i steps t = x^(p^i) mod f
-        r = ops.one
-        base, n = t, p
-        while n:
-            if n & 1:
-                r = ops.divmod(ops.mul(r, base), modulus)[1]
-            base = ops.divmod(ops.mul(base, base), modulus)[1]
-            n >>= 1
-        t = r
+    for _ in range(ops.deg(modulus) // 2):
+        t = _power(mulmod, ops.one, t, p)  # t = x^(p^i) mod f after i steps
         g = ops.gcd_monic(modulus, ops.sub(t, x))
         if ops.deg(g) > 0:
             raise ValidationError(f"modulus {modulus} is reducible over GF({p})")
@@ -542,12 +534,6 @@ class ExtensionField(Field):
             return Field.pow(self, a, n)
         return self._exp[n * self._log[a] % (self.size - 1)]
 
-    def frobenius_raw(self, a, e):
-        if self._log is None or a == self.zero:
-            return Field.frobenius_raw(self, a, e)
-        order = self.size - 1
-        return self._exp[pow(self.p, e, order) * self._log[a] % order]
-
     def from_int(self, n):
         return (n % self.p,) + (0,) * (self.degree - 1)
 
@@ -643,9 +629,6 @@ class RationalFunctionField(Field):
     def neg(self, a):
         return (self._ops.neg(a[0]), a[1])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         ops = self._ops
         one = ops.one
@@ -666,10 +649,9 @@ class RationalFunctionField(Field):
         return (num, den)
 
     def from_int(self, n):
-        base_raw = self.base.from_int(n) if self.base.kind == "extension" else n % self.characteristic
         if isinstance(self._ops, _BinaryPolys):
             return (n % 2, 1)
-        return (self._ops._trim((base_raw,)), self._ops.one)
+        return (self._ops._trim((self.base.from_int(n),)), self._ops.one)
 
     def _parse_atom(self, tok):
         if isinstance(tok, int):

@@ -114,7 +114,7 @@ class FamilySpec:
                 variables,
                 defining,
                 ideal,
-                p=base["p"],
+                p=config_int(base["p"], "p"),
                 parameters=config_strings(base.get("params", []), "params"),
             )
         raise ValidationError(f"unknown base kind {base['kind']!r}")
@@ -229,22 +229,15 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
     nvars = len(F.variables)
 
     def substitute(g: Polynomial) -> Polynomial:
-        acc = {}
-        src = F._ring
+        terms = []
         for key, coeff in g._terms:
-            exps = src.decode(key)
-            ambient = exps[:nvars]
+            exps = F._ring.decode(key)
             value = convert(coeff)
             for pname, pexp in zip(F.parameters, exps[nvars:]):
                 if pexp:
                     value = target.mul(value, target.pow(assignment_raws[pname], pexp))
-            new_key = fiber_ring.encode(ambient)
-            prev = acc.get(new_key)
-            acc[new_key] = value if prev is None else target.add(prev, value)
-        terms = tuple(
-            (k, c) for k, c in sorted(acc.items(), reverse=True) if not target.is_zero(c)
-        )
-        return Polynomial(fiber_ring, terms)
+            terms.append((fiber_ring.encode(exps[:nvars]), value))
+        return fiber_ring.polynomial(terms)
 
     defining = []
     for g in F.defining:

@@ -112,14 +112,21 @@ def _make_item(ring, terms):
     return _Item(lead_key, ring.decode(lead_key), tail)
 
 
+def pure_powers(exponent_vectors) -> dict:
+    """{i: b} for each variable x_i with a pure power x_i^a (a >= 1) among
+    the exponent vectors, b the least such a."""
+    bounds = {}
+    for exps in exponent_vectors:
+        support = [i for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            i = support[0]
+            bounds[i] = min(bounds.get(i, exps[i]), exps[i])
+    return bounds
+
+
 def _box_mask(items):
     """BOX of the module docstring for the one-term pure powers among items."""
-    bounds = {}
-    for item in items:
-        support = [i for i, e in enumerate(item.exps) if e]
-        if not item.tail and len(support) == 1:
-            i = support[0]
-            bounds[i] = min(bounds.get(i, item.exps[i]), item.exps[i])
+    bounds = pure_powers(item.exps for item in items if not item.tail)
     return sum((MAX_EXPONENT - b) << (EXP_BITS * i) for i, b in bounds.items())
 
 
@@ -127,12 +134,7 @@ def _staircase_bounds(items, n):
     """GroebnerBasis.staircase_bounds() of the basis of `items`."""
     if any(item.key == 0 for item in items):  # the unit ideal
         return (0,) * n
-    bounds = {}
-    for item in items:
-        support = [i for i, e in enumerate(item.exps) if e]
-        if len(support) == 1:
-            i = support[0]
-            bounds[i] = min(bounds.get(i, item.exps[i]), item.exps[i])
+    bounds = pure_powers(item.exps for item in items)
     return tuple(bounds[i] for i in range(n)) if len(bounds) == n else None
 
 
@@ -418,11 +420,7 @@ class GroebnerBasis:
         return len(self._items) == 1 and self._items[0].key == 0
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.ring != self.ring:
-            if (f.ring.domain, f.ring.variables) == (self.ring.domain, self.ring.variables):
-                f = self.ring.convert(f)
-            else:
-                raise StructuralError("polynomial from a different ring/order")
+        f = self.ring.convert(f)  # raises unless f's ring differs at most in order
         terms = _reduce_terms(dict(f._terms), self._items, self.ring.domain, self.ring.guard,
                               self._box, [0, 0])
         return Polynomial(self.ring, terms)

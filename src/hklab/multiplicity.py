@@ -18,9 +18,10 @@ QuotientRingSpec.colength_ring(), chosen once per spec so that as many
 variables as possible have a pure power as the leading term of a defining
 generator.  For the Monsky quartics this makes z^4 the leading term of f,
 the quotient by f a free k[x,y]-module on 1, z, z^2, z^3 (Noether
-position), and the staircase four stacked plane staircases.  Every basis
-handed back to a caller (defining_gb, socle_basis, csig_search) stays in
-the ring's own order.
+position), and the staircase four stacked plane staircases.  csig_search
+counts its colengths and tests containment of the parameter ideal on such
+bases too.  socle_basis stays in R.ring, because its socle and the
+elements u built from it reach the rsig artifacts.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .groebner import (
     buchberger,
     check_primary_to_origin,
     colength,
+    pure_powers,
     socle_lifts,
 )
 from .polyring import (
@@ -47,6 +49,8 @@ from .polyring import (
     frobenius_power,
     ordinary_power,
 )
+
+_HS_WINDOW = 3  # consecutive equal d-th differences that make hs_multiplicity stable
 
 
 class QuotientRingSpec:
@@ -101,13 +105,7 @@ class QuotientRingSpec:
 def _pure_power_leads(ring, term_exps) -> int:
     """Number of variables x_i such that x_i^a (a >= 1) is the leading term,
     in `ring`'s order, of some polynomial given by its exponent vectors."""
-    found = set()
-    for exps in term_exps:
-        lead = max(exps, key=ring.encode)
-        support = [i for i, e in enumerate(lead) if e]
-        if len(support) == 1:
-            found.add(support[0])
-    return len(found)
+    return len(pure_powers(max(exps, key=ring.encode) for exps in term_exps))
 
 
 def _noether_ring(ring: PolynomialRing, defining) -> PolynomialRing:
@@ -154,10 +152,6 @@ class HKSample:
     length: int
     normalized: Fraction
 
-    @property
-    def decimal(self) -> float:
-        return float(self.normalized)
-
 
 @dataclass(frozen=True)
 class HKEstimate:
@@ -167,10 +161,6 @@ class HKEstimate:
     d_hat: Fraction
     error_bound: Fraction
     samples: tuple
-
-    @property
-    def decimal(self) -> float:
-        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -193,15 +183,20 @@ def _combined_gens(R: QuotientRingSpec, I: IdealPresentation):
     return tuple(R.defining) + tuple(I.generators)
 
 
-def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerBasis:
-    """Reduced Groebner basis of defining + I^[q] in R.colength_ring(), whose
+def _colength_basis(R: QuotientRingSpec, I: IdealPresentation) -> GroebnerBasis:
+    """Reduced Groebner basis of defining + I in R.colength_ring(), whose
     term order may differ from R.ring's.  The ideal is the same, so its
-    colength, zero-dimensionality and primality to the origin are those
-    computed in R.ring: the standard monomials of any order are a basis
-    of the same quotient."""
+    colength, zero-dimensionality, primality to the origin and which
+    polynomials it contains are those computed in R.ring: the standard
+    monomials of any order are a basis of the same quotient."""
     ring = R.colength_ring()
-    gens = _combined_gens(R, frobenius_power(I, q))
+    gens = _combined_gens(R, I)
     return buchberger(IdealPresentation(ring, tuple(ring.convert(g) for g in gens)))
+
+
+def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerBasis:
+    """Reduced Groebner basis of defining + I^[q] in R.colength_ring()."""
+    return _colength_basis(R, frobenius_power(I, q))
 
 
 def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
@@ -256,39 +251,33 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
     term order)."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1: {n_max}")
-    _combined_gens(R, I)
-    ring = R.colength_ring()
-    defining = tuple(ring.convert(g) for g in R.defining)
-    I = IdealPresentation(ring, tuple(ring.convert(g) for g in I.generators))
     samples = []
     for n in range(1, n_max + 1):
-        power = I if n == 1 else ordinary_power(I, n)
-        gb = buchberger(IdealPresentation(ring, defining + power.generators))
-        length = colength(gb)
+        length = colength(_colength_basis(R, I if n == 1 else ordinary_power(I, n)))
         if length is INFINITE:
             raise ValidationError("ideal is not zero-dimensional; Hilbert-Samuel undefined")
         samples.append(HSSample(n=n, length=length))
     return samples
 
 
-def hs_multiplicity(samples, d: int, window: int = 3) -> HSEstimate:
+def hs_multiplicity(samples, d: int) -> HSEstimate:
     """Hilbert-Samuel multiplicity as the stabilized d-th finite difference.
 
-    Stability means `window` consecutive equal d-th differences; without
+    Stability means _HS_WINDOW consecutive equal d-th differences; without
     stabilization the sample range was too short (increase n_max).
     """
     samples = tuple(samples)
-    if len(samples) < d + window:
-        raise ValidationError(f"need at least d + {window} = {d + window} samples")
+    if len(samples) < d + _HS_WINDOW:
+        raise ValidationError(f"need at least d + {_HS_WINDOW} = {d + _HS_WINDOW} samples")
     values = [s.length for s in samples]
     for _ in range(d):
         values = [b - a for a, b in zip(values, values[1:])]
-    for i in range(len(values) - window + 1):
-        if all(values[i + k] == values[i] for k in range(window)):
+    for i in range(len(values) - _HS_WINDOW + 1):
+        if all(values[i + k] == values[i] for k in range(_HS_WINDOW)):
             return HSEstimate(
                 dimension=d,
                 multiplicity=values[i],
-                window=(samples[i].n, samples[i + window - 1].n),
+                window=(samples[i].n, samples[i + _HS_WINDOW - 1].n),
                 samples=samples,
             )
     raise ValidationError(
@@ -440,9 +429,7 @@ def csig_search(
     """Relative-signature ratios over a list of candidate ideals containing
     the parameter ideal; exact colengths in the denominator, Hilbert-Kunz
     estimates in the numerator."""
-    ring = R.ring
-    gb_x = buchberger(IdealPresentation(ring, _combined_gens(R, x)))
-    len_x = colength(gb_x)
+    len_x = colength(_colength_basis(R, x))
     if len_x is INFINITE:
         raise ValidationError("parameter ideal is not zero-dimensional")
     ehk_x = hk_estimate(hk_function(R, x, e_max))
@@ -450,7 +437,7 @@ def csig_search(
     warnings = []
     minimum = None
     for idx, cand in enumerate(candidate_ideals):
-        gb_c = buchberger(IdealPresentation(ring, _combined_gens(R, cand)))
+        gb_c = _colength_basis(R, cand)
         for g in x.generators:
             if gb_c.normal_form(g):
                 raise ValidationError(

@@ -139,7 +139,7 @@ class TermOrder:
 
 
 class Monomial:
-    """Exponent vector with cached total degree (interned per ring)."""
+    """Exponent vector with cached total degree."""
 
     __slots__ = ("exponents", "degree", "key")
 
@@ -171,7 +171,6 @@ class PolynomialRing:
         self.nvars = len(self.variables)
         self.order = order or TermOrder()
         self._priority = self.order.resolved_priority(self.nvars)
-        self._intern: dict[int, Monomial] = {}
         n = self.nvars
         # the layout of the module docstring
         self.exp_mask = (1 << (n * EXP_BITS)) - 1
@@ -225,19 +224,11 @@ class PolynomialRing:
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise StructuralError("exponent vector length != number of variables")
-        key = self.encode(exponents)
-        mono = self._intern.get(key)
-        if mono is None:
-            mono = Monomial(exponents, sum(exponents), key)
-            mono = self._intern.setdefault(key, mono)
-        return mono
+        return Monomial(exponents, sum(exponents), self.encode(exponents))
 
     def monomial_from_key(self, key: int) -> Monomial:
-        mono = self._intern.get(key)
-        if mono is None:
-            exps = self.decode(key)
-            mono = self._intern.setdefault(key, Monomial(exps, sum(exps), key))
-        return mono
+        exps = self.decode(key)
+        return Monomial(exps, sum(exps), key)
 
     # -- polynomial construction ----------------------------------------------
 

@@ -153,11 +153,30 @@ MODP_PLANE = {
     ("hk", dict(HK_PLANE, priority=[0, "1"]), "priority"),
     ("hk", dict(HK_PLANE, priority=[0, 1.0]), "priority"),
     ("hk", dict(HK_PLANE, priority=5), "priority"),
+    ("sweep", dict(MONSKY_SWEEP, base={"kind": "param", "p": "2", "params": ["t"]}), "p"),
+    ("sweep", dict(MONSKY_SWEEP, base={"kind": "param", "p": 2.0, "params": ["t"]}), "p"),
+    ("sweep", dict(MONSKY_SWEEP, base={"kind": "param", "p": True, "params": ["t"]}), "p"),
+    ("hk", dict(HK_PLANE, order=5), "order"),
+    ("hk", dict(HK_PLANE, order=["lex"]), "order"),
 ])
 def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command, payload, name):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert run(RunConfig(command, cfg, str(tmp_path / "out"), assume_reduced=True)) == 2
     assert f"config field {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep", "[1]"),
+    ("modp", "[1]"),
+    *[(command, text) for command in ("hk", "sweep", "modp", "groebner") for text in ("5", "null")],
+    # a string would pass the `in` tests for required fields as substrings
+    ("hk", '"field vars e_max"'),
+])
+def test_config_that_is_not_a_json_object_exit_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert run(RunConfig(command, str(cfg), str(tmp_path / "out"), assume_reduced=True)) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_sweep_monsky_passes_and_is_deterministic(tmp_path):

@@ -318,6 +318,28 @@ def test_csig_validates_containment():
         csig_search(R, sop, [disjoint], e_max=2)
 
 
+def test_csig_counts_in_the_colength_ring():
+    # over F_2 the Monsky quartic's colength ring moves z to the front
+    R = QuotientRingSpec(R3, (MONSKY0,))
+    assert R.colength_ring() != R3
+    x, y, z = R3.gens()
+    sop = IdealPresentation(R3, (x, y))
+    candidates = [IdealPresentation(R3, (x, y, g)) for g in (z**3, z**2, z, x * z)]
+
+    def own_order_colength(I):
+        return colength(buchberger(IdealPresentation(R3, R.defining + I.generators)))
+
+    result = csig_search(R, sop, candidates, e_max=2)
+    assert [row.colength_x for row in result.rows] == [own_order_colength(sop)] * 4
+    assert [row.colength_candidate for row in result.rows] == [
+        own_order_colength(c) for c in candidates
+    ] == [3, 2, 1, 4]
+    outside = IdealPresentation(R3, (x, y**2, z))
+    with pytest.raises(ValidationError, match=r"^candidate #1 does not contain the parameter "
+                       r"ideal \(generator y has nonzero normal form\)$"):
+        csig_search(R, sop, [candidates[0], outside], e_max=2)
+
+
 def test_determinism_same_inputs_bitwise():
     R = QuotientRingSpec(R3, (MONSKY0,))
     m = IdealPresentation(R3, R3.gens())
