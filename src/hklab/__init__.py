@@ -9,7 +9,6 @@ from .coeff import (
     FieldElement,
     PrimeField,
     RationalFunctionField,
-    field_from_config,
     frobenius,
     make_extension,
 )

@@ -6,9 +6,9 @@ output directory; stdout carries a human-readable summary.
 
 Exit codes: 0 success (all verdicts PASS), 1 a mathematical check FAILed,
 2 validation/config error (including a config that is not a JSON object,
-an unknown sweep check name, two sweep fibers with the same label, a
-prime listed twice for modp, or an integer field such as e_max given as
-a string, float or bool),
+a missing or mistyped config field, which `config` names, an unknown
+sweep check name, two sweep fibers with the same label, or a prime
+listed twice for modp),
 3 internal error.  Identical configs produce byte-identical artifacts.
 The --threads flag is accepted for compatibility and ignored: every run
 is sequential.
@@ -27,12 +27,10 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
-from .coeff import (MAX_CHARACTERISTIC, config_int, config_list, config_strings,
-                    field_from_config, is_prime)
+from . import config
 from .errors import HKLabError, StructuralError, ValidationError
-from .family import DEFAULT_CHECKS, FamilySpec, hk_sweep, modp_sweep, parse_fibers
+from .family import DEFAULT_CHECKS, hk_row, hk_sweep, modp_sweep
 from .groebner import (
     INFINITE,
     buchberger,
@@ -40,16 +38,7 @@ from .groebner import (
     multiplication_matrix,
     trace_discriminant,
 )
-from .multiplicity import (
-    QuotientRingSpec,
-    csig_search,
-    hk_estimate,
-    hk_function,
-    hs_function,
-    hs_multiplicity,
-    rsig_search,
-)
-from .polyring import IdealPresentation, PolynomialRing, TermOrder
+from .multiplicity import csig_search, hs_function, hs_multiplicity, rsig_search
 
 D_HAT_NOTE = "empirical estimate from sampled differences, not a proven constant"
 FAMILY_CAVEAT = (
@@ -78,48 +67,6 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"config is not valid JSON ({err})")
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"config must be a JSON object, got {type(cfg).__name__}")
-    return cfg
-
-
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ValidationError(f"config is missing required field {key!r}")
-    return cfg[key]
-
-
-def _build_ring(cfg: dict) -> PolynomialRing:
-    field = field_from_config(_need(cfg, "field"))
-    priority = cfg.get("priority")
-    if priority is not None:
-        priority = [config_int(i, "priority") for i in config_list(priority, "priority")]
-    order = cfg.get("order", "degrevlex")
-    if not isinstance(order, str):
-        raise ValidationError(f"config field 'order' must be a string, got {order!r}")
-    order = TermOrder(order, priority)
-    return PolynomialRing(field, config_strings(_need(cfg, "vars"), "vars"), order)
-
-
-def _parse_ideal(ring, strings, what: str) -> IdealPresentation:
-    if not config_strings(strings, what):
-        raise ValidationError(f"config field {what!r} must be a nonempty list")
-    return IdealPresentation(ring, tuple(ring.parse(s) for s in strings))
-
-
-def _quotient(ring, cfg) -> QuotientRingSpec:
-    defining = tuple(ring.parse(s) for s in config_strings(cfg.get("defining", []), "defining"))
-    return QuotientRingSpec(ring, defining)
-
-
 def _write_json(run: RunConfig, name: str, payload: dict) -> list:
     if "json" not in run.formats:
         return []
@@ -145,9 +92,8 @@ def _sanitize(label: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in label) or "fiber"
 
 
-def emit_plotdata(result, out_dir: str, stem: str) -> list:
-    """Plain-text (e, normalized) series per fiber for external plotting."""
-    rows = getattr(result, "rows", result)
+def emit_plotdata(rows, out_dir: str, stem: str) -> list:
+    """Plain-text (e, normalized) series per fiber row for external plotting."""
     if not rows:
         raise ValidationError("empty result: nothing to plot")
     paths = []
@@ -201,9 +147,9 @@ def _sample_payload(s) -> dict:
 
 
 def _cmd_groebner(run: RunConfig, cfg: dict):
-    ring = _build_ring(cfg)
-    ideal = _parse_ideal(ring, _need(cfg, "generators"), "generators")
-    G = buchberger(ideal)
+    ring = config.ring(cfg)
+    matrix_of = config.get(cfg, "matrix_of", str, None)
+    G = buchberger(config.ideal(ring, cfg, "generators"))
     length = colength(G)
     payload = {
         "basis": [repr(g) for g in G.elements],
@@ -211,12 +157,9 @@ def _cmd_groebner(run: RunConfig, cfg: dict):
         "colength": "INFINITE" if length is INFINITE else length,
         "order": ring.order.kind,
     }
-    if "matrix_of" in cfg:
+    if matrix_of is not None:
         if length is INFINITE:
             raise ValidationError("matrix_of needs a zero-dimensional ideal")
-        matrix_of = cfg["matrix_of"]
-        if not isinstance(matrix_of, str):
-            raise ValidationError(f"config field 'matrix_of' must be a string, got {matrix_of!r}")
         M = multiplication_matrix(G, ring.parse(matrix_of))
         payload["matrix_of"] = matrix_of
         payload["matrix"] = [[repr(v) for v in row] for row in M]
@@ -228,12 +171,11 @@ def _cmd_groebner(run: RunConfig, cfg: dict):
 
 
 def _cmd_hk(run: RunConfig, cfg: dict):
-    ring = _build_ring(cfg)
-    e_max = config_int(_need(cfg, "e_max"), "e_max")
-    R = _quotient(ring, cfg)
-    ideal = _parse_ideal(ring, _need(cfg, "ideal"), "ideal")
-    samples = hk_function(R, ideal, e_max)
-    est = hk_estimate(samples) if len(samples) >= 2 else None
+    ring = config.ring(cfg)
+    e_max = config.get(cfg, "e_max", int)
+    R = config.quotient(ring, cfg)
+    row = hk_row("series", R, config.ideal(ring, cfg, "ideal"), e_max)
+    samples, est = row.samples, row.estimate
     files = _write_csv(run, "hk.csv", HK_HEADER, _hk_csv_rows("-", samples, est, ""))
     payload = {
         "dimension": R.dimension,
@@ -242,8 +184,7 @@ def _cmd_hk(run: RunConfig, cfg: dict):
     if est:
         payload["estimate"] = _estimate_payload(est)
     files += _write_json(run, "hk.json", payload)
-    plot_row = SimpleNamespace(label="series", samples=samples)
-    files += emit_plotdata([plot_row], run.out_dir, "hk")
+    files += emit_plotdata([row], run.out_dir, "hk")
     print(f"dimension {R.dimension}")
     for s in samples:
         print(f"  e={s.e} q={s.q} length={s.length} normalized={_dec(s.normalized)}")
@@ -256,11 +197,10 @@ def _cmd_hk(run: RunConfig, cfg: dict):
 
 
 def _cmd_hs(run: RunConfig, cfg: dict):
-    ring = _build_ring(cfg)
-    n_max = config_int(_need(cfg, "n_max"), "n_max")
-    R = _quotient(ring, cfg)
-    ideal = _parse_ideal(ring, _need(cfg, "ideal"), "ideal")
-    samples = hs_function(R, ideal, n_max)
+    ring = config.ring(cfg)
+    n_max = config.get(cfg, "n_max", int)
+    R = config.quotient(ring, cfg)
+    samples = hs_function(R, config.ideal(ring, cfg, "ideal"), n_max)
     payload = {
         "dimension": R.dimension,
         "samples": [{"n": s.n, "length": s.length} for s in samples],
@@ -286,16 +226,11 @@ def _cmd_hs(run: RunConfig, cfg: dict):
 
 
 def _cmd_rsig(run: RunConfig, cfg: dict):
-    ring = _build_ring(cfg)
-    grid = None
-    if "grid" in cfg:
-        grid = [
-            ring.domain(v if isinstance(v, str) else config_int(v, "grid"))
-            for v in config_list(cfg["grid"], "grid")
-        ]
-    e_max = config_int(cfg.get("e_max", 2), "e_max")
-    R = _quotient(ring, cfg)
-    sop = _parse_ideal(ring, _need(cfg, "sop"), "sop")
+    ring = config.ring(cfg)
+    grid = config.grid(ring, cfg)
+    e_max = config.get(cfg, "e_max", int, 2)
+    R = config.quotient(ring, cfg)
+    sop = config.ideal(ring, cfg, "sop")
     result = rsig_search(R, sop, coefficient_grid=grid, e_max=e_max)
     rows = [
         (i, "|".join(repr(c) for c in r.coefficients), repr(r.u),
@@ -324,15 +259,11 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
 
 
 def _cmd_csig(run: RunConfig, cfg: dict):
-    ring = _build_ring(cfg)
-    e_max = config_int(cfg.get("e_max", 2), "e_max")
-    R = _quotient(ring, cfg)
-    sop = _parse_ideal(ring, _need(cfg, "sop"), "sop")
-    candidates = [
-        _parse_ideal(ring, gens, f"candidates[{i}]")
-        for i, gens in enumerate(config_list(_need(cfg, "candidates"), "candidates"))
-    ]
-    result = csig_search(R, sop, candidates, e_max=e_max)
+    ring = config.ring(cfg)
+    e_max = config.get(cfg, "e_max", int, 2)
+    R = config.quotient(ring, cfg)
+    sop = config.ideal(ring, cfg, "sop")
+    result = csig_search(R, sop, config.ideals(ring, cfg, "candidates"), e_max=e_max)
     rows = []
     for r in result.rows:
         rows.append(
@@ -377,12 +308,12 @@ def _print_verdicts(verdicts: dict):
 
 
 def _cmd_sweep(run: RunConfig, cfg: dict):
-    F = FamilySpec.from_config(cfg)
-    fibers = parse_fibers(F, config_list(_need(cfg, "fibers"), "fibers"))
-    checks = tuple(config_list(cfg.get("checks", DEFAULT_CHECKS), "checks"))
-    n_max = config_int(cfg["n_max"], "n_max") if "n_max" in cfg else None
+    F = config.family(cfg)
+    fibers = config.fibers(F, config.get(cfg, "fibers", list[dict]))
+    checks = tuple(config.get(cfg, "checks", list[str], DEFAULT_CHECKS))
+    n_max = config.get(cfg, "n_max", int, None)
     result = hk_sweep(
-        F, fibers, config_int(_need(cfg, "e_max"), "e_max"), checks=checks, n_max=n_max,
+        F, fibers, config.get(cfg, "e_max", int), checks=checks, n_max=n_max,
         assume_reduced=run.assume_reduced,
     )
     verdicts = result.verdicts
@@ -419,7 +350,7 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
         **extra_payload,
     }
     files += _write_json(run, "sweep.json", payload)
-    files += emit_plotdata(result, run.out_dir, "sweep")
+    files += emit_plotdata(result.rows, run.out_dir, "sweep")
     print(f"note: {FAMILY_CAVEAT}")
     for row in result.rows:
         print(f"fiber {row.label}: lengths {[s.length for s in row.samples]}")
@@ -430,11 +361,9 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
 
 
 def _cmd_modp(run: RunConfig, cfg: dict):
-    F = FamilySpec.from_config(cfg)
-    primes = [config_int(p, "primes") for p in config_list(_need(cfg, "primes"), "primes")]
-    if not primes or not all(2 <= p < MAX_CHARACTERISTIC and is_prime(p) for p in primes):
-        raise ValidationError(f"config field 'primes' must list primes below 2^31, got {primes!r}")
-    e_max = config_int(_need(cfg, "e_max"), "e_max")
+    F = config.family(cfg)
+    primes = config.primes(cfg)
+    e_max = config.get(cfg, "e_max", int)
     result = modp_sweep(F, primes, e_max, assume_reduced=run.assume_reduced)
     csv_rows = []
     for row in result.rows:
@@ -470,7 +399,7 @@ def _cmd_modp(run: RunConfig, cfg: dict):
     }
     files += _write_json(run, "modp.json", payload)
     if result.rows:  # every prime skipped: the verdict fails, nothing to plot
-        files += emit_plotdata(result, run.out_dir, "modp")
+        files += emit_plotdata(result.rows, run.out_dir, "modp")
     print(f"note: {FAMILY_CAVEAT}")
     for row in result.rows:
         print(f"{row.label}: lengths {[s.length for s in row.samples]}, "
@@ -483,9 +412,7 @@ def _cmd_modp(run: RunConfig, cfg: dict):
 
 
 def _cmd_disc(run: RunConfig, cfg: dict):
-    ring = _build_ring(cfg)
-    ideal = _parse_ideal(ring, _need(cfg, "generators"), "generators")
-    G = buchberger(ideal)
+    G = buchberger(config.ideal(config.ring(cfg), cfg, "generators"))
     value = trace_discriminant(G)
     payload = {"discriminant": repr(value), "colength": colength(G)}
     files = _write_json(run, "disc.json", payload)
@@ -505,14 +432,14 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(run_config: RunConfig) -> int:
     """Execute one subcommand; returns the exit status (artifacts on disk)."""
     try:
-        if config.subcommand not in _DISPATCH:
-            raise ValidationError(f"unknown subcommand {config.subcommand!r}")
-        os.makedirs(config.out_dir, exist_ok=True)
-        cfg = _load_config(config.config_path)
-        code, files = _DISPATCH[config.subcommand](config, cfg)
+        if run_config.subcommand not in _DISPATCH:
+            raise ValidationError(f"unknown subcommand {run_config.subcommand!r}")
+        os.makedirs(run_config.out_dir, exist_ok=True)
+        cfg = config.load(run_config.config_path)
+        code, files = _DISPATCH[run_config.subcommand](run_config, cfg)
         for path in files:
             print(f"wrote {path}")
         return code
@@ -543,14 +470,14 @@ def main(argv=None) -> int:
         sp.add_argument("--threads", type=int, default=1, help="ignored; runs are sequential")
         sp.add_argument("--assume-reduced", action="store_true")
     args = parser.parse_args(argv)
-    config = RunConfig(
+    run_config = RunConfig(
         subcommand=args.subcommand,
         config_path=args.config,
         out_dir=args.out,
         formats=tuple(args.format),
         assume_reduced=args.assume_reduced,
     )
-    return run(config)
+    return run(run_config)
 
 
 if __name__ == "__main__":

@@ -251,14 +251,16 @@ class _DensePolys:
 # ---------------------------------------------------------------------------
 
 
-def _power(mul, one, a, n):
-    """a^n for n >= 0 by square-and-multiply with the product `mul`."""
+def power(mul, one, a, n):
+    """a^n for n >= 0 by square-and-multiply with the product `mul`; no
+    square is formed past the top bit of n."""
     r = one
     while n:
         if n & 1:
             r = mul(r, a)
-        a = mul(a, a)
         n >>= 1
+        if n:
+            a = mul(a, a)
     return r
 
 
@@ -281,7 +283,7 @@ class Field:
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        return _power(self.mul, self.one, a, n)
+        return power(self.mul, self.one, a, n)
 
     def frobenius_raw(self, a, e):
         return self.pow(a, self.characteristic**e)
@@ -370,9 +372,6 @@ class PrimeField(Field):
     def format_raw(self, a):
         return str(a)
 
-    def to_config(self):
-        return {"kind": "prime", "p": self.p}
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -397,7 +396,7 @@ def _validate_irreducible(p: int, modulus: tuple) -> None:
     x = (0, 1)
     t = x
     for _ in range(ops.deg(modulus) // 2):
-        t = _power(mulmod, ops.one, t, p)  # t = x^(p^i) mod f after i steps
+        t = power(mulmod, ops.one, t, p)  # t = x^(p^i) mod f after i steps
         g = ops.gcd_monic(modulus, ops.sub(t, x))
         if ops.deg(g) > 0:
             raise ValidationError(f"modulus {modulus} is reducible over GF({p})")
@@ -432,12 +431,12 @@ class ExtensionField(Field):
         # s^(m+i) mod modulus, for reducing products of degree < 2m-1
         self._ops = _DensePolys(prime)
         self._reduction = []
-        power = tuple(modulus[:-1])  # s^m = -tail (monic, char p)
-        power = tuple(-c % p for c in power)
+        s_power = tuple(modulus[:-1])  # s^m = -tail (monic, char p)
+        s_power = tuple(-c % p for c in s_power)
         for _ in range(self.degree - 1):
-            self._reduction.append(power)
-            shifted = (0,) + power
-            power = self._reduce_once(shifted)
+            self._reduction.append(s_power)
+            shifted = (0,) + s_power
+            s_power = self._reduce_once(shifted)
         self._log = self._exp = None
         if self.size <= _TABLE_MAX_SIZE:
             self._build_tables(self._primitive_element())
@@ -450,7 +449,7 @@ class ExtensionField(Field):
         cofactors = [order // r for r in _prime_divisors(order)]
         for g in self.elements():
             if g != self.zero and all(
-                _power(self._mul_conv, self.one, g, c) != self.one for c in cofactors
+                power(self._mul_conv, self.one, g, c) != self.one for c in cofactors
             ):
                 return g
         raise StructuralError(f"{self} has no primitive element")  # unreachable
@@ -562,9 +561,6 @@ class ExtensionField(Field):
                 head = "" if c == 1 else f"{c}*"
                 parts.append(f"{head}{self.generator}" + (f"^{i}" if i > 1 else ""))
         return " + ".join(parts) if parts else "0"
-
-    def to_config(self):
-        return {"kind": "extension", "p": self.p, "m": self.degree}
 
     def __eq__(self, other):
         return (
@@ -699,12 +695,6 @@ class RationalFunctionField(Field):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
-    def to_config(self):
-        cfg = {"kind": "rational_function", "p": self.characteristic, "var": self.var}
-        if self.base.kind == "extension":
-            cfg["m"] = self.base.degree
-        return cfg
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalFunctionField)
@@ -827,48 +817,3 @@ def make_extension(p: int, m: int) -> Field:
         except ValidationError:  # a reducible candidate
             pass
     raise ValidationError(f"no irreducible modulus found for GF({p}^{m})")  # unreachable
-
-
-def config_int(value, name: str) -> int:
-    """`value` of the config field `name` when it is an integer; a bool,
-    a string, a float or a missing (None) value is a ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"config field {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def config_list(value, name: str) -> list:
-    """`value` of the config field `name` when it is a list or a tuple;
-    anything else, such as a string, is a ValidationError."""
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"config field {name!r} must be a list, got {value!r}")
-    return value
-
-
-def config_strings(value, name: str) -> list:
-    """`value` of the config field `name` when it is a list of strings,
-    such as variable names or polynomials."""
-    for entry in config_list(value, name):
-        if not isinstance(entry, str):
-            raise ValidationError(f"config field {name!r} must hold strings, got {entry!r}")
-    return value
-
-
-def field_from_config(cfg: dict) -> Field:
-    """Build a field from its JSON-config form."""
-    try:
-        kind = cfg["kind"]
-    except (TypeError, KeyError):
-        raise ValidationError(f"field config must have a 'kind': {cfg!r}")
-    if kind == "prime":
-        return PrimeField(config_int(cfg.get("p"), "p"))
-    if kind == "extension":
-        p = config_int(cfg.get("p"), "p")
-        if "modulus" in cfg:
-            modulus = config_list(cfg["modulus"], "modulus")
-            return ExtensionField(p, tuple(config_int(c, "modulus") for c in modulus))
-        return make_extension(p, config_int(cfg.get("m"), "m"))
-    if kind == "rational_function":
-        base = make_extension(config_int(cfg.get("p"), "p"), config_int(cfg.get("m", 1), "m"))
-        return RationalFunctionField(base, cfg.get("var", "t"))
-    raise ValidationError(f"unknown field kind {kind!r}")

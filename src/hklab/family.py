@@ -31,11 +31,7 @@ from .coeff import (
     FieldElement,
     PrimeField,
     RationalFunctionField,
-    config_int,
-    config_list,
-    config_strings,
     is_prime,
-    make_extension,
 )
 from .errors import StructuralError, ValidationError
 from .multiplicity import (
@@ -86,38 +82,13 @@ class FamilySpec:
             if isinstance(g, str):
                 g = self._ring.parse(g)
             elif not isinstance(g, Polynomial):
-                raise ValidationError(f"config field {what!r} must hold strings, got {g!r}")
+                raise ValidationError(f"family {what!r} needs strings or polynomials, got {g!r}")
             out.append(g)
         return out
 
     def __repr__(self):
         base = "ZZ" if self.base_kind == "integers" else f"GF({self.p})[{','.join(self.parameters)}]"
         return f"FamilySpec({base} -> vars {self.variables})"
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "FamilySpec":
-        base = cfg.get("base")
-        if not isinstance(base, dict) or "kind" not in base:
-            raise ValidationError("family config needs base.kind")
-        for key in ("vars", "ideal"):
-            if key not in cfg:
-                raise ValidationError(f"family config is missing {key!r}")
-        variables = config_strings(cfg["vars"], "vars")
-        defining, ideal = (config_list(cfg.get(key, []), key) for key in ("defining", "ideal"))
-        if base["kind"] == "integers":
-            return cls("integers", variables, defining, ideal)
-        if base["kind"] == "param":
-            if "p" not in base:
-                raise ValidationError("parameter-base family config needs base.p")
-            return cls(
-                "param",
-                variables,
-                defining,
-                ideal,
-                p=config_int(base["p"], "p"),
-                parameters=config_strings(base.get("params", []), "params"),
-            )
-        raise ValidationError(f"unknown base kind {base['kind']!r}")
 
 
 class FiberSpec:
@@ -311,7 +282,7 @@ def _require_unique_labels(fibers):
         raise ValidationError(f"sweep fibers need distinct labels, got {labels}")
 
 
-def _hk_row(label: str, R: QuotientRingSpec, I: IdealPresentation, e_max: int) -> HKFiberRow:
+def hk_row(label: str, R: QuotientRingSpec, I: IdealPresentation, e_max: int) -> HKFiberRow:
     """Hilbert-Kunz row of a specialized fiber (R, I)."""
     samples = tuple(hk_function(R, I, e_max))
     est = hk_estimate(samples) if len(samples) >= 2 else None
@@ -464,7 +435,7 @@ def hk_sweep(F: FamilySpec, fibers, e_max: int, checks=DEFAULT_CHECKS, n_max: in
         raise ValidationError("the hs_lex and uniform checks need n_max")
 
     specialized = [(fiber.label, *specialize_fiber(F, fiber)) for fiber in fibers]
-    rows = tuple(_hk_row(label, R, I, e_max) for label, R, I in specialized)
+    rows = tuple(hk_row(label, R, I, e_max) for label, R, I in specialized)
     hs_rows = tuple(
         HSFiberRow(label=label, dimension=R.dimension, samples=tuple(hs_function(R, I, n_max)))
         for label, R, I in specialized
@@ -536,7 +507,7 @@ def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False) 
         except ValidationError as err:
             warnings.append(f"prime {p} skipped: {err}")
             continue
-        row = _hk_row(fiber.label, R, I, e_max)
+        row = hk_row(fiber.label, R, I, e_max)
         deltas = tuple(
             abs(b.normalized - a.normalized) for a, b in zip(row.samples, row.samples[1:])
         )
@@ -568,29 +539,3 @@ def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False) 
         verdicts={"modp_bounded": verdict},
         warnings=warnings,
     )
-
-
-def parse_fibers(F: FamilySpec, fiber_cfgs) -> list:
-    """Fiber list from the JSON config form: {"generic": true},
-    {"t": "0", ...} with optional "m" for GF(p^m) values, or
-    {"primes": [...]} handled by the caller for mod-p sweeps."""
-    fibers = []
-    for cfg in fiber_cfgs:
-        if not isinstance(cfg, dict):
-            raise ValidationError(f"fiber entry must be an object: {cfg!r}")
-        if cfg.get("generic"):
-            fibers.append(FiberSpec.generic())
-            continue
-        m = config_int(cfg.get("m", 1), "m")
-        field = make_extension(F.p, m) if F.p is not None else None
-        assignments = {}
-        for key, value in cfg.items():
-            if key in ("generic", "m"):
-                continue
-            if key not in F.parameters:
-                raise ValidationError(f"fiber assigns unknown parameter {key!r}")
-            if field is None:
-                raise ValidationError("special fibers need a parameter-base family")
-            assignments[key] = field(value if isinstance(value, str) else config_int(value, key))
-        fibers.append(FiberSpec("special", assignments=assignments))
-    return fibers

@@ -355,22 +355,10 @@ def rsig_search(
     if N > 1 and not grid:
         raise ValidationError("empty coefficient grid with more than one socle element")
 
-    vectors = []
-    seen = set()
-    one = field(1)
-    if N == 1:
-        vectors.append((one,))
-    else:
-        for combo in product(grid, repeat=N - 1):
-            vec = tuple(combo) + (one,)
-            if vec not in seen:
-                seen.add(vec)
-                vectors.append(vec)
-        for combo in product(grid, repeat=N - 1):
-            vec = (one,) + tuple(combo)
-            if vec not in seen:
-                seen.add(vec)
-                vectors.append(vec)
+    # the charts (c, 1) and (1, c) without repeats; for N = 1 both are (1,)
+    one = (field(1),)
+    charts = list(product(grid, repeat=N - 1))
+    vectors = dict.fromkeys([c + one for c in charts] + [one + c for c in charts])
 
     ehk_x = hk_estimate(hk_function(R, x, e_max))
 

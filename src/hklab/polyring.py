@@ -37,8 +37,10 @@ coefficient domain (see coeff).  The `terms` property decodes to public
 
 from __future__ import annotations
 
+import operator
+
 from ._expr import Evaluator
-from .coeff import Field, FieldElement
+from .coeff import Field, FieldElement, power
 from .errors import ExponentOverflow, StructuralError, ValidationError
 
 EXP_BITS = 32  # width of one exponent field
@@ -439,15 +441,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative polynomial power")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return power(operator.mul, self.ring.one, self, n)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

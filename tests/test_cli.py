@@ -158,6 +158,12 @@ MODP_PLANE = {
     ("sweep", dict(MONSKY_SWEEP, base={"kind": "param", "p": True, "params": ["t"]}), "p"),
     ("hk", dict(HK_PLANE, order=5), "order"),
     ("hk", dict(HK_PLANE, order=["lex"]), "order"),
+    # a transcendental that is no string, or that is also a ring variable, cannot be written
+    ("hk", dict(HK_PLANE, field={"kind": "rational_function", "p": 2, "var": 5}), "var"),
+    ("hk", dict(HK_PLANE, field={"kind": "rational_function", "p": 2, "var": ["t"]}), "var"),
+    ("hk", dict(HK_PLANE, field={"kind": "rational_function", "p": 2, "var": "x"}), "var"),
+    ("sweep", dict(MONSKY_SWEEP, fibers=[{"generic": "no"}, {"t": "0"}, {"t": "1"}]), "generic"),
+    ("sweep", dict(MONSKY_SWEEP, fibers=[{"generic": True, "t": "1"}, {"t": "0"}]), "fibers"),
 ])
 def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command, payload, name):
     cfg = write_config(tmp_path, "bad.json", payload)

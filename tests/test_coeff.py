@@ -11,7 +11,7 @@ from hklab import (
     StructuralError,
     ValidationError,
     coeff,
-    field_from_config,
+    config,
     frobenius,
     make_extension,
 )
@@ -161,14 +161,19 @@ def test_descriptor_mismatch_is_structural():
 
 
 def test_field_config_round_trip():
-    for field in [F2, GF4, F2T, RationalFunctionField(GF4, "t")]:
-        rebuilt = field_from_config(field.to_config())
-        assert rebuilt == field
-    assert field_from_config({"kind": "prime", "p": 7}) == PrimeField(7)
+    for spec, field in [
+        ({"kind": "prime", "p": 2}, F2),
+        ({"kind": "extension", "p": 2, "m": 2}, GF4),
+        ({"kind": "rational_function", "p": 2, "var": "t"}, F2T),
+        ({"kind": "rational_function", "p": 2, "m": 2, "var": "t"},
+         RationalFunctionField(GF4, "t")),
+    ]:
+        assert config.field(spec) == field
+    assert config.field({"kind": "prime", "p": 7}) == PrimeField(7)
     with pytest.raises(ValidationError):
-        field_from_config({"kind": "octonion"})
+        config.field({"kind": "octonion"})
     with pytest.raises(ValidationError):
-        field_from_config({})
+        config.field({})
 
 
 def test_element_parsing():

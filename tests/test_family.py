@@ -24,7 +24,7 @@ from hklab import (
     verdict_uniform_bounds,
 )
 from hklab import family
-from hklab.family import parse_fibers
+from hklab.config import fibers as parse_fibers
 
 FIBERS = [FiberSpec.generic(), FiberSpec.special(t=0), FiberSpec.special(t=1)]
 
