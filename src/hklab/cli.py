@@ -6,8 +6,8 @@ output directory; stdout carries a human-readable summary.
 
 Exit codes: 0 success (all verdicts PASS), 1 a mathematical check FAILed,
 2 validation/config error (including a config that is not a JSON object,
-a missing or mistyped config field, which `config` names, an unknown
-sweep check name, two sweep fibers with the same label, or a prime
+a missing, mistyped or unknown config field, which `config` names, an
+unknown sweep check name, two sweep fibers with the same label, or a prime
 listed twice for modp),
 3 internal error.  Identical configs produce byte-identical artifacts.
 The --threads flag is accepted for compatibility and ignored: every run
@@ -25,11 +25,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import config
-from .errors import HKLabError, StructuralError, ValidationError
+from .errors import HKLabError, ValidationError
 from .family import DEFAULT_CHECKS, hk_row, hk_sweep, modp_sweep
 from .groebner import (
     INFINITE,
@@ -47,11 +47,8 @@ FAMILY_CAVEAT = (
     "origin, and per-fiber dimension agreement"
 )
 
-SUBCOMMANDS = ("groebner", "hk", "hs", "rsig", "csig", "sweep", "modp", "disc")
 
-
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     config_path: str
     out_dir: str = "."
@@ -115,9 +112,10 @@ HK_HEADER = (
 def _hk_csv_rows(label, samples, estimate, verdict_text):
     rows = []
     for s in samples:
-        est = _dec(estimate.value) if (estimate and s.e == samples[-1].e) else ""
-        dh = _dec(estimate.d_hat) if (estimate and s.e == samples[-1].e) else ""
-        eb = _dec(estimate.error_bound) if (estimate and s.e == samples[-1].e) else ""
+        if estimate and s.e == samples[-1].e:
+            est, dh, eb = _dec(estimate.value), _dec(estimate.d_hat), _dec(estimate.error_bound)
+        else:
+            est = dh = eb = ""
         rows.append(
             (label, s.e, s.q, s.length, s.normalized.numerator,
              s.normalized.denominator, _dec(s.normalized), est, dh, eb, verdict_text)
@@ -149,7 +147,9 @@ def _sample_payload(s) -> dict:
 def _cmd_groebner(run: RunConfig, cfg: dict):
     ring = config.ring(cfg)
     matrix_of = config.get(cfg, "matrix_of", str, None)
-    G = buchberger(config.ideal(ring, cfg, "generators"))
+    I = config.ideal(ring, cfg, "generators")
+    config.reject_unread(cfg)
+    G = buchberger(I)
     length = colength(G)
     payload = {
         "basis": [repr(g) for g in G.elements],
@@ -174,7 +174,9 @@ def _cmd_hk(run: RunConfig, cfg: dict):
     ring = config.ring(cfg)
     e_max = config.get(cfg, "e_max", int)
     R = config.quotient(ring, cfg)
-    row = hk_row("series", R, config.ideal(ring, cfg, "ideal"), e_max)
+    I = config.ideal(ring, cfg, "ideal")
+    config.reject_unread(cfg)
+    row = hk_row("series", R, I, e_max)
     samples, est = row.samples, row.estimate
     files = _write_csv(run, "hk.csv", HK_HEADER, _hk_csv_rows("-", samples, est, ""))
     payload = {
@@ -200,7 +202,9 @@ def _cmd_hs(run: RunConfig, cfg: dict):
     ring = config.ring(cfg)
     n_max = config.get(cfg, "n_max", int)
     R = config.quotient(ring, cfg)
-    samples = hs_function(R, config.ideal(ring, cfg, "ideal"), n_max)
+    I = config.ideal(ring, cfg, "ideal")
+    config.reject_unread(cfg)
+    samples = hs_function(R, I, n_max)
     payload = {
         "dimension": R.dimension,
         "samples": [{"n": s.n, "length": s.length} for s in samples],
@@ -231,6 +235,7 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
     e_max = config.get(cfg, "e_max", int, 2)
     R = config.quotient(ring, cfg)
     sop = config.ideal(ring, cfg, "sop")
+    config.reject_unread(cfg)
     result = rsig_search(R, sop, coefficient_grid=grid, e_max=e_max)
     rows = [
         (i, "|".join(repr(c) for c in r.coefficients), repr(r.u),
@@ -263,7 +268,9 @@ def _cmd_csig(run: RunConfig, cfg: dict):
     e_max = config.get(cfg, "e_max", int, 2)
     R = config.quotient(ring, cfg)
     sop = config.ideal(ring, cfg, "sop")
-    result = csig_search(R, sop, config.ideals(ring, cfg, "candidates"), e_max=e_max)
+    candidates = config.ideals(ring, cfg, "candidates")
+    config.reject_unread(cfg)
+    result = csig_search(R, sop, candidates, e_max=e_max)
     rows = []
     for r in result.rows:
         rows.append(
@@ -312,9 +319,10 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
     fibers = config.fibers(F, config.get(cfg, "fibers", list[dict]))
     checks = tuple(config.get(cfg, "checks", list[str], DEFAULT_CHECKS))
     n_max = config.get(cfg, "n_max", int, None)
+    e_max = config.get(cfg, "e_max", int)
+    config.reject_unread(cfg)
     result = hk_sweep(
-        F, fibers, config.get(cfg, "e_max", int), checks=checks, n_max=n_max,
-        assume_reduced=run.assume_reduced,
+        F, fibers, e_max, checks=checks, n_max=n_max, assume_reduced=run.assume_reduced
     )
     verdicts = result.verdicts
     warnings = list(result.warnings)
@@ -364,6 +372,7 @@ def _cmd_modp(run: RunConfig, cfg: dict):
     F = config.family(cfg)
     primes = config.primes(cfg)
     e_max = config.get(cfg, "e_max", int)
+    config.reject_unread(cfg)
     result = modp_sweep(F, primes, e_max, assume_reduced=run.assume_reduced)
     csv_rows = []
     for row in result.rows:
@@ -412,7 +421,9 @@ def _cmd_modp(run: RunConfig, cfg: dict):
 
 
 def _cmd_disc(run: RunConfig, cfg: dict):
-    G = buchberger(config.ideal(config.ring(cfg), cfg, "generators"))
+    I = config.ideal(config.ring(cfg), cfg, "generators")
+    config.reject_unread(cfg)
+    G = buchberger(I)
     value = trace_discriminant(G)
     payload = {"discriminant": repr(value), "colength": colength(G)}
     files = _write_json(run, "disc.json", payload)
@@ -443,10 +454,10 @@ def run(run_config: RunConfig) -> int:
         for path in files:
             print(f"wrote {path}")
         return code
-    except (ValidationError,) as err:
+    except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (StructuralError, HKLabError) as err:
+    except HKLabError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
     except Exception as err:  # noqa: BLE001 - exit-code contract wants 3 here
@@ -460,7 +471,7 @@ def main(argv=None) -> int:
         description="Hilbert-Kunz / Hilbert-Samuel multiplicity laboratory",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _DISPATCH:
         sp = sub.add_parser(name)
         sp.add_argument("config", help="JSON config file")
         sp.add_argument("-o", "--out", default=".", help="output directory")

@@ -645,9 +645,8 @@ class RationalFunctionField(Field):
         return (num, den)
 
     def from_int(self, n):
-        if isinstance(self._ops, _BinaryPolys):
-            return (n % 2, 1)
-        return (self._ops._trim((self.base.from_int(n),)), self._ops.one)
+        ops = self._ops
+        return (ops.from_coeffs((self.base.from_int(n),)), ops.one)
 
     def _parse_atom(self, tok):
         if isinstance(tok, int):
@@ -666,16 +665,11 @@ class RationalFunctionField(Field):
         parts = []
         for i in range(len(coeffs) - 1, -1, -1):
             c = coeffs[i]
-            if isinstance(self._ops, _BinaryPolys):
-                if not c:
-                    continue
-                text = "1"
-            else:
-                if self.base.is_zero(c):
-                    continue
-                text = self.base.format_raw(c)
-                if ("+" in text or "-" in text) and i > 0:
-                    text = f"({text})"
+            if self.base.is_zero(c):
+                continue
+            text = self.base.format_raw(c)
+            if ("+" in text or "-" in text) and i > 0:
+                text = f"({text})"
             if i == 0:
                 parts.append(text)
             else:

@@ -2,8 +2,9 @@
 
 Every field is read through `get`, which names the field when it is
 missing or of the wrong kind, so a malformed config exits 2 before any
-computation.  The readers build the parts that several subcommands
-share.
+computation.  A key that no reader of its object reads is unknown:
+`reject_unread`, called once the subcommand has read its fields, names
+it.  The readers build the parts that several subcommands share.
 """
 
 from __future__ import annotations
@@ -41,6 +42,18 @@ _KINDS = {
 _REQUIRED = object()
 
 
+class _Object(dict):
+    """A JSON object that records which of its keys were read."""
+
+    def __init__(self, obj):
+        super().__init__(obj)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def _is(value, kind) -> bool:
     if isinstance(kind, GenericAlias):  # list[item]
         return isinstance(value, list) and all(_is(v, kind.__args__[0]) for v in value)
@@ -70,7 +83,7 @@ def load(path: str) -> dict:
     """The JSON object in the file at `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_hook=_Object)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
@@ -78,6 +91,19 @@ def load(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ValidationError(f"config must be a JSON object, got {type(cfg).__name__}")
     return cfg
+
+
+def reject_unread(value) -> None:
+    """A ValidationError naming the first key, at any depth of a loaded
+    config, that no reader has read."""
+    if isinstance(value, list):
+        for item in value:
+            reject_unread(item)
+    elif isinstance(value, _Object):
+        for key, item in value.items():
+            if key not in value.read:
+                raise ValidationError(f"config field {key!r} is unknown")
+            reject_unread(item)
 
 
 def field(spec: dict) -> Field:
@@ -101,7 +127,8 @@ def field(spec: dict) -> Field:
 def ring(cfg: dict) -> PolynomialRing:
     """The ring of `field` and `vars`, with the optional `order` and `priority`."""
     domain = field(get(cfg, "field", dict))
-    priority = cfg.get("priority")  # null, like an absent key, means none
+    # null, like an absent key, means none
+    priority = cfg["priority"] if "priority" in cfg else None
     if priority is not None:
         _check(priority, list[int], "priority")
     order = TermOrder(get(cfg, "order", str, "degrevlex"), priority)

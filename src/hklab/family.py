@@ -18,13 +18,13 @@ not machine-checked; the computable proxies are finite colength and
 primality to the origin per fiber, plus a warning when fiber dimensions
 disagree.  Probes that lean on the uniform-convergence theorem require
 `assume_reduced=True`, acknowledging the reduced-fibers hypothesis that
-the code does not verify.
+the code does not verify.  Results are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeff import (
     MAX_CHARACTERISTIC,
@@ -151,10 +151,6 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
         if fiber.kind != "prime":
             raise ValidationError("integer-base families only have PRIME fibers")
         target = PrimeField(fiber.prime)
-
-        def convert(coeff_raw):
-            return coeff_raw % fiber.prime
-
         assignment_raws = {}
     else:
         if fiber.kind == "prime":
@@ -193,9 +189,6 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
                     values[name] = target(value)
             assignment_raws = {k: v.raw for k, v in values.items()}
 
-        def convert(coeff_raw):
-            return target.from_int(coeff_raw)
-
     fiber_ring = PolynomialRing(target, F.variables)
     nvars = len(F.variables)
 
@@ -203,7 +196,7 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
         terms = []
         for key, coeff in g._terms:
             exps = F._ring.decode(key)
-            value = convert(coeff)
+            value = target.from_int(coeff)
             for pname, pexp in zip(F.parameters, exps[nvars:]):
                 if pexp:
                     value = target.mul(value, target.pow(assignment_raws[pname], pexp))
@@ -231,35 +224,31 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
     return QuotientRingSpec(fiber_ring, defining), IdealPresentation(fiber_ring, ideal_gens)
 
 
-@dataclass(frozen=True)
-class HKFiberRow:
+class HKFiberRow(NamedTuple):
     label: str
     dimension: int
     samples: tuple  # HKSample
     estimate: HKEstimate
 
 
-@dataclass(frozen=True)
-class HSFiberRow:
+class HSFiberRow(NamedTuple):
     label: str
     dimension: int
     samples: tuple  # HSSample
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     passed: bool
     details: str
     witnesses: tuple = ()
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: tuple  # HKFiberRow, in fiber order
     verdicts: dict
-    warnings: tuple = field(default_factory=tuple)
-    hs_rows: tuple = field(default_factory=tuple)  # HSFiberRow, when hs_lex or uniform ran
+    warnings: tuple = ()
+    hs_rows: tuple = ()  # HSFiberRow, when hs_lex or uniform ran
     c_hat: Fraction | None = None  # uniform-bound probe results, when uniform ran
     d_hat: Fraction | None = None
 
@@ -456,15 +445,22 @@ def hk_sweep(F: FamilySpec, fibers, e_max: int, checks=DEFAULT_CHECKS, n_max: in
     )
 
 
-@dataclass(frozen=True)
-class ModpRow(HKFiberRow):
+class ModpRow(NamedTuple):
+    """An HKFiberRow's fields, then the prime and its differences."""
+
+    label: str
+    dimension: int
+    samples: tuple  # HKSample
+    estimate: HKEstimate
     prime: int
     deltas: tuple  # |normalized(e+1) - normalized(e)| as Fractions
-    p_deltas: tuple  # p * delta
+
+    @property
+    def p_deltas(self) -> tuple:
+        return tuple(self.prime * d for d in self.deltas)
 
 
-@dataclass(frozen=True)
-class ModpResult:
+class ModpResult(NamedTuple):
     rows: tuple
     per_e_bounds: tuple  # max_p of p*delta_p(e), for e = 1..e_max-1
     overall_bound: Fraction | None
@@ -511,9 +507,7 @@ def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False) 
         deltas = tuple(
             abs(b.normalized - a.normalized) for a, b in zip(row.samples, row.samples[1:])
         )
-        rows.append(
-            ModpRow(**vars(row), prime=p, deltas=deltas, p_deltas=tuple(p * d for d in deltas))
-        )
+        rows.append(ModpRow(*row, prime=p, deltas=deltas))
     rows = tuple(rows)
     warnings = tuple(warnings) + _dimension_warnings(rows)
     per_e = []
@@ -530,7 +524,7 @@ def modp_sweep(F: FamilySpec, primes, e_max: int, assume_reduced: bool = False) 
         name="modp_bounded",
         passed=passed and overall is not None,
         details=details,
-        witnesses=tuple(w for w in warnings),
+        witnesses=tuple(warnings),
     )
     return ModpResult(
         rows=rows,

@@ -10,6 +10,7 @@ the empirical quantity 2*D_hat/p^e_max with
 an observable stand-in for the uniform-convergence constant whose
 existence the underlying theory guarantees without giving an algorithm.
 It is labeled heuristic in every output and never asserted as rigorous.
+Results are immutable NamedTuples.
 
 Lengths do not depend on the term order: the standard monomials of any
 order form a basis of the same quotient.  So the bases that hk_function
@@ -26,9 +27,9 @@ elements u built from it reach the rsig artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .coeff import Field, FieldElement
 from .errors import ValidationError
@@ -143,8 +144,7 @@ def krull_dimension(R: QuotientRingSpec) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class HKSample:
+class HKSample(NamedTuple):
     """One row of the Hilbert-Kunz function."""
 
     e: int
@@ -153,8 +153,7 @@ class HKSample:
     normalized: Fraction
 
 
-@dataclass(frozen=True)
-class HKEstimate:
+class HKEstimate(NamedTuple):
     """Limit estimate from the last sample plus the empirical error bound."""
 
     value: Fraction
@@ -163,14 +162,12 @@ class HKEstimate:
     samples: tuple
 
 
-@dataclass(frozen=True)
-class HSSample:
+class HSSample(NamedTuple):
     n: int
     length: int
 
 
-@dataclass(frozen=True)
-class HSEstimate:
+class HSEstimate(NamedTuple):
     dimension: int
     multiplicity: int
     window: tuple  # n-range of the stabilized d-th differences
@@ -304,8 +301,7 @@ def socle_basis(R: QuotientRingSpec, x: IdealPresentation):
     return socle_lifts(gb)
 
 
-@dataclass(frozen=True)
-class RSigRow:
+class RSigRow(NamedTuple):
     coefficients: tuple  # coordinates of u over the socle basis
     u: Polynomial
     ehk_x: HKEstimate
@@ -313,13 +309,15 @@ class RSigRow:
     difference: Fraction
 
 
-@dataclass(frozen=True)
-class RSigResult:
+class RSigResult(NamedTuple):
     sop: IdealPresentation
     socle: tuple
     rows: tuple
-    minimum: Fraction
     argmin: RSigRow
+
+    @property
+    def minimum(self) -> Fraction:
+        return self.argmin.difference
 
 
 def _grid_default(field: Field):
@@ -382,13 +380,11 @@ def rsig_search(
         sop=x,
         socle=tuple(socle),
         rows=tuple(rows),
-        minimum=rows[best].difference,
         argmin=rows[best],
     )
 
 
-@dataclass(frozen=True)
-class CSigRow:
+class CSigRow(NamedTuple):
     index: int
     candidate: IdealPresentation
     ehk_x: HKEstimate
@@ -397,15 +393,17 @@ class CSigRow:
     colength_candidate: int
     denominator: int
     ratio: Fraction | None
-    skipped: bool
+
+    @property
+    def skipped(self) -> bool:
+        return self.denominator == 0
 
 
-@dataclass(frozen=True)
-class CSigResult:
+class CSigResult(NamedTuple):
     sop: IdealPresentation
     rows: tuple
     minimum: Fraction | None
-    warnings: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
 
 
 def csig_search(
@@ -454,7 +452,6 @@ def csig_search(
                 colength_candidate=len_c,
                 denominator=denom,
                 ratio=ratio,
-                skipped=denom == 0,
             )
         )
     return CSigResult(sop=x, rows=tuple(rows), minimum=minimum, warnings=tuple(warnings))

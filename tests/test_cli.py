@@ -164,6 +164,11 @@ MODP_PLANE = {
     ("hk", dict(HK_PLANE, field={"kind": "rational_function", "p": 2, "var": "x"}), "var"),
     ("sweep", dict(MONSKY_SWEEP, fibers=[{"generic": "no"}, {"t": "0"}, {"t": "1"}]), "generic"),
     ("sweep", dict(MONSKY_SWEEP, fibers=[{"generic": True, "t": "1"}, {"t": "0"}]), "fibers"),
+    # a key that no reader of its object reads, at any depth, is unknown
+    ("rsig", dict(RSIG_PLANE, emax=5), "emax"),
+    ("hk", dict(HK_PLANE, defning=["x*y"]), "defning"),
+    ("hk", dict(HK_PLANE, field={"kind": "prime", "p": 2, "m": 3}), "m"),
+    ("modp", dict(MODP_PLANE, base={"kind": "integers", "params": ["t"], "p": 7}), "params"),
 ])
 def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command, payload, name):
     cfg = write_config(tmp_path, "bad.json", payload)

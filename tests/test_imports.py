@@ -1,6 +1,10 @@
-"""Module boundaries: no hklab module imports a private name of another."""
+"""Module boundaries: no hklab module imports a private name of another,
+and importing the CLI loads no module it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hklab
@@ -15,3 +19,13 @@ def test_no_module_imports_a_private_name_of_another():
             ):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    src = Path(hklab.__file__).parent.parent
+    probe = "import sys, hklab.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
