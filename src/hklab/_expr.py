@@ -58,7 +58,10 @@ class Evaluator:
     def evaluate(self, text):
         self._tokens = tokenize(text)
         self._pos = 0
-        value = self._expr()
+        try:
+            value = self._expr()
+        except RecursionError:  # one level per parenthesis and per unary minus
+            raise ValidationError(f"expression nests too deeply: {text[:40]!r}...") from None
         kind, tok = self._peek()
         if kind != "end":
             raise ValidationError(f"unexpected {tok!r} in expression {text!r}")

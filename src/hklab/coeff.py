@@ -126,10 +126,6 @@ class _BinaryPolys:
         return a  # over F_2 every nonzero polynomial is monic
 
     @staticmethod
-    def make_monic(a):
-        return a
-
-    @staticmethod
     def frobenius_step(a):
         # (sum a_i t^i)^2 = sum a_i t^(2i) in characteristic 2
         r = 0
@@ -412,8 +408,9 @@ class ExtensionField(Field):
     """
 
     kind = "extension"
+    generator = "s"  # the name of the class of s in F_p[s]/(modulus)
 
-    def __init__(self, p: int, modulus, generator: str = "s"):
+    def __init__(self, p: int, modulus):
         prime = PrimeField(p)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) < 3 or modulus[-1] != 1:
@@ -425,7 +422,6 @@ class ExtensionField(Field):
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.size = p**self.degree
-        self.generator = generator
         self.zero = (0,) * self.degree
         self.one = (1,) + (0,) * (self.degree - 1)
         # s^(m+i) mod modulus, for reducing products of degree < 2m-1

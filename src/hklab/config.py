@@ -88,6 +88,8 @@ def load(path: str) -> dict:
         raise ValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ValidationError(f"config is not valid JSON ({err})")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"cannot read config file {path}: {err}")
     if not isinstance(cfg, dict):
         raise ValidationError(f"config must be a JSON object, got {type(cfg).__name__}")
     return cfg
@@ -199,10 +201,9 @@ def fibers(F: FamilySpec, entries: list) -> list:
         for key in entry:
             if key in ("generic", "m"):
                 continue
+            # only a parameter-base family has parameters: past this test, domain is set
             if key not in F.parameters:
                 raise ValidationError(f"fiber assigns unknown parameter {key!r}")
-            if domain is None:
-                raise ValidationError("special fibers need a parameter-base family")
             assignments[key] = domain(get(entry, key, str | int))
         out.append(FiberSpec("special", assignments=assignments))
     return out

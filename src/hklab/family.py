@@ -77,14 +77,11 @@ class FamilySpec:
                 raise ValidationError("zero generator in family")
 
     def _parse_all(self, gens, what):
-        out = []
+        # a Polynomial of another ring would be read through its keys, silently wrong
         for g in gens:
-            if isinstance(g, str):
-                g = self._ring.parse(g)
-            elif not isinstance(g, Polynomial):
-                raise ValidationError(f"family {what!r} needs strings or polynomials, got {g!r}")
-            out.append(g)
-        return out
+            if not isinstance(g, str):
+                raise ValidationError(f"family {what!r} needs strings, got {g!r}")
+        return [self._ring.parse(g) for g in gens]
 
     def __repr__(self):
         base = "ZZ" if self.base_kind == "integers" else f"GF({self.p})[{','.join(self.parameters)}]"

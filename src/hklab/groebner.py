@@ -29,6 +29,12 @@ single int test ((v | GUARD) - u) & GUARD == GUARD, and a term created
 by a reduction step gets its key, exponent fields included, by one
 addition, so nothing is decoded in the loop.
 
+One reduction loop serves every coefficient field; F_p keeps its
+arithmetic inline.  A term that cancels keeps its zero in the work dict
+until the heap pops it, so a key created again is updated in place and
+each key enters the heap once; a step creates only terms below the one
+it reduces, so no popped key comes back.
+
 Bracket powers put the pure powers x_i^q into the ideal.  While the
 working set holds a one-term pure power x_i^b, a term with e_i >= b is
 dropped when it is created, since removing a multiple of a monomial
@@ -104,7 +110,7 @@ def _make_item(ring, terms):
     """Monicize a nonzero term tuple and build its _Item."""
     lead_key, lead_coeff = terms[0]
     dom = ring.domain
-    if dom.is_zero(dom.sub(lead_coeff, dom.one)):
+    if lead_coeff == dom.one:  # raws are canonical
         tail = terms[1:]
     else:
         inv = dom.inv(lead_coeff)
@@ -184,9 +190,12 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
     `index`, a _DivisorIndex over `items`, sends terms that no item
     divides to the remainder without a scan.  Returns the remainder as
     descending (key, raw) pairs, and adds the reduction steps and the box
-    drops to tally[0] and tally[1]."""
+    drops to tally[0] and tally[1].  One loop serves every field; a
+    cancelled term stays in `work` as zero until it is popped, so each key
+    is pushed onto the heap once."""
     prime = isinstance(dom, PrimeField)
     p = dom.characteristic
+    zero, neg, mul, sub = dom.zero, dom.neg, dom.mul, dom.sub
     steps = dropped = 0
     if box:
         for k in [k for k in work if (k + box) & guard]:
@@ -205,8 +214,8 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
     out = []
     while heap:
         k = -heapq.heappop(heap)
-        c = work.pop(k, None)
-        if c is None:
+        c = work.pop(k)
+        if c == zero:  # cancelled
             continue
         if indexed:
             e = (k >> drop) & mask
@@ -228,42 +237,20 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
                 # the term k lies in the box and shift divides it, so kk + box
                 # cannot carry across fields: its guard bits mark exactly the
                 # terms outside the box and the exponents that reached 2^31
-                if prime:
-                    for k2, c2 in item.tail:
-                        kk = k2 + shift
-                        prev = work.get(kk)
-                        if prev is None:
-                            if (kk + box) & guard:
-                                if kk & guard:
-                                    raise _overflow()
-                                dropped += 1
-                                continue
-                            work[kk] = (-c * c2) % p
-                            heapq.heappush(heap, -kk)
-                        else:
-                            v = (prev - c * c2) % p
-                            if v:
-                                work[kk] = v
-                            else:
-                                del work[kk]
-                else:
-                    for k2, c2 in item.tail:
-                        kk = k2 + shift
-                        prev = work.get(kk)
-                        if prev is None:
-                            if (kk + box) & guard:
-                                if kk & guard:
-                                    raise _overflow()
-                                dropped += 1
-                                continue
-                            work[kk] = dom.neg(dom.mul(c, c2))
-                            heapq.heappush(heap, -kk)
-                        else:
-                            v = dom.sub(prev, dom.mul(c, c2))
-                            if dom.is_zero(v):
-                                del work[kk]
-                            else:
-                                work[kk] = v
+                for k2, c2 in item.tail:
+                    kk = k2 + shift
+                    prev = work.get(kk)
+                    if prev is None:
+                        if (kk + box) & guard:
+                            if kk & guard:
+                                raise _overflow()
+                            dropped += 1
+                            continue
+                        work[kk] = (-c * c2) % p if prime else neg(mul(c, c2))
+                        heapq.heappush(heap, -kk)
+                    else:
+                        # a cancelled term keeps its zero, so kk is never pushed twice
+                        work[kk] = (prev - c * c2) % p if prime else sub(prev, mul(c, c2))
                 break
         else:
             out.append((k, c))

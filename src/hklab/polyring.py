@@ -141,14 +141,17 @@ class TermOrder:
 
 
 class Monomial:
-    """Exponent vector with cached total degree."""
+    """Exponent vector with its order key."""
 
-    __slots__ = ("exponents", "degree", "key")
+    __slots__ = ("exponents", "key")
 
-    def __init__(self, exponents, degree, key):
+    def __init__(self, exponents, key):
         self.exponents = exponents
-        self.degree = degree
         self.key = key
+
+    @property
+    def degree(self) -> int:
+        return sum(self.exponents)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and other.exponents == self.exponents
@@ -226,11 +229,10 @@ class PolynomialRing:
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise StructuralError("exponent vector length != number of variables")
-        return Monomial(exponents, sum(exponents), self.encode(exponents))
+        return Monomial(exponents, self.encode(exponents))
 
     def monomial_from_key(self, key: int) -> Monomial:
-        exps = self.decode(key)
-        return Monomial(exps, sum(exps), key)
+        return Monomial(self.decode(key), key)
 
     # -- polynomial construction ----------------------------------------------
 

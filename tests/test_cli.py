@@ -176,6 +176,24 @@ def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command
     assert f"config field {name!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ideal", ["(" * 300 + "x" + ")" * 300, "-" * 5000 + "x"],
+                         ids=["parentheses", "unary-minus"])
+def test_deeply_nested_expression_exit_2(tmp_path, capsys, ideal):
+    cfg = write_config(tmp_path, "deep.json", dict(HK_PLANE, ideal=[ideal, "y"]))
+    assert run(RunConfig("hk", cfg, str(tmp_path / "out"))) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
+def test_unreadable_config_exit_2_names_the_path(tmp_path, capsys):
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (folder, utf16):
+        assert run(RunConfig("hk", str(path), str(tmp_path / "out"))) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, text", [
     ("sweep", "[1]"),
     ("modp", "[1]"),

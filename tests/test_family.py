@@ -72,6 +72,15 @@ def test_degenerate_fiber_is_rejected():
         specialize_fiber(Fideal, FiberSpec.special(t=0))
 
 
+def test_family_generators_must_be_strings():
+    # a polynomial of another ring would be read through its keys: (x + 1, y) at t = 1
+    R5 = PolynomialRing(PrimeField(5), ("a", "b", "c"))
+    with pytest.raises(ValidationError, match="needs strings"):
+        FamilySpec("param", ("x", "y"), (), (R5.parse("3*a + c"), "y"), p=2, parameters=("t",))
+    with pytest.raises(ValidationError, match="needs strings"):
+        FamilySpec("integers", ("x", "y"), (7,), ("x", "y"))
+
+
 def test_fiber_assignment_validation(monsky_family):
     with pytest.raises(ValidationError, match="no value"):
         specialize_fiber(monsky_family, FiberSpec.special())

@@ -42,7 +42,9 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 GF4 = make_extension(2, 2)
+GF4489 = make_extension(67, 2)  # above the table cap: multiplies by convolution
 F2T = RationalFunctionField(F2)
+F3T = RationalFunctionField(F3)  # dense univariate polynomials, not bitmasks
 MONSKY_T1 = "z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2"
 
 
@@ -534,18 +536,22 @@ ORACLE_FIELDS = (
     (F5, ("1", "2", "3", "4")),
     (GF4, ("1", "s", "s + 1")),
     (F2T, ("1", "t", "t + 1")),
+    (F3T, ("1", "2*t", "t + 2")),
+    (GF4489, ("1", "s", "66*s + 3")),
 )
 
 
 @st.composite
 def oracle_ideals(draw):
-    """Ideals in 1-3 variables over F_2, F_3, F_5 and GF(4), and in 1-2
-    over F_2(t), in degrevlex or lex under any variable priority:
+    """Ideals in 1-3 variables over F_2, F_3, F_5, GF(4) and GF(67^2), and
+    in 1-2 over F_2(t) and F_3(t), in degrevlex or lex under any variable
+    priority:
     inhomogeneous generators, pure powers of a random subset of the
     variables, and sometimes a pair (x_j - x_i^a, x_j^b) that yields
     x_i^(ab) during the run under lex."""
     field, coeffs = draw(st.sampled_from(ORACLE_FIELDS))
-    n = draw(st.integers(1, 2 if field is F2T else 3))  # F_2(t) in 3 variables can take seconds
+    # F_p(t) in 3 variables can take seconds
+    n = draw(st.integers(1, 2 if field.kind == "rational_function" else 3))
     order = TermOrder(draw(st.sampled_from(("degrevlex", "lex"))), draw(st.permutations(range(n))))
     ring = PolynomialRing(field, tuple("xyz"[:n]), order)
     raws = [field.parse(c).raw for c in coeffs]
@@ -568,7 +574,7 @@ def oracle_ideals(draw):
     return IdealPresentation(ring, draw(st.permutations(gens)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=210, deadline=None)
 @given(oracle_ideals())
 def test_buchberger_matches_classic_loop(ideal):
     G = buchberger(ideal)
@@ -660,6 +666,30 @@ def test_colength_order_counters_are_pinned(p, q, length, stats):
     G = buchberger(monsky_bracket(PrimeField(p), q, COLENGTH_ORDER))
     assert G.colength() == length
     assert G.stats == stats
+
+
+def test_reducer_pushes_each_key_once(monkeypatch):
+    # a cancelled term keeps its zero in the work dict, so a key created
+    # again is updated in place and not pushed a second time
+    pushed = []
+    heappush = groebner.heapq.heappush
+    reduce_terms = groebner._reduce_terms
+
+    def push(heap, item):
+        if isinstance(item, int):  # a term key; the pair queue holds tuples
+            pushed[-1].append(item)
+        heappush(heap, item)
+
+    def spy(*args):
+        pushed.append([])
+        return reduce_terms(*args)
+
+    monkeypatch.setattr(groebner.heapq, "heappush", push)
+    monkeypatch.setattr(groebner, "_reduce_terms", spy)
+    G = buchberger(monsky_bracket(F5, 125, COLENGTH_ORDER))
+    assert G.stats == (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)
+    assert all(len(set(keys)) == len(keys) for keys in pushed)
+    assert sum(map(len, pushed)) > 0
 
 
 def test_trace_discriminant_is_the_discriminant_of_a_univariate_modulus():
