@@ -37,32 +37,31 @@ _TABLE_MAX_SIZE = 1 << 12  # larger GF(p^m) multiply by convolution, without tab
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; inputs here are < 2**31."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_divisors(n) == [n]
 
 
 def _prime_divisors(n: int) -> list:
-    """The distinct primes dividing n >= 1, by trial division."""
-    out, d = [], 2
-    while d * d <= n:
+    """The distinct primes dividing n, ascending ([] for n < 2), by trial
+    division by 2 and then by odd numbers only."""
+    out = []
+    if n > 0 and not n & 1:
+        out.append(2)
+        n //= n & -n  # every factor 2
+    for d in range(3, n, 2):
+        if d * d > n:
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
     if n > 1:
         out.append(n)
     return out
+
+
+def _digit_vectors(p: int, m: int):
+    """The base-p digit m-tuples of 0, 1, ..., p^m - 1, lowest digit first."""
+    return (tuple(v // p**i % p for i in range(m)) for v in range(p**m))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +112,7 @@ class _BinaryPolys:
             raise ZeroDivisionError("univariate division by zero")
         db = b.bit_length()
         q = 0
-        while a.bit_length() >= db:
-            shift = a.bit_length() - db
+        while (shift := a.bit_length() - db) >= 0:
             q |= 1 << shift
             a ^= b << shift
         return q, a
@@ -220,7 +218,7 @@ class _DensePolys:
         return self.make_monic(a)
 
     def make_monic(self, a):
-        if not a or self.K.is_zero(self.K.sub(a[-1], self.K.one)):
+        if not a or a[-1] == self.K.one:
             return a
         inv_lead = self.K.inv(a[-1])
         return tuple(self.K.mul(c, inv_lead) for c in a)
@@ -533,10 +531,7 @@ class ExtensionField(Field):
         return (n % self.p,) + (0,) * (self.degree - 1)
 
     def elements(self):
-        def raw(v):
-            return tuple((v // self.p**i) % self.p for i in range(self.degree))
-
-        return (raw(v) for v in range(self.size))
+        return _digit_vectors(self.p, self.degree)
 
     def _parse_atom(self, tok):
         if isinstance(tok, int):
@@ -604,7 +599,7 @@ class RationalFunctionField(Field):
             den = ops.divmod(den, g)[0]
         if isinstance(ops, _DensePolys):
             lead = den[-1]
-            if not self.base.is_zero(self.base.sub(lead, self.base.one)):
+            if lead != self.base.one:
                 inv = self.base.inv(lead)
                 num = tuple(self.base.mul(c, inv) for c in num)
                 den = tuple(self.base.mul(c, inv) for c in den)
@@ -796,14 +791,9 @@ def make_extension(p: int, m: int) -> Field:
     if m == 1:
         return PrimeField(p)
     PrimeField(p)  # validates that p is prime before the scan
-    for v in range(p**m):
-        coeffs = [0] * m
-        rest = v
-        for j in range(m - 1, -1, -1):  # fill from the x^(m-1) digit down
-            coeffs[j] = rest // p**j
-            rest %= p**j
+    for coeffs in _digit_vectors(p, m):
         try:
-            return ExtensionField(p, tuple(coeffs) + (1,))
+            return ExtensionField(p, coeffs + (1,))
         except ValidationError:  # a reducible candidate
             pass
     raise ValidationError(f"no irreducible modulus found for GF({p}^{m})")  # unreachable

@@ -1,42 +1,57 @@
 """Dense exact linear algebra over a coefficient field (raw-level).
 
-Matrices are lists of equal-length lists of raw field elements.  Nothing
-here is tuned for size: callers are zero-dimensional quotients and Gram
+Matrices are lists of equal-length lists of raw field elements.  One
+forward elimination, `_echelon`, serves everything: `det` reads its
+signed pivot product and `rref` adds back substitution.  Nothing here is
+tuned for size: callers are zero-dimensional quotients and Gram
 matrices, which stay small.
 """
 
 from __future__ import annotations
 
 
-def rref(field, rows):
-    """Reduced row echelon form; returns (new_rows, pivot_column_list)."""
+def _clear(field, rows, r, c, others):
+    """Subtract multiples of the pivot row r, which has a one in column c,
+    from each row in `others` so that column c of those rows is zero."""
+    pivot_row = rows[r]
+    for i in others:
+        factor = rows[i][c]
+        if not field.is_zero(factor):
+            rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], pivot_row)]
+
+
+def _echelon(field, rows):
+    """Forward elimination on a copy of `rows`: (rows, pivots, signed), the
+    rows in echelon form with each pivot row scaled to lead with one, the
+    pivot columns, and (-1)^(row swaps) times the product of the pivots
+    before scaling."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(v, inv) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
+    signed = field.one
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         if r == len(rows):
             break
+        pivot = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][c])), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            signed = field.neg(signed)
+        lead = rows[r][c]
+        signed = field.mul(signed, lead)
+        inv = field.inv(lead)
+        rows[r] = [field.mul(v, inv) for v in rows[r]]
+        _clear(field, rows, r, c, range(r + 1, len(rows)))
+        pivots.append(c)
+    return rows, pivots, signed
+
+
+def rref(field, rows):
+    """Reduced row echelon form; returns (new_rows, pivot_column_list)."""
+    rows, pivots, _ = _echelon(field, rows)
+    for r in reversed(range(len(pivots))):
+        _clear(field, rows, r, pivots[r], range(r))
     return rows, pivots
 
 
@@ -56,32 +71,7 @@ def kernel_basis(field, rows, ncols):
 
 
 def det(field, rows):
-    """Determinant by Gaussian elimination with exact division."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    sign = 1
-    acc = field.one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not field.is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        acc = field.mul(acc, rows[c][c])
-        inv = field.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if field.is_zero(rows[i][c]):
-                continue
-            factor = field.mul(rows[i][c], inv)
-            rows[i] = [
-                field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[c])
-            ]
-    if sign < 0:
-        acc = field.neg(acc)
-    return acc
-
+    """Determinant of a square matrix: the signed pivot product, or zero
+    when the elimination finds fewer pivots than rows."""
+    _, pivots, signed = _echelon(field, rows)
+    return signed if len(pivots) == len(rows) else field.zero

@@ -9,8 +9,12 @@ The exponent fields hold e_0, ..., e_(n-1) in variable order, EXP_BITS
 guard bit: exponents stay below 2^31 (MAX_EXPONENT) wherever monomials
 are created or multiplied through the public API, and exceeding the
 bound raises ExponentOverflow (an OverflowError and a ValidationError)
-instead of silently corrupting lengths.  The order fields above them
-are, most significant first,
+instead of silently corrupting lengths.  Products and bracket powers
+test the bound on the guard bits of the keys, without decoding: the sum
+of two keys sets a guard bit exactly when an exponent of the product
+reaches 2^31, and a bracket power checks every term against the largest
+exponent that q can scale.  The order fields above them are, most
+significant first,
 
     degrevlex:  deg, deg - e[rev_0], ..., deg - e[rev_(n-2)]
     lex:        the exponents in priority order
@@ -325,12 +329,11 @@ class PolynomialRing:
 class Polynomial:
     """Immutable sparse polynomial; `_terms` is ((key, raw), ...) descending."""
 
-    __slots__ = ("ring", "_terms", "_max_exp")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolynomialRing, terms):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_max_exp", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -368,15 +371,6 @@ class Polynomial:
         if self.ring.order.kind == "degrevlex":
             return self._terms[0][0] >> self.ring._degree_shift
         return max(sum(self.ring.decode(k)) for k, _ in self._terms)
-
-    def max_exponent(self) -> int:
-        """Largest single exponent appearing in any term (0 for zero)."""
-        cached = self._max_exp
-        if cached is None:
-            decode = self.ring.decode
-            cached = max((max(decode(k), default=0) for k, _ in self._terms), default=0)
-            object.__setattr__(self, "_max_exp", cached)
-        return cached
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -420,8 +414,6 @@ class Polynomial:
         self._check_ring(other)
         if not self._terms or not other._terms:
             return self.ring.zero
-        if self.max_exponent() + other.max_exponent() >= MAX_EXPONENT:
-            raise ExponentOverflow("monomial exponent overflow in product")
         dom = self.ring.domain
         acc: dict = {}
         short, long_ = (self._terms, other._terms)
@@ -433,6 +425,9 @@ class Polynomial:
                 prev = acc.get(kk)
                 prod = dom.mul(c1, c2)
                 acc[kk] = prod if prev is None else dom.add(prev, prod)
+        guard = self.ring.guard
+        if any(k & guard for k in acc):
+            raise ExponentOverflow("monomial exponent overflow in product")
         terms = tuple(
             (k, c) for k, c in sorted(acc.items(), reverse=True) if not dom.is_zero(c)
         )
@@ -537,9 +532,14 @@ def frobenius_power(I: IdealPresentation, q: int) -> IdealPresentation:
     if e == 0:
         return I
     dom = ring.domain
+    guard = ring.guard
+    # top holds (2^31 - 1) // q, the largest exponent q can scale, in
+    # every field, with the guard bits: a term's exponents are all at most
+    # that exactly when (top - k) keeps every guard bit
+    top = (MAX_EXPONENT - 1) // q * (guard >> (EXP_BITS - 1)) | guard
     gens = []
     for g in I.generators:
-        if g.max_exponent() * q >= MAX_EXPONENT:
+        if any((top - k) & guard != guard for k, _ in g._terms):
             raise ExponentOverflow("monomial exponent overflow in bracket power")
         # key scaling is exact: encode is linear in the exponent vector
         gens.append(

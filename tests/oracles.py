@@ -14,6 +14,9 @@ bracket_colength_hypersurface: for a principal g plus pure powers
 (x_i^q), the quotient dimension is q^n minus the rank of multiplication
 by g on the monomial box below (q, ..., q).
 
+matrix_rank and mat_mul: rank by a local elimination, and the product
+of two matrices of raw field elements, for the linear-algebra checks.
+
 _count_standard with _minimalize: the package's former staircase count,
 kept verbatim as the reference for the slice count that replaced it.  It
 splits on a pivot variable, len(R/I) = len(R/(I + (x))) + len(R/(I : x)),
@@ -123,6 +126,18 @@ def matrix_rank(rows, field):
     if isinstance(field, PrimeField):
         return _rank_prime_numpy(rows, field.p)
     return _rank_generic(rows, field)
+
+
+def mat_mul(field, A, B):
+    """Product of two matrices of raw field elements."""
+    out = []
+    for row in A:
+        new = [field.zero] * len(B[0])
+        for a, brow in zip(row, B):
+            for j, b in enumerate(brow):
+                new[j] = field.add(new[j], field.mul(a, b))
+        out.append(new)
+    return out
 
 
 def macaulay_colength(field, nvars: int, gens, bounds) -> int:

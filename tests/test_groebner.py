@@ -33,6 +33,7 @@ from hklab.polyring import EXP_BITS, FIELD_MASK
 from .oracles import (
     classic_buchberger,
     macaulay_colength,
+    mat_mul,
     pivot_split_colength,
     poly_dict,
     random_zero_dim_ideals,
@@ -322,18 +323,6 @@ def test_multiplication_matrix_examples():
     assert [[v.raw for v in row] for row in Ma] == [[0, 3], [1, 0]]
     zero = multiplication_matrix(G, x**2)  # f in the ideal -> zero matrix
     assert all(v.raw == 0 for row in zero for v in row)
-
-
-def mat_mul(field, A, B):
-    """Product of two matrices of raw field elements."""
-    out = []
-    for row in A:
-        new = [field.zero] * len(B[0])
-        for a, brow in zip(row, B):
-            for j, b in enumerate(brow):
-                new[j] = field.add(new[j], field.mul(a, b))
-        out.append(new)
-    return out
 
 
 def test_multiplication_matrices_commute():

@@ -17,6 +17,7 @@ from hklab import (
     frobenius_power,
     ordinary_power,
 )
+from hklab.errors import ExponentOverflow
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -201,6 +202,22 @@ def test_exponent_overflow_is_fatal():
     with pytest.raises(OverflowError):
         huge_sq = R2.polynomial([(R2.encode(((1 << 30) + 5, 0, 0)), 1)])
         huge_sq * huge_sq
+    # the bound is per exponent: x^(2^30) * y^(2^30) is representable
+    half = 1 << 30
+    xh, yh = (R2.polynomial([(R2.encode(e), 1)]) for e in ((half, 0, 0), (0, half, 0)))
+    assert (xh * yh).leading_monomial().exponents == (half, half, 0)
+    assert (xh + 1) * (yh + 1) == xh * yh + xh + yh + 1
+    with pytest.raises(ExponentOverflow, match="^monomial exponent overflow in product$"):
+        xh * (xh + yh)
+    # a bracket power takes each exponent up to (2^31 - 1) // q, and no further
+    R3 = PolynomialRing(F3, ("x", "y"))
+    for ring, q, gen in ((R2, 2**7, "z^{e}"), (R3, 3**3, "x + x*y^{e} + 1")):
+        top = ((1 << 31) - 1) // q
+        fits = frobenius_power(IdealPresentation(ring, (ring.parse(gen.format(e=top)),)), q)
+        assert fits.generators[0].leading_monomial().exponents[-1] == top * q
+        over = IdealPresentation(ring, (ring.parse(gen.format(e=top + 1)),))
+        with pytest.raises(ExponentOverflow, match="^monomial exponent overflow in bracket power$"):
+            frobenius_power(over, q)
 
 
 def test_ideal_presentation_validation():
