@@ -2,8 +2,11 @@
 
 rsig(R) is the infimum of e_HK(x) - e_HK(x, u) over socle elements u of a
 system of parameters x; it is positive exactly on F-rational rings.  The
-search sweeps socle candidates u = sum c_i u_i over the two affine charts
-(last coordinate 1, first coordinate 1) with grid coefficients.
+search tries the socle candidates u = sum c_i u_i whose coordinate vectors
+are (c_1, ..., c_(N-1), 1) and then (1, c_2, ..., c_N), each once, with
+every c_i from the grid (all of a finite field of at most 64 elements by
+default).  For a socle of dimension N >= 3 that misses the vectors whose
+first and last coordinates are both zero, such as (0, 1, 0).
 
 Run:  python demos/05_rational_signature.py
 """

@@ -403,6 +403,10 @@ class ExtensionField(Field):
     element g (listed twice, so a sum of two logarithms needs no modulo)
     and `_log` maps each nonzero m-tuple to its exponent; above the cap
     both are None and arithmetic convolves and runs extended Euclid.
+    In characteristic 2 up to the same cap, `_mask` maps each m-tuple to
+    the integer whose bit i is its coordinate i and `_from_mask` inverts
+    it, so a sum or difference is one XOR of two masks; otherwise both
+    are None and coordinates add modulo p.
     """
 
     kind = "extension"
@@ -432,8 +436,12 @@ class ExtensionField(Field):
             shifted = (0,) + s_power
             s_power = self._reduce_once(shifted)
         self._log = self._exp = None
+        self._mask = self._from_mask = None
         if self.size <= _TABLE_MAX_SIZE:
             self._build_tables(self._primitive_element())
+            if p == 2:
+                self._from_mask = list(self.elements())  # v -> the bits of v
+                self._mask = {a: v for v, a in enumerate(self._from_mask)}
 
     def _primitive_element(self):
         """The first element, in `elements()` order, of multiplicative order
@@ -474,10 +482,16 @@ class ExtensionField(Field):
         return tuple(out)
 
     def add(self, a, b):
+        mask = self._mask
+        if mask is not None:
+            return self._from_mask[mask[a] ^ mask[b]]
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
+        mask = self._mask
+        if mask is not None:  # characteristic 2: a - b = a + b
+            return self._from_mask[mask[a] ^ mask[b]]
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 
 def _clear(field, rows, r, c, others):
-    """Subtract multiples of the pivot row r, which has a one in column c,
-    from each row in `others` so that column c of those rows is zero."""
-    pivot_row = rows[r]
+    """Subtract multiples of the pivot row r, which has a one in column c
+    and zeros left of it, from each row in `others` so that column c of
+    those rows is zero; columns left of c are left as they are."""
+    pivot_tail = rows[r][c:]
     for i in others:
-        factor = rows[i][c]
+        row = rows[i]
+        factor = row[c]
         if not field.is_zero(factor):
-            rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], pivot_row)]
+            row[c:] = [field.sub(v, field.mul(factor, w)) for v, w in zip(row[c:], pivot_tail)]
 
 
 def _echelon(field, rows):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .coeff import Field, FieldElement
+from .coeff import Field, FieldElement, frobenius
 from .errors import ValidationError
 from .groebner import (
     INFINITE,
@@ -328,6 +328,30 @@ def _grid_default(field: Field):
     return [FieldElement(field, raw) for raw in field.elements()]
 
 
+def _galois_degree(R: QuotientRingSpec, x: IdealPresentation, socle) -> int:
+    """m = log_p |k| when k = GF(p^m) and every coefficient of the
+    defining generators, the parameters and the socle basis lies in F_p
+    (c^p == c); 1 otherwise.  Only with m > 1 do Frobenius-conjugate
+    candidates share a Hilbert-Kunz function (see rsig_search)."""
+    field = R.ring.domain
+    if field.kind != "extension":  # F_p has no conjugates; F_p(t) is infinite
+        return 1
+    for g in (*R.defining, *x.generators, *socle):
+        for _, c in g._terms:
+            if field.frobenius_raw(c, 1) != c:
+                return 1
+    return field.degree
+
+
+def _orbit_key(vec, m: int) -> frozenset:
+    """The conjugates sigma^i(vec), i < m, each scaled so that its first
+    nonzero coordinate is 1: one key per Frobenius orbit of projective
+    points."""
+    lead = next(c for c in vec if c)
+    scaled = tuple(c / lead for c in vec)
+    return frozenset(tuple(frobenius(c, i) for c in scaled) for i in range(m))
+
+
 def rsig_search(
     R: QuotientRingSpec,
     x: IdealPresentation,
@@ -336,12 +360,26 @@ def rsig_search(
 ) -> RSigResult:
     """Search for the F-rational signature over socle candidates.
 
-    Candidates follow the two affine charts of the attained-minimum
-    argument: socle coordinates (c_1, ..., c_(N-1), 1) and
-    (1, c_2, ..., c_N) with c_i drawn from the grid.  The reported
-    minimum is an upper bound for the true infimum (a finite grid cannot
-    certify more); by the attainment result the infimum is achieved at
-    some socle element.
+    With socle basis u_1, ..., u_N and c_i drawn from the grid, the
+    candidates u = sum c_i u_i have coordinate vectors (c_1, ..., c_(N-1), 1)
+    followed by (1, c_2, ..., c_N), each vector once, in that order; for
+    N = 1 the only vector is (1,).  For N >= 3 these two charts miss every
+    vector whose first and last coordinates are both zero, such as
+    (0, 1, 0).  The reported minimum is an upper bound for the true
+    infimum (a finite grid cannot certify more); by the attainment result
+    the infimum is achieved at some socle element.
+
+    Every vector gets its own row, but vectors share one Hilbert-Kunz
+    function when their ideals (x, u) provably have the same lengths:
+      * (x, u) = (x, lambda*u) for every lambda != 0, so scaling a vector
+        changes nothing;
+      * when k is finite and the defining ideal J, x and the socle basis
+        are defined over F_p, sigma(c) = c^p acts on k[vars] fixing J and
+        x and maps (x, u)^[q] onto (x, sigma(u))^[q]; the induced map of
+        k[vars]/(J + (x, u)^[q]) onto k[vars]/(J + (x, sigma(u))^[q]) is
+        a sigma-semilinear bijection, so both have the same length.
+    So the estimates are keyed on the Frobenius orbit of the scaled vector
+    (_orbit_key), and computed once per key for its first vector.
     """
     field = R.ring.domain
     socle = socle_basis(R, x)
@@ -359,13 +397,18 @@ def rsig_search(
     vectors = dict.fromkeys([c + one for c in charts] + [one + c for c in charts])
 
     ehk_x = hk_estimate(hk_function(R, x, e_max))
+    m = _galois_degree(R, x, socle)
+    estimates = {}
 
     def evaluate(vec):
         u = R.ring.zero
         for c, s in zip(vec, socle):
             u = u + s * c
-        xu = IdealPresentation(R.ring, tuple(x.generators) + (u,))
-        est = hk_estimate(hk_function(R, xu, e_max))
+        key = _orbit_key(vec, m)
+        est = estimates.get(key)
+        if est is None:
+            xu = IdealPresentation(R.ring, tuple(x.generators) + (u,))
+            est = estimates[key] = hk_estimate(hk_function(R, xu, e_max))
         return RSigRow(
             coefficients=vec,
             u=u,

@@ -30,6 +30,12 @@ reducer decodes each popped term to packed exponents (through a per-call
 cache) and never truncates to a box.  It shares only the ring encoding,
 the coefficient arithmetic and the GroebnerBasis container with the code
 under test.
+
+rsig_rows_per_vector: the package's former rsig_search loop, kept
+verbatim as the reference for the search that shares one Hilbert-Kunz
+function per Frobenius orbit of candidates.  It runs one hk_function per
+candidate vector and shares the socle, the grid and the estimates with
+the code under test.
 """
 
 import heapq
@@ -38,7 +44,15 @@ from itertools import combinations, product
 from hklab.coeff import Field, PrimeField
 from hklab.errors import ValidationError
 from hklab.groebner import GroebnerBasis
-from hklab.polyring import Polynomial
+from hklab.multiplicity import (
+    RSigResult,
+    RSigRow,
+    _grid_default,
+    hk_estimate,
+    hk_function,
+    socle_basis,
+)
+from hklab.polyring import IdealPresentation, Polynomial
 
 
 def poly_dict(ring, f):
@@ -440,6 +454,50 @@ def classic_buchberger(I):
         reduced_items.append(final)
         elements.append(Polynomial(ring, ((it.key, ring.domain.one),) + tail))
     return GroebnerBasis(ring, elements)
+
+
+def rsig_rows_per_vector(R, x, coefficient_grid=None, e_max=2):
+    """rsig_search with one Hilbert-Kunz function per candidate vector
+    (see module docstring)."""
+    field = R.ring.domain
+    socle = socle_basis(R, x)
+    N = len(socle)
+    if coefficient_grid is None:
+        grid = _grid_default(field)
+    else:
+        grid = [field(c) for c in coefficient_grid]
+    if N > 1 and not grid:
+        raise ValidationError("empty coefficient grid with more than one socle element")
+
+    # the charts (c, 1) and (1, c) without repeats; for N = 1 both are (1,)
+    one = (field(1),)
+    charts = list(product(grid, repeat=N - 1))
+    vectors = dict.fromkeys([c + one for c in charts] + [one + c for c in charts])
+
+    ehk_x = hk_estimate(hk_function(R, x, e_max))
+
+    def evaluate(vec):
+        u = R.ring.zero
+        for c, s in zip(vec, socle):
+            u = u + s * c
+        xu = IdealPresentation(R.ring, tuple(x.generators) + (u,))
+        est = hk_estimate(hk_function(R, xu, e_max))
+        return RSigRow(
+            coefficients=vec,
+            u=u,
+            ehk_x=ehk_x,
+            ehk_xu=est,
+            difference=ehk_x.value - est.value,
+        )
+
+    rows = [evaluate(vec) for vec in vectors]
+    best = min(range(len(rows)), key=lambda i: (rows[i].difference, i))
+    return RSigResult(
+        sop=x,
+        socle=tuple(socle),
+        rows=tuple(rows),
+        argmin=rows[best],
+    )
 
 
 def random_zero_dim_ideals(seed: int, count: int):

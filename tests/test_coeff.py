@@ -1,5 +1,7 @@
 """Field arithmetic: laws, Frobenius, canonical forms, construction."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,9 +229,21 @@ def test_table_cap_decides_which_fields_get_tables():
         q = field.size
         assert q <= coeff._TABLE_MAX_SIZE
         assert len(field._exp) == 2 * (q - 1) and len(field._log) == q - 1
+        assert (field._mask is None) == (field.p != 2)  # XOR masks in characteristic 2
     for field in (GF67_2, GF2_13):
         assert field.size > coeff._TABLE_MAX_SIZE
-        assert field._log is None and field._exp is None
+        assert field._log is None and field._exp is None and field._mask is None
+
+
+@pytest.mark.parametrize("field", [make_extension(2, 4), GF9, GF2_13], ids=repr)
+def test_extension_add_sub_match_coordinatewise_formula(field):
+    p = field.p
+    pool = list(field.elements())
+    if field.size > 256:
+        pool = pool[::97]  # above the table cap: a sample of 85 elements
+    for a, b in product(pool, repeat=2):
+        assert field.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+        assert field.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
 
 
 def _irreducible_moduli(p, m):

@@ -10,7 +10,7 @@ from hklab import PrimeField, linalg, make_extension
 
 from .oracles import mat_mul, matrix_rank
 
-FIELDS = [PrimeField(5), make_extension(2, 2)]
+FIELDS = [PrimeField(5), PrimeField(7), make_extension(2, 2), make_extension(2, 4)]
 
 
 def matrices(field, rows, cols):
@@ -25,7 +25,7 @@ def squares(field, count):
 
 
 def wide_or_tall(field):
-    return st.tuples(st.integers(0, 4), st.integers(1, 5)).flatmap(
+    return st.tuples(st.integers(0, 6), st.integers(1, 7)).flatmap(
         lambda shape: st.tuples(matrices(field, *shape), st.just(shape[1])))
 
 

@@ -24,6 +24,7 @@ from hklab import (
     hs_multiplicity,
     krull_dimension,
     make_extension,
+    multiplicity,
     normal_form,
     rsig_search,
     socle_basis,
@@ -32,7 +33,7 @@ from hklab.groebner import INFINITE, _primary_witness
 from hklab.multiplicity import hk_sample_gb
 from hklab.polyring import frobenius_power, ordinary_power
 
-from .oracles import bracket_colength_hypersurface, poly_dict
+from .oracles import bracket_colength_hypersurface, poly_dict, rsig_rows_per_vector
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -274,6 +275,80 @@ def test_rsig_empty_grid_validation():
     ring, sop = coordinate_axes_ring()
     with pytest.raises(ValidationError, match="empty coefficient grid"):
         rsig_search(ring, sop, coefficient_grid=[], e_max=2)
+
+
+# one-dimensional, with coefficients in F_2; over GF(4) and GF(8) the rows
+# of each take two distinct HK functions
+RSIG_F2_RINGS = (
+    "x*y^2, y^2, x*z, z^3+y*z",
+    "x*y, x^2*y, y*z, x^2",
+    "x*y, x^2*y, y*z^2, x*z",
+    "z^2, y^3+x*z^2, x*y, y*z",
+)
+# a coefficient outside F_2: Frobenius-conjugate rows differ here
+RSIG_S_RING = "x*z, y*z, x^3, x^2 + s*y^2"
+
+
+def rsig_ring(m, defining):
+    """k[x,y,z]/defining over GF(2^m), with the parameter x + y + z."""
+    ring = PolynomialRing(make_extension(2, m), ("x", "y", "z"))
+    R = QuotientRingSpec(ring, [ring.parse(t) for t in defining.split(",")])
+    return R, IdealPresentation(ring, (ring.parse("x + y + z"),))
+
+
+def count_hk_calls(monkeypatch):
+    """A list that grows by one entry per multiplicity.hk_function call."""
+    calls = []
+    real = multiplicity.hk_function
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiplicity, "hk_function", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "defining", RSIG_F2_RINGS + (RSIG_S_RING,), ids=lambda d: d.replace(" ", "")
+)
+@pytest.mark.parametrize("m, e_max", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_rsig_shared_estimates_match_per_vector_oracle(m, e_max, defining):
+    R, sop = rsig_ring(m, defining)
+    got = rsig_search(R, sop, e_max=e_max)
+    want = rsig_rows_per_vector(R, sop, e_max=e_max)
+    assert got == want  # rows (coefficients, u, both estimates), differences, argmin
+    functions = {tuple(s.length for s in row.ehk_xu.samples) for row in got.rows}
+    assert len(functions) == 2
+
+
+def test_rsig_hk_calls_per_frobenius_orbit(monkeypatch):
+    calls = count_hk_calls(monkeypatch)
+    F16 = make_extension(2, 4)
+    ring = PolynomialRing(F16, ("x", "y", "z", "w"))
+    cubic = QuotientRingSpec(ring, [ring.parse(t) for t in ("x*z - y^2", "x*w - y*z", "y*w - z^2")])
+    res = rsig_search(cubic, IdealPresentation(ring, (ring.var("x"), ring.var("w"))), e_max=2)
+    # x, then 3 F_2-points, 1 GF(4) orbit and 3 orbits of size 4 in P^1(GF(16))
+    assert (len(res.rows), len(calls)) == (31, 8)
+
+    calls.clear()
+    R, sop = rsig_ring(2, RSIG_F2_RINGS[0])
+    assert (len(rsig_search(R, sop, e_max=2).rows), len(calls)) == (7, 5)
+
+    calls.clear()
+    R, sop = coordinate_axes_ring()
+    rsig_search(R, sop, e_max=2)
+    assert len(calls) == 4  # over F_2 every projective point is its own orbit
+
+    # Galois sharing is off: one call per point of P^1(GF(4)), plus x
+    calls.clear()
+    R, sop = rsig_ring(2, RSIG_S_RING)
+    res = rsig_search(R, sop, e_max=2)
+    assert (len(res.rows), len(calls)) == (7, 1 + 5)
+    s = R.ring.domain("s")
+    by_vector = {row.coefficients: row.ehk_xu.samples for row in res.rows}
+    one = R.ring.domain(1)
+    assert by_vector[(one, s)] != by_vector[(one, s * s)]  # s^2 = sigma(s)
 
 
 def test_csig_examples():
