@@ -5,8 +5,9 @@ system of parameters x; it is positive exactly on F-rational rings.  The
 search tries the socle candidates u = sum c_i u_i whose coordinate vectors
 are (c_1, ..., c_(N-1), 1) and then (1, c_2, ..., c_N), each once, with
 every c_i from the grid (all of a finite field of at most 64 elements by
-default).  For a socle of dimension N >= 3 that misses the vectors whose
-first and last coordinates are both zero, such as (0, 1, 0).
+default).  For a socle of dimension N >= 3 it then tries (0, w, 0) for
+each w of the same enumeration in N - 2 coordinates, so with the whole
+field as grid every projective point is reached.
 
 Run:  python demos/05_rational_signature.py
 """

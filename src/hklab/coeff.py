@@ -15,6 +15,13 @@ Raw representations, chosen so that canonical form makes `==` work:
                     bitmasks (bit i = coefficient of t^i); over other
                     base fields as dense low-to-high coefficient tuples.
 
+Calling a field, K(value), is the one rule that turns an outside value
+into a coefficient: an int maps through from_int, a string is parsed,
+an element of K is returned as it is, and an element of another field
+raises StructuralError.  FieldElement operators, polynomial scalars and
+fiber values all go through it; an int literal inside a parsed string
+becomes a coefficient in Field._parse_atom.
+
 Field objects expose raw-level methods (add, mul, inv, ...) used by the
 polynomial engine's hot loops; FieldElement is a thin immutable wrapper
 with operator overloading for everything user-facing.
@@ -548,11 +555,9 @@ class ExtensionField(Field):
         return _digit_vectors(self.p, self.degree)
 
     def _parse_atom(self, tok):
-        if isinstance(tok, int):
-            return self.from_int(tok)
         if tok == self.generator:
             return (0, 1) + (0,) * (self.degree - 2)
-        raise ValidationError(f"unknown symbol {tok!r} for {self}")
+        return super()._parse_atom(tok)
 
     def format_raw(self, a):
         parts = []
@@ -654,14 +659,12 @@ class RationalFunctionField(Field):
         return (ops.from_coeffs((self.base.from_int(n),)), ops.one)
 
     def _parse_atom(self, tok):
-        if isinstance(tok, int):
-            return self.from_int(tok)
         if tok == self.var:
             return self.t
         if self.base.kind == "extension" and tok == self.base.generator:
             gen = self.base._parse_atom(tok)
             return (self._ops.from_coeffs((gen,)), self._ops.one)
-        raise ValidationError(f"unknown symbol {tok!r} for {self}")
+        return super()._parse_atom(tok)
 
     def _format_upoly(self, a):
         coeffs = self._ops.coeffs(a)
@@ -721,12 +724,8 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise StructuralError("elements of different fields")
-            return other.raw
-        if isinstance(other, int):
-            return self.field.from_int(other)
+        if isinstance(other, (FieldElement, int)):
+            return self.field(other).raw
         return NotImplemented
 
     def __add__(self, other):

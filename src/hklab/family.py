@@ -97,6 +97,11 @@ class FiberSpec:
         self.kind = kind
         self.assignments = dict(assignments or {})
         self.prime = prime
+        # the field of the FieldElement values; None when there are none
+        fields = {v.field for v in self.assignments.values() if isinstance(v, FieldElement)}
+        if len(fields) > 1:
+            raise StructuralError("fiber values from different fields")
+        self.field = fields.pop() if fields else None
         if kind == "prime":
             # the range first: trial division of a large number would not end
             if not (isinstance(prime, int) and 2 <= prime < MAX_CHARACTERISTIC
@@ -123,13 +128,8 @@ class FiberSpec:
             return f"p={self.prime}"
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.assignments.items()))
         # values in GF(p^m), m > 1, name their field: t=s differs in GF(4) and GF(8)
-        field = next(
-            (v.field for v in self.assignments.values()
-             if isinstance(v, FieldElement) and v.field.kind == "extension"),
-            None,
-        )
-        if field is not None:
-            inner += f"@{field!r}"
+        if self.field is not None and self.field.kind == "extension":
+            inner += f"@{self.field!r}"
         return inner or "special"
 
     def __repr__(self):
@@ -166,25 +166,12 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
             extra = set(fiber.assignments) - set(F.parameters)
             if extra:
                 raise ValidationError(f"fiber assigns unknown parameters {sorted(extra)}")
-            target = None
-            values = {}
-            for name, value in fiber.assignments.items():
-                if isinstance(value, FieldElement):
-                    values[name] = value
-                    if target is None:
-                        target = value.field
-                    elif target != value.field:
-                        raise StructuralError("fiber values from different fields")
-            if target is None:
-                target = PrimeField(F.p)
+            target = fiber.field or PrimeField(F.p)
             if target.characteristic != F.p:
                 raise ValidationError(
                     f"fiber field has characteristic {target.characteristic}, family has {F.p}"
                 )
-            for name, value in fiber.assignments.items():
-                if not isinstance(value, FieldElement):
-                    values[name] = target(value)
-            assignment_raws = {k: v.raw for k, v in values.items()}
+            assignment_raws = {k: target(v).raw for k, v in fiber.assignments.items()}
 
     fiber_ring = PolynomialRing(target, F.variables)
     nvars = len(F.variables)

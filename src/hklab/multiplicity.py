@@ -65,37 +65,23 @@ class QuotientRingSpec:
                 raise ValidationError("defining generator from a different ring")
             if g.is_zero():
                 raise ValidationError("zero generator in defining ideal")
-        self._gb = None
-        self._dim = None
-        self._colength_ring = None
-        if self.defining:
-            gb = self.defining_gb()
-            if gb.is_unit_ideal():
-                raise ValidationError("defining ideal is the unit ideal")
+        self._gb = buchberger(IdealPresentation(ring, self.defining)) if self.defining else None
+        if self._gb is not None and self._gb.is_unit_ideal():
+            raise ValidationError("defining ideal is the unit ideal")
+        self.dimension = krull_dimension(self)
+        self._colength_ring = _noether_ring(ring, self.defining)
 
     def defining_gb(self) -> GroebnerBasis | None:
         """Reduced basis of the defining ideal; None when it is zero."""
-        if not self.defining:
-            return None
-        if self._gb is None:
-            self._gb = buchberger(IdealPresentation(self.ring, self.defining))
         return self._gb
 
     def colength_ring(self) -> PolynomialRing:
         """The ring, differing from `ring` at most in the variable
         priority of its term order, in which bases used only for colengths
-        are computed (see the module docstring).  Chosen on the first call
-        and cached; it is `ring` itself unless another priority makes
+        are computed (see the module docstring).  Chosen once, when the
+        spec is built; it is `ring` itself unless another priority makes
         strictly more variables pure-power leading terms."""
-        if self._colength_ring is None:
-            self._colength_ring = _noether_ring(self.ring, self.defining)
         return self._colength_ring
-
-    @property
-    def dimension(self) -> int:
-        if self._dim is None:
-            self._dim = krull_dimension(self)
-        return self._dim
 
     def __repr__(self):
         if not self.defining:
@@ -352,6 +338,18 @@ def _orbit_key(vec, m: int) -> frozenset:
     return frozenset(tuple(frobenius(c, i) for c in scaled) for i in range(m))
 
 
+def _candidate_vectors(field: Field, grid, n: int) -> list:
+    """The charts (c, 1) and (1, c) in n coordinates, then for n >= 3
+    (0, w, 0) for each w of this enumeration in n - 2 coordinates; each
+    vector once.  For n = 1 the only vector is (1,)."""
+    one, zero = (field(1),), (field(0),)
+    charts = list(product(grid, repeat=n - 1))
+    vectors = [c + one for c in charts] + [one + c for c in charts]
+    if n >= 3:
+        vectors += [zero + w + zero for w in _candidate_vectors(field, grid, n - 2)]
+    return list(dict.fromkeys(vectors))
+
+
 def rsig_search(
     R: QuotientRingSpec,
     x: IdealPresentation,
@@ -363,11 +361,12 @@ def rsig_search(
     With socle basis u_1, ..., u_N and c_i drawn from the grid, the
     candidates u = sum c_i u_i have coordinate vectors (c_1, ..., c_(N-1), 1)
     followed by (1, c_2, ..., c_N), each vector once, in that order; for
-    N = 1 the only vector is (1,).  For N >= 3 these two charts miss every
-    vector whose first and last coordinates are both zero, such as
-    (0, 1, 0).  The reported minimum is an upper bound for the true
-    infimum (a finite grid cannot certify more); by the attainment result
-    the infimum is achieved at some socle element.
+    N = 1 the only vector is (1,).  For N >= 3 they are followed by
+    (0, w, 0) for each w of the same enumeration in N - 2 coordinates, so
+    with the whole field as grid every projective point is reached.  The
+    reported minimum is an upper bound for the true infimum (a finite grid
+    cannot certify more); by the attainment result the infimum is achieved
+    at some socle element.
 
     Every vector gets its own row, but vectors share one Hilbert-Kunz
     function when their ideals (x, u) provably have the same lengths:
@@ -391,11 +390,7 @@ def rsig_search(
     if N > 1 and not grid:
         raise ValidationError("empty coefficient grid with more than one socle element")
 
-    # the charts (c, 1) and (1, c) without repeats; for N = 1 both are (1,)
-    one = (field(1),)
-    charts = list(product(grid, repeat=N - 1))
-    vectors = dict.fromkeys([c + one for c in charts] + [one + c for c in charts])
-
+    vectors = _candidate_vectors(field, grid, N)
     ehk_x = hk_estimate(hk_function(R, x, e_max))
     m = _galois_degree(R, x, socle)
     estimates = {}

@@ -37,6 +37,13 @@ A polynomial stores its terms as a tuple of (key, raw coefficient) pairs
 sorted strictly descending; the raw coefficients live in the ring's
 coefficient domain (see coeff).  The `terms` property decodes to public
 (FieldElement, Monomial) pairs.
+
+A scalar (an int or a FieldElement) becomes a polynomial only through
+PolynomialRing.constant, whether it is given alone or as an operand of
++, - or *: an int maps through the domain's from_int and anything else
+through domain(value), the coercion rule of coeff.  So an element of
+another field raises StructuralError, and over the integers so does
+every scalar that is not an int.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ MAX_EXPONENT = 1 << (EXP_BITS - 1)  # the guard bit of a field
 
 class IntegerDomain:
     """Plain integer coefficients; used only to hold parametric families
-    over Z before reduction mod p.  Not a field: no inverses."""
+    over Z before reduction mod p.  Not a field: no inverses, and only the
+    raw operations that parsing and polynomial arithmetic use."""
 
     kind = "integers"
     characteristic = 0
@@ -64,10 +72,6 @@ class IntegerDomain:
     @staticmethod
     def add(a, b):
         return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
     @staticmethod
     def neg(a):
@@ -84,10 +88,6 @@ class IntegerDomain:
     @staticmethod
     def from_int(n):
         return n
-
-    @staticmethod
-    def pow(a, n):
-        return a**n
 
     @staticmethod
     def format_raw(a):
@@ -261,7 +261,12 @@ class PolynomialRing:
         return Polynomial(self, ((0, self.domain.one),))
 
     def constant(self, value) -> "Polynomial":
-        raw = value.raw if isinstance(value, FieldElement) else self.domain.from_int(value)
+        if isinstance(value, int):
+            raw = self.domain.from_int(value)
+        elif isinstance(self.domain, Field):
+            raw = self.domain(value).raw
+        else:
+            raise StructuralError(f"cannot coerce {value!r} into {self.domain}")
         if self.domain.is_zero(raw):
             return self.zero
         return Polynomial(self, ((0, raw),))
@@ -279,12 +284,10 @@ class PolynomialRing:
 
     def parse(self, text: str) -> "Polynomial":
         def atom(tok):
-            if isinstance(tok, int):
-                return self.constant(tok)
             if tok in self.variables:
                 return self.var(tok)
-            # allow the coefficient field's own symbols (extension generator,
-            # rational-function transcendental) as constants
+            # int literals and the coefficient field's own symbols (extension
+            # generator, rational-function transcendental) are constants
             try:
                 raw = self.domain._parse_atom(tok)
             except ValidationError:
@@ -374,16 +377,20 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check_ring(self, other: "Polynomial"):
+    def _operand(self, other):
+        """`other` as a polynomial of this ring, or NotImplemented."""
+        if isinstance(other, (int, FieldElement)):
+            return self.ring.constant(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if other.ring is not self.ring and other.ring != self.ring:
             raise StructuralError("polynomials of different rings")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = self.ring.constant(other)
-        elif not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check_ring(other)
         return self.ring.polynomial(list(self._terms) + list(other._terms))
 
     __radd__ = __add__
@@ -393,9 +400,8 @@ class Polynomial:
         return Polynomial(self.ring, tuple((k, neg(c)) for k, c in self._terms))
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = self.ring.constant(other)
-        elif not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.__add__(-other)
 
@@ -403,15 +409,10 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            raw = other.raw if isinstance(other, FieldElement) else self.ring.domain.from_int(other)
-            dom = self.ring.domain
-            if dom.is_zero(raw):
-                return self.ring.zero
-            return self.ring.polynomial((k, dom.mul(c, raw)) for k, c in self._terms)
-        if not isinstance(other, Polynomial):
+        # a scalar is a one-term polynomial, so the product loop serves it
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check_ring(other)
         if not self._terms or not other._terms:
             return self.ring.zero
         dom = self.ring.domain

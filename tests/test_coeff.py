@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hklab import (
     ExtensionField,
+    PolynomialRing,
     PrimeField,
     RationalFunctionField,
     StructuralError,
@@ -202,6 +203,18 @@ def test_rational_functions_over_an_extension_base():
     assert u == GF4T.parse("t^2 + s + 1")
     assert (t + s).inverse() * (t + s) == GF4T(1)
     assert frobenius(t + s, 1) == u
+
+
+def test_dense_rational_functions_print_and_parse_back():
+    a = F3T.parse("2*t^2 + t + 1")
+    assert repr(a) == "2*t^2 + t + 1"
+    assert repr(a / F3T.parse("t + 2")) == "(2*t^2 + t + 1)/(t + 2)"
+    b = GF4T.parse("s*t^2 + (s + 1)*t + 1")
+    assert repr(b) == "s*t^2 + (s + 1)*t + 1"
+    ring = PolynomialRing(F3T, ("x", "y"))
+    f = ring.parse("(2*t + 1)*x^2 + t*y + 2")
+    assert repr(f) == "(2*t + 1)*x^2 + t*y + 2"
+    assert (F3T.parse(repr(a)), GF4T.parse(repr(b)), ring.parse(repr(f))) == (a, b, f)
 
 
 def test_field_elements_are_immutable():

@@ -72,6 +72,18 @@ def test_degenerate_fiber_is_rejected():
         specialize_fiber(Fideal, FiberSpec.special(t=0))
 
 
+def test_z_family_fibers_equal_the_generators_parsed_mod_p():
+    # a subtraction, a repeated monomial and an integer power over Z
+    gens = ("x^2 - 3*x*y + 2*x^2 - 7", "(x - y)^3")
+    F = FamilySpec("integers", ("x", "y"), (), gens)
+    for p in (2, 3, 5, 7):
+        _, I = specialize_fiber(F, FiberSpec.at_prime(p))
+        ring = PolynomialRing(PrimeField(p), ("x", "y"))
+        assert I.generators == tuple(ring.parse(g) for g in gens), p
+    with pytest.raises(ValidationError, match="'u'"):
+        FamilySpec("integers", ("x", "y"), (), ("x + u",))
+
+
 def test_family_generators_must_be_strings():
     # a polynomial of another ring would be read through its keys: (x + 1, y) at t = 1
     R5 = PolynomialRing(PrimeField(5), ("a", "b", "c"))

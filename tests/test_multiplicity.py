@@ -1,6 +1,7 @@
 """Hilbert-Kunz / Hilbert-Samuel functions, estimates, and signature searches."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -269,6 +270,18 @@ def test_rsig_two_dimensional_socle_uses_both_charts():
     assert res.minimum >= 0
     # three lines are not F-rational: the sampled minimum shrinks like 1/q
     assert res.minimum <= Fraction(1, 4)
+
+
+def test_rsig_three_dimensional_socle_reaches_every_projective_point():
+    # four coordinate lines: the socle modulo x + y + z + w is w, z, y
+    ring = PolynomialRing(F2, ("x", "y", "z", "w"))
+    R = QuotientRingSpec(ring, [ring.parse(t) for t in ("x*y", "x*z", "x*w", "y*z", "y*w", "z*w")])
+    res = rsig_search(R, IdealPresentation(ring, (ring.parse("x + y + z + w"),)), e_max=2)
+    assert res.socle == tuple(ring.parse(t) for t in ("w", "z", "y"))
+    coeff_vectors = [tuple(c.raw for c in row.coefficients) for row in res.rows]
+    # the charts (c, 1) and (1, c) give six points of P^2(F_2); (0, 1, 0) is the seventh
+    assert len(coeff_vectors) == 7 and coeff_vectors[-1] == (0, 1, 0)
+    assert set(coeff_vectors) == set(product((0, 1), repeat=3)) - {(0, 0, 0)}
 
 
 def test_rsig_empty_grid_validation():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklab import (
+    FiberSpec,
     IdealPresentation,
+    IntegerDomain,
     PolynomialRing,
     PrimeField,
     StructuralError,
@@ -15,6 +17,7 @@ from hklab import (
     ValidationError,
     buchberger,
     frobenius_power,
+    make_extension,
     ordinary_power,
 )
 from hklab.errors import ExponentOverflow
@@ -278,3 +281,42 @@ def test_values_are_immutable():
     ideal = IdealPresentation(R2, (x, y))
     with pytest.raises(AttributeError):
         ideal.generators = ()
+    with pytest.raises(AttributeError):
+        buchberger(ideal).elements = ()
+
+
+@pytest.mark.parametrize("value", [6, -3, 0, 10, F5(3), F5(0)], ids=repr)
+def test_scalars_agree_with_field_call(value):
+    x, _ = R5.gens()
+    c = F5(value).raw  # the one coercion rule
+    const = R5.polynomial([(0, c)])
+    assert R5.constant(value) == const
+    assert x * value == value * x == R5.polynomial((k, F5.mul(r, c)) for k, r in x._terms)
+    assert x + value == value + x == x + const
+    assert x - value == x + (-const)
+    assert value - x == const + (-x)
+    a = F5(2)
+    assert (a + value, a - value, a * value) == (F5(2 + c), F5(2 - c), F5(2 * c))
+    assert (value + a, value - a, value * a) == (F5(c + 2), F5(c - 2), F5(c * 2))
+    if c:
+        assert a / value == F5.element(F5.div(2, c))
+
+
+ALIEN = PrimeField(7)(6)
+X5 = R5.var("x")
+ZX = PolynomialRing(IntegerDomain(), ("x",)).var("x")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: F5(1) + ALIEN, lambda: ALIEN + F5(1), lambda: F5(1) - ALIEN,
+    lambda: ALIEN - F5(1), lambda: F5(1) * ALIEN, lambda: ALIEN * F5(1),
+    lambda: F5(1) / ALIEN,
+    lambda: X5 + ALIEN, lambda: ALIEN + X5, lambda: X5 - ALIEN, lambda: ALIEN - X5,
+    lambda: X5 * ALIEN, lambda: ALIEN * X5, lambda: X5**2 + ALIEN,
+    lambda: R5.constant(ALIEN), lambda: R2.constant(make_extension(2, 2)(1)),
+    lambda: ZX.ring.constant(F5(1)), lambda: ZX + F5(6), lambda: F5(6) * ZX,
+    lambda: FiberSpec.special(t=F5(1), u=ALIEN),
+])
+def test_an_element_of_another_field_is_structural_at_every_scalar_entry_point(call):
+    with pytest.raises(StructuralError):
+        call()
