@@ -40,6 +40,18 @@ def tokenize(text):
     return out
 
 
+def writes_as_variable(name, atom) -> bool:
+    """Whether an expression can write `name` as a variable: it is one NAME
+    token, and `atom`, the reader of the constants beside it, rejects it."""
+    m = isinstance(name, str) and _TOKEN.fullmatch(name)
+    if m and m.group(2) == name:
+        try:
+            atom(name)
+        except ValidationError:
+            return True
+    return False
+
+
 class Evaluator:
     """Evaluates an expression over caller-supplied semantics.
 

@@ -24,18 +24,22 @@ becomes a coefficient in Field._parse_atom.
 
 Field objects expose raw-level methods (add, mul, inv, ...) used by the
 polynomial engine's hot loops; FieldElement is a thin immutable wrapper
-with operator overloading for everything user-facing.
+with operator overloading for everything user-facing, all binary
+operators built by one helper over those methods.  Two fields are equal
+when their `_key()` tuples are, and hash by that key.
 
 A GF(p^m) of at most _TABLE_MAX_SIZE elements multiplies, inverts and
-raises to powers by discrete-log (log/antilog) table lookup; its raw
-elements are the same m-tuples.  Larger extensions keep the convolution
-multiply and the extended-Euclid inverse, which are also the reference
-the table path is tested against.
+raises to powers by discrete-log (log/antilog) table lookup, with tables
+built from the powers of its first primitive element; its raw elements
+are the same m-tuples.  Larger extensions multiply by `_mulmod`, the one
+product modulo the modulus (also the product of the irreducibility test
+and of the table build), and invert by extended Euclid; both are the
+reference the table path is tested against.
 """
 
 from __future__ import annotations
 
-from ._expr import Evaluator
+from ._expr import Evaluator, writes_as_variable
 from .errors import StructuralError, ValidationError
 
 MAX_CHARACTERISTIC = 1 << 31
@@ -322,6 +326,12 @@ class Field:
         """Iterate all elements (finite fields only), in a fixed order."""
         raise ValidationError(f"{self} is not a finite field")
 
+    def __eq__(self, other):
+        return isinstance(other, Field) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 class PrimeField(Field):
     """The prime field F_p; raw elements are ints in [0, p)."""
@@ -373,14 +383,30 @@ class PrimeField(Field):
     def format_raw(self, a):
         return str(a)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
+    def _key(self):
+        return ("prime", self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+def _mulmod(a, b, modulus, p):
+    """The product of the m-coordinate tuples a and b modulo the monic
+    `modulus` (m + 1 coefficients, low to high) over F_p: an integer
+    convolution, then coefficients 2m - 2 down to m cleared with the
+    modulus, then one reduction mod p."""
+    m = len(modulus) - 1
+    conv = [0] * (2 * m - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                conv[i + j] += ca * cb
+    for i in range(2 * m - 2, m - 1, -1):
+        c = conv[i] % p
+        if c:
+            for j in range(m):
+                conv[i - m + j] -= c * modulus[j]
+    return tuple(c % p for c in conv[:m])
 
 
 def _validate_irreducible(p: int, modulus: tuple) -> None:
@@ -390,14 +416,11 @@ def _validate_irreducible(p: int, modulus: tuple) -> None:
     root (linear factor) check.
     """
     ops = _DensePolys(PrimeField(p))
-
-    def mulmod(a, b):
-        return ops.divmod(ops.mul(a, b), modulus)[1]
-
-    x = (0, 1)
-    t = x
-    for _ in range(ops.deg(modulus) // 2):
-        t = power(mulmod, ops.one, t, p)  # t = x^(p^i) mod f after i steps
+    m = ops.deg(modulus)
+    t = x = (0, 1) + (0,) * (m - 2)
+    for _ in range(m // 2):
+        # t = x^(p^i) mod f after i steps, as m coordinates
+        t = power(lambda a, b: _mulmod(a, b, modulus, p), (1,) + (0,) * (m - 1), t, p)
         g = ops.gcd_monic(modulus, ops.sub(t, x))
         if ops.deg(g) > 0:
             raise ValidationError(f"modulus {modulus} is reducible over GF({p})")
@@ -406,10 +429,11 @@ def _validate_irreducible(p: int, modulus: tuple) -> None:
 class ExtensionField(Field):
     """GF(p^m) presented as F_p[s]/(modulus); raw elements are m-tuples.
 
-    Up to _TABLE_MAX_SIZE elements, `_exp[k]` is g^k for a primitive
-    element g (listed twice, so a sum of two logarithms needs no modulo)
-    and `_log` maps each nonzero m-tuple to its exponent; above the cap
-    both are None and arithmetic convolves and runs extended Euclid.
+    Up to _TABLE_MAX_SIZE elements, `_exp[k]` is g^k for g the first
+    primitive element in `elements()` order (listed twice, so a sum of two
+    logarithms needs no modulo) and `_log` maps each nonzero m-tuple to its
+    exponent; above the cap both are None, products go through `_mulmod`
+    and inverses through extended Euclid.
     In characteristic 2 up to the same cap, `_mask` maps each m-tuple to
     the integer whose bit i is its coordinate i and `_from_mask` inverts
     it, so a sum or difference is one XOR of two masks; otherwise both
@@ -433,41 +457,28 @@ class ExtensionField(Field):
         self.size = p**self.degree
         self.zero = (0,) * self.degree
         self.one = (1,) + (0,) * (self.degree - 1)
-        # s^(m+i) mod modulus, for reducing products of degree < 2m-1
         self._ops = _DensePolys(prime)
-        self._reduction = []
-        s_power = tuple(modulus[:-1])  # s^m = -tail (monic, char p)
-        s_power = tuple(-c % p for c in s_power)
-        for _ in range(self.degree - 1):
-            self._reduction.append(s_power)
-            shifted = (0,) + s_power
-            s_power = self._reduce_once(shifted)
         self._log = self._exp = None
         self._mask = self._from_mask = None
         if self.size <= _TABLE_MAX_SIZE:
-            self._build_tables(self._primitive_element())
+            self._build_tables()
             if p == 2:
                 self._from_mask = list(self.elements())  # v -> the bits of v
                 self._mask = {a: v for v, a in enumerate(self._from_mask)}
 
-    def _primitive_element(self):
-        """The first element, in `elements()` order, of multiplicative order
-        q - 1: g^((q-1)/r) != 1 for every prime r dividing q - 1.  The
-        generator s need not be one."""
+    def _build_tables(self):
+        """Fill the log/antilog tables from the powers of g, the first element
+        in `elements()` order of multiplicative order q - 1: g^((q-1)/r) != 1
+        for every prime r dividing q - 1 (the generator s need not be one).
+        The powers must be q - 1 distinct nonzero elements; a StructuralError
+        otherwise, with the tables left as they were."""
         order = self.size - 1
         cofactors = [order // r for r in _prime_divisors(order)]
         for g in self.elements():
             if g != self.zero and all(
                 power(self._mul_conv, self.one, g, c) != self.one for c in cofactors
             ):
-                return g
-        raise StructuralError(f"{self} has no primitive element")  # unreachable
-
-    def _build_tables(self, g):
-        """Fill the log/antilog tables from the powers of g, which must be
-        q - 1 distinct nonzero elements; a StructuralError otherwise, with
-        the tables left as they were."""
-        order = self.size - 1
+                break
         exp = [self.one]
         for _ in range(order - 1):
             exp.append(self._mul_conv(exp[-1], g))
@@ -476,17 +487,6 @@ class ExtensionField(Field):
             raise StructuralError(f"{g} is not a primitive element of {self}")
         self._exp = exp + exp
         self._log = log
-
-    def _reduce_once(self, cs):
-        m, p = self.degree, self.p
-        out = list(cs[:m]) + [0] * (m - len(cs[:m]))
-        for i in range(len(cs) - 1, m - 1, -1):
-            c = cs[i]
-            if c:
-                table = self._reduction[i - m]
-                for j, r in enumerate(table):
-                    out[j] = (out[j] + c * r) % p
-        return tuple(out)
 
     def add(self, a, b):
         mask = self._mask
@@ -518,13 +518,7 @@ class ExtensionField(Field):
         return self._exp[log[a] + log[b]]
 
     def _mul_conv(self, a, b):
-        m, p = self.degree, self.p
-        conv = [0] * (2 * m - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ca * cb) % p
-        return self._reduce_once(tuple(conv))
+        return _mulmod(a, b, self.modulus, self.p)
 
     def inv(self, a):
         if a == self.zero:
@@ -572,15 +566,8 @@ class ExtensionField(Field):
                 parts.append(f"{head}{self.generator}" + (f"^{i}" if i > 1 else ""))
         return " + ".join(parts) if parts else "0"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("extension", self.p, self.modulus))
+    def _key(self):
+        return ("extension", self.p, self.modulus)
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
@@ -594,6 +581,8 @@ class RationalFunctionField(Field):
     def __init__(self, base: Field, var: str = "t"):
         if base.kind not in ("prime", "extension"):
             raise ValidationError("rational-function base must be a finite field")
+        if not writes_as_variable(var, base._parse_atom):
+            raise ValidationError(f"{var!r} cannot be written as a variable over {base!r}")
         self.base = base
         self.var = var
         self.characteristic = base.characteristic
@@ -697,18 +686,24 @@ class RationalFunctionField(Field):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunctionField)
-            and other.base == self.base
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return hash(("ratfunc", self.base, self.var))
+    def _key(self):
+        return ("ratfunc", self.base, self.var)
 
     def __repr__(self):
         return f"{self.base!r}({self.var})"
+
+
+def _operator(name):
+    """The FieldElement operator applying the raw field method `name` to
+    self and K(other); NotImplemented unless other is an int or a FieldElement."""
+
+    def apply(self, other):
+        if not isinstance(other, (FieldElement, int)):
+            return NotImplemented
+        field = self.field
+        return FieldElement(field, getattr(field, name)(self.raw, field(other).raw))
+
+    return apply
 
 
 class FieldElement:
@@ -723,41 +718,13 @@ class FieldElement:
     def __setattr__(self, *_):
         raise AttributeError("FieldElement is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return self.field(other).raw
-        return NotImplemented
-
-    def __add__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.raw, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.raw, raw))
+    __add__ = __radd__ = _operator("add")
+    __sub__ = _operator("sub")
+    __mul__ = __rmul__ = _operator("mul")
+    __truediv__ = _operator("div")
 
     def __rsub__(self, other):
         return (-self).__add__(other)
-
-    def __mul__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.raw, raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.raw, raw))
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.raw))

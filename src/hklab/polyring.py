@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import operator
 
-from ._expr import Evaluator
+from ._expr import Evaluator, writes_as_variable
 from .coeff import Field, FieldElement, power
 from .errors import ExponentOverflow, StructuralError, ValidationError
 
@@ -177,6 +177,9 @@ class PolynomialRing:
             raise ValidationError("a polynomial ring needs at least one variable: 'vars' is empty")
         if len(set(self.variables)) != len(self.variables):
             raise ValidationError(f"duplicate variable names: {self.variables}")
+        for name in self.variables:
+            if not writes_as_variable(name, domain._parse_atom):
+                raise ValidationError(f"{name!r} cannot be written as a variable over {domain!r}")
         self.nvars = len(self.variables)
         self.order = order or TermOrder()
         self._priority = self.order.resolved_priority(self.nvars)

@@ -176,6 +176,19 @@ def test_malformed_config_value_exit_2_names_the_field(tmp_path, capsys, command
     assert f"config field {name!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, variables", [
+    ({"kind": "extension", "p": 2, "m": 2}, ["s", "x"]),  # s names the generator of GF(4)
+    ({"kind": "rational_function", "p": 2, "m": 2, "var": "s"}, ["x", "y"]),
+    ({"kind": "prime", "p": 2}, ["x", "x^2"]),
+    ({"kind": "rational_function", "p": 2, "var": "2"}, ["x", "y"]),
+], ids=["generator-as-variable", "generator-as-var", "power-as-variable", "integer-as-var"])
+def test_a_name_that_an_expression_cannot_write_exit_2(tmp_path, capsys, field, variables):
+    payload = {"field": field, "vars": variables, "generators": ["x"]}
+    cfg = write_config(tmp_path, "names.json", payload)
+    assert run(RunConfig("groebner", cfg, str(tmp_path / "out"))) == 2
+    assert "cannot be written as a variable" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ideal", ["(" * 300 + "x" + ")" * 300, "-" * 5000 + "x"],
                          ids=["parentheses", "unary-minus"])
 def test_deeply_nested_expression_exit_2(tmp_path, capsys, ideal):

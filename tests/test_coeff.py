@@ -1,5 +1,6 @@
 """Field arithmetic: laws, Frobenius, canonical forms, construction."""
 
+import random
 from itertools import product
 
 import pytest
@@ -301,6 +302,46 @@ def test_table_arithmetic_agrees_with_convolution_on_every_modulus(p, m, monkeyp
             table.pow(table.zero, -1)
 
 
+def _moebius(n):
+    divisors = coeff._prime_divisors(n)
+    if any(n % (r * r) == 0 for r in divisors):
+        return 0
+    return (-1) ** len(divisors)
+
+
+GAUSS_CASES = [(2, m) for m in range(2, 11)] + [(3, m) for m in range(2, 7)] + [
+    (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (13, 2)
+]
+
+
+@pytest.mark.parametrize("p,m", GAUSS_CASES, ids=lambda v: str(v))
+def test_irreducibility_test_accepts_gauss_count_of_moduli(p, m):
+    # monic irreducibles of degree m over F_p: (1/m) sum_{d | m} mu(d) p^(m/d)
+    want = sum(_moebius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    accepted = 0
+    for tail in coeff._digit_vectors(p, m):
+        try:
+            coeff._validate_irreducible(p, tail + (1,))
+        except ValidationError:
+            continue
+        accepted += 1
+    assert accepted == want
+
+
+@pytest.mark.parametrize("p,m", [(2, 13), (2, 20), (3, 9), (67, 2)], ids=lambda v: str(v))
+def test_products_above_the_table_cap_match_polynomial_division(p, m):
+    field = make_extension(p, m)
+    assert field.size > coeff._TABLE_MAX_SIZE
+    ops = coeff._DensePolys(PrimeField(p))
+    rng = random.Random(p * 100 + m)
+    for _ in range(200):
+        a, b = (tuple(rng.randrange(p) for _ in range(m)) for _ in range(2))
+        rem = ops.divmod(ops.mul(ops._trim(a), ops._trim(b)), field.modulus)[1]
+        assert field.mul(a, b) == rem + (0,) * (m - len(rem))
+        if a != field.zero:
+            assert field.mul(a, field.inv(a)) == field.one
+
+
 def test_tables_do_not_need_a_primitive_generator():
     # s is a root of x^4 + x^3 + x^2 + x + 1, which divides x^5 - 1
     field = ExtensionField(2, (1, 1, 1, 1, 1))
@@ -311,13 +352,15 @@ def test_tables_do_not_need_a_primitive_generator():
     assert (1, 1, 1, 1, 1) in _irreducible_moduli(2, 4)
 
 
-def test_table_build_rejects_a_non_primitive_element():
+def test_table_build_rejects_a_non_primitive_element(monkeypatch):
     field = ExtensionField(2, (1, 1, 1, 1, 1))
     exp, log = field._exp, field._log
+    # with no prime divisors the order test accepts 1, whose powers repeat at once
+    monkeypatch.setattr(coeff, "_prime_divisors", lambda n: [])
     with pytest.raises(StructuralError):
-        field._build_tables((0, 1, 0, 0))  # s has order 5, not 15
+        field._build_tables()
     with pytest.raises(StructuralError):
-        GF9._build_tables(GF9.from_int(2))  # -1 has order 2, not 8
+        GF9._build_tables()
     assert field._exp is exp and field._log is log
 
 

@@ -273,6 +273,30 @@ def test_repr_parses_back():
             assert ring.parse(repr(f)) == f, repr(f)
 
 
+def test_a_name_that_an_expression_cannot_write_is_rejected():
+    from hklab import RationalFunctionField
+
+    gf4 = make_extension(2, 2)
+    # over GF(4), "s" reads as the field generator, so x*s would print and parse wrongly
+    for domain, variables in [
+        (gf4, ("s", "x")),
+        (RationalFunctionField(F2, "u"), ("x", "u")),
+        (F2, ("x", "x^2")),
+        (F2, ("x", "2")),
+        (F2, ("x", " y")),
+        (F2, ("x", "")),
+    ]:
+        with pytest.raises(ValidationError, match="cannot be written as a variable"):
+            PolynomialRing(domain, variables)
+    for base, var in [(gf4, "s"), (F2, "2"), (F2, "t^2"), (F2, "t t")]:
+        with pytest.raises(ValidationError, match="cannot be written as a variable"):
+            RationalFunctionField(base, var)
+    ring = PolynomialRing(gf4, ("x", "y_1", "_z"))
+    x = ring.gens()[0]
+    f = x * gf4.parse("s")
+    assert ring.parse(repr(f)) == f
+
+
 def test_values_are_immutable():
     x, y, _ = R2.gens()
     f = x + y
