@@ -121,9 +121,7 @@ class Evaluator:
 
     def _atomic(self):
         kind, tok = self._next()
-        if kind == "int":
-            return self.atom(tok)
-        if kind == "name":
+        if kind in ("int", "name"):
             return self.atom(tok)
         if kind == "op" and tok == "(":
             value = self._expr()

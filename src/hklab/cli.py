@@ -109,6 +109,11 @@ HK_HEADER = (
 )
 
 
+def _sample_cells(label, s) -> tuple:
+    return (label, s.e, s.q, s.length, s.normalized.numerator,
+            s.normalized.denominator, _dec(s.normalized))
+
+
 def _hk_csv_rows(label, samples, estimate, verdict_text):
     rows = []
     for s in samples:
@@ -116,10 +121,7 @@ def _hk_csv_rows(label, samples, estimate, verdict_text):
             est, dh, eb = _dec(estimate.value), _dec(estimate.d_hat), _dec(estimate.error_bound)
         else:
             est = dh = eb = ""
-        rows.append(
-            (label, s.e, s.q, s.length, s.normalized.numerator,
-             s.normalized.denominator, _dec(s.normalized), est, dh, eb, verdict_text)
-        )
+        rows.append(_sample_cells(label, s) + (est, dh, eb, verdict_text))
     return rows
 
 
@@ -141,6 +143,15 @@ def _sample_payload(s) -> dict:
         "length": s.length,
         "normalized": _frac(s.normalized),
         "normalized_decimal": float(s.normalized),
+    }
+
+
+def _fiber_payload(row, **extra) -> dict:
+    return {
+        "fiber": row.label,
+        "dimension": row.dimension,
+        "samples": [_sample_payload(s) for s in row.samples],
+        **extra,
     }
 
 
@@ -344,12 +355,7 @@ def _cmd_sweep(run: RunConfig, cfg: dict):
     files = _write_csv(run, "sweep.csv", HK_HEADER, csv_rows)
     payload = {
         "fibers": [
-            {
-                "fiber": r.label,
-                "dimension": r.dimension,
-                "samples": [_sample_payload(s) for s in r.samples],
-                "estimate": _estimate_payload(r.estimate) if r.estimate else None,
-            }
+            _fiber_payload(r, estimate=_estimate_payload(r.estimate) if r.estimate else None)
             for r in result.rows
         ],
         "verdicts": _verdict_payload(verdicts),
@@ -379,10 +385,7 @@ def _cmd_modp(run: RunConfig, cfg: dict):
         for i, s in enumerate(row.samples):
             delta = _dec(row.deltas[i - 1]) if i >= 1 else ""
             p_delta = _dec(row.p_deltas[i - 1]) if i >= 1 else ""
-            csv_rows.append(
-                (row.label, s.e, s.q, s.length, s.normalized.numerator,
-                 s.normalized.denominator, _dec(s.normalized), delta, p_delta)
-            )
+            csv_rows.append(_sample_cells(row.label, s) + (delta, p_delta))
     files = _write_csv(
         run, "modp.csv",
         ("fiber", "e", "q", "length", "normalized_num", "normalized_den",
@@ -391,13 +394,7 @@ def _cmd_modp(run: RunConfig, cfg: dict):
     )
     payload = {
         "rows": [
-            {
-                "fiber": r.label,
-                "prime": r.prime,
-                "dimension": r.dimension,
-                "samples": [_sample_payload(s) for s in r.samples],
-                "p_deltas": [_frac(d) for d in r.p_deltas],
-            }
+            _fiber_payload(r, prime=r.prime, p_deltas=[_frac(d) for d in r.p_deltas])
             for r in result.rows
         ],
         "per_e_bounds": [None if b is None else _frac(b) for b in result.per_e_bounds],

@@ -81,11 +81,18 @@ def _digit_vectors(p: int, m: int):
 # _BinaryPolys: polynomials over F_2 as int bitmasks (fast XOR arithmetic).
 # _DensePolys:  polynomials over an arbitrary coefficient field as tuples.
 # Both expose the same method surface so RationalFunctionField can treat
-# them interchangeably.
+# them interchangeably, and share one Euclid.
 # ---------------------------------------------------------------------------
 
 
-class _BinaryPolys:
+class _UnivariatePolys:
+    def gcd_monic(self, a, b):
+        while b:  # the zero polynomial, 0 or (), is false in both
+            a, b = b, self.divmod(a, b)[1]
+        return self.make_monic(a)
+
+
+class _BinaryPolys(_UnivariatePolys):
     zero = 0
     one = 1
 
@@ -128,10 +135,8 @@ class _BinaryPolys:
             a ^= b << shift
         return q, a
 
-    @classmethod
-    def gcd_monic(cls, a, b):
-        while b:
-            a, b = b, cls.divmod(a, b)[1]
+    @staticmethod
+    def make_monic(a):
         return a  # over F_2 every nonzero polynomial is monic
 
     @staticmethod
@@ -157,7 +162,7 @@ class _BinaryPolys:
         return r
 
 
-class _DensePolys:
+class _DensePolys(_UnivariatePolys):
     """Dense univariate arithmetic over a coefficient field `K` (raw level)."""
 
     def __init__(self, K):
@@ -222,11 +227,6 @@ class _DensePolys:
                 rem[shift + i] = self.K.sub(rem[shift + i], self.K.mul(factor, c))
             rem.pop()
         return self._trim(q), self._trim(rem)
-
-    def gcd_monic(self, a, b):
-        while b:
-            a, b = b, self.divmod(a, b)[1]
-        return self.make_monic(a)
 
     def make_monic(self, a):
         if not a or a[-1] == self.K.one:
@@ -409,6 +409,25 @@ def _mulmod(a, b, modulus, p):
     return tuple(c % p for c in conv[:m])
 
 
+def _format_powers(texts, name: str) -> str:
+    """The univariate polynomial in `name` whose coefficients, low to high,
+    print as `texts`, highest power first; a coefficient printed with a
+    sign or a sum is parenthesized before a power."""
+    parts = []
+    for i in range(len(texts) - 1, -1, -1):
+        text = texts[i]
+        if text == "0":
+            continue
+        if i == 0:
+            parts.append(text)
+            continue
+        if "+" in text or "-" in text:
+            text = f"({text})"
+        head = "" if text == "1" else f"{text}*"
+        parts.append(f"{head}{name}" + (f"^{i}" if i > 1 else ""))
+    return " + ".join(parts) if parts else "0"
+
+
 def _validate_irreducible(p: int, modulus: tuple) -> None:
     """Check a monic modulus over F_p for irreducibility.
 
@@ -554,17 +573,7 @@ class ExtensionField(Field):
         return super()._parse_atom(tok)
 
     def format_raw(self, a):
-        parts = []
-        for i in range(self.degree - 1, -1, -1):
-            c = a[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}{self.generator}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts) if parts else "0"
+        return _format_powers([str(c) for c in a], self.generator)
 
     def _key(self):
         return ("extension", self.p, self.modulus)
@@ -656,23 +665,7 @@ class RationalFunctionField(Field):
         return super()._parse_atom(tok)
 
     def _format_upoly(self, a):
-        coeffs = self._ops.coeffs(a)
-        if not coeffs:
-            return "0"
-        parts = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if self.base.is_zero(c):
-                continue
-            text = self.base.format_raw(c)
-            if ("+" in text or "-" in text) and i > 0:
-                text = f"({text})"
-            if i == 0:
-                parts.append(text)
-            else:
-                head = "" if text == "1" else f"{text}*"
-                parts.append(f"{head}{self.var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts) if parts else "0"
+        return _format_powers([self.base.format_raw(c) for c in self._ops.coeffs(a)], self.var)
 
     def format_raw(self, a):
         num, den = a

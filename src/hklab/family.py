@@ -2,12 +2,14 @@
 and the sweep drivers that exercise the semicontinuity, monotonicity,
 uniform-bound, and reduction-mod-p statements on sampled fibers.
 
-A family stores its generators as polynomials in ambient variables whose
-coefficients are parameter polynomials (internally: polynomials in
-ambient + parameter variables over F_p, or over Z for the integer base).
-Specialization substitutes a parameter assignment (special fiber), the
-transcendental generator of F_p(t) (generic fiber, one parameter), or
-reduces integer coefficients mod p (fiber of the Z-family).
+A family keeps its generators as the strings it was given, checked by
+parsing them as polynomials in ambient + parameter variables over F_p,
+or over Z for the integer base.  A fiber reads the same strings in its
+own ring: at a parameter assignment (special fiber) each parameter reads
+as its value, at the generic fiber (one parameter) as the transcendental
+of F_p(t), and at a prime p (fiber of the Z-family) the integers read
+mod p.  Evaluation at a point is a ring map, so reading the strings
+there gives the family's polynomials evaluated at the point.
 
 Verdicts are pure functions of the computed row tables, so a saved table
 reproduces its verdict; sampled fibers give evidence for the statements,
@@ -41,7 +43,7 @@ from .multiplicity import (
     hk_function,
     hs_function,
 )
-from .polyring import IdealPresentation, IntegerDomain, Polynomial, PolynomialRing
+from .polyring import IdealPresentation, IntegerDomain, PolynomialRing
 
 
 class FamilySpec:
@@ -66,26 +68,29 @@ class FamilySpec:
         overlap = set(self.variables) & set(self.parameters)
         if overlap:
             raise ValidationError(f"parameters and variables overlap: {sorted(overlap)}")
-        # internal parse ring: ambient variables first, then parameters
-        self._ring = PolynomialRing(domain, self.variables + self.parameters)
-        self.defining = tuple(self._parse_all(defining, "defining"))
-        self.ideal = tuple(self._parse_all(ideal, "ideal"))
+        # the parse ring: ambient variables first, then parameters
+        ring = PolynomialRing(domain, self.variables + self.parameters)
+        self.defining_texts, self.defining = _parse_all(ring, defining, "defining")
+        self.ideal_texts, self.ideal = _parse_all(ring, ideal, "ideal")
         if not self.ideal:
             raise ValidationError("family ideal needs at least one generator")
         for g in self.defining + self.ideal:
             if g.is_zero():
                 raise ValidationError("zero generator in family")
 
-    def _parse_all(self, gens, what):
-        # a Polynomial of another ring would be read through its keys, silently wrong
-        for g in gens:
-            if not isinstance(g, str):
-                raise ValidationError(f"family {what!r} needs strings, got {g!r}")
-        return [self._ring.parse(g) for g in gens]
-
     def __repr__(self):
         base = "ZZ" if self.base_kind == "integers" else f"GF({self.p})[{','.join(self.parameters)}]"
         return f"FamilySpec({base} -> vars {self.variables})"
+
+
+def _parse_all(ring, gens, what):
+    """(the generator strings, their polynomials in `ring`); each fiber
+    parses the same strings again in its own ring."""
+    texts = tuple(gens)
+    for g in texts:
+        if not isinstance(g, str):
+            raise ValidationError(f"family {what!r} needs strings, got {g!r}")
+    return texts, tuple(ring.parse(g) for g in texts)
 
 
 class FiberSpec:
@@ -137,18 +142,23 @@ class FiberSpec:
 
 
 def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
-    """Substitute a fiber's point into the family.
+    """The family at a fiber's point, as (QuotientRingSpec,
+    IdealPresentation) over the fiber field.
 
-    Returns (QuotientRingSpec, IdealPresentation) over the fiber field.
+    The fiber ring parses the family's generator strings itself: over F_p
+    at a prime, over F_p(t) at the generic point, where the parameter reads
+    as the transcendental, and over the field of the values at a special
+    point, where each parameter reads as its value.  Evaluation at a point
+    is a ring map, so this is the family's polynomials taken at the point.
     Family-ideal generators that specialize to zero are dropped; a
     defining-ideal generator specializing to zero degenerates the fiber
     ring and is an error (dimension jumps would corrupt normalization).
     """
+    values = None
     if F.base_kind == "integers":
         if fiber.kind != "prime":
             raise ValidationError("integer-base families only have PRIME fibers")
         target = PrimeField(fiber.prime)
-        assignment_raws = {}
     else:
         if fiber.kind == "prime":
             raise ValidationError("PRIME fibers require an integer-base family")
@@ -158,7 +168,6 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
                     "GENERIC fibers are supported for exactly one parameter"
                 )
             target = RationalFunctionField(PrimeField(F.p), var=F.parameters[0])
-            assignment_raws = {F.parameters[0]: target.t}
         else:
             missing = set(F.parameters) - set(fiber.assignments)
             if missing:
@@ -171,36 +180,18 @@ def specialize_fiber(F: FamilySpec, fiber: FiberSpec):
                 raise ValidationError(
                     f"fiber field has characteristic {target.characteristic}, family has {F.p}"
                 )
-            assignment_raws = {k: target(v).raw for k, v in fiber.assignments.items()}
+            values = {k: target(v).raw for k, v in fiber.assignments.items()}
 
     fiber_ring = PolynomialRing(target, F.variables)
-    nvars = len(F.variables)
-
-    def substitute(g: Polynomial) -> Polynomial:
-        terms = []
-        for key, coeff in g._terms:
-            exps = F._ring.decode(key)
-            value = target.from_int(coeff)
-            for pname, pexp in zip(F.parameters, exps[nvars:]):
-                if pexp:
-                    value = target.mul(value, target.pow(assignment_raws[pname], pexp))
-            terms.append((fiber_ring.encode(exps[:nvars]), value))
-        return fiber_ring.polynomial(terms)
-
     defining = []
-    for g in F.defining:
-        s = substitute(g)
+    for text, g in zip(F.defining_texts, F.defining):
+        s = fiber_ring.parse(text, values)
         if s.is_zero():
             raise ValidationError(
                 f"degenerate fiber {fiber.label}: defining generator {g!r} specializes to zero"
             )
         defining.append(s)
-    ideal_gens = []
-    for g in F.ideal:
-        s = substitute(g)
-        if s.is_zero():
-            continue
-        ideal_gens.append(s)
+    ideal_gens = [s for text in F.ideal_texts if (s := fiber_ring.parse(text, values))]
     if not ideal_gens:
         raise ValidationError(
             f"degenerate fiber {fiber.label}: every family-ideal generator specializes to zero"

@@ -312,30 +312,19 @@ def _gm_update(items, active, pairs, h, ring, tally):
             new.append((ring.key_of_fields(lp), g, h))
         else:
             by_product += 1
-    # queued pairs (i, j) whose lcm lead(h) divides, and equals neither
-    # lcm(i, h) nor lcm(j, h)
-    lcm_h = {g: lp for lp, _, g in cands}
+    # criterion B_k drops the queued pairs (i, j) whose lcm lead(h) divides,
+    # and equals neither lcm(i, h) nor lcm(j, h)
     kept = []
     for pair in pairs:
-        lk = pair[0]
+        lk, i, j = pair
         if ((lk | guard) - hk) & guard == guard:
             lp = lk & exp_mask
-            li = lcm_h.get(pair[1])
-            if li is None:
-                li = lcm(items[pair[1]].key, hk)
-            lj = lcm_h.get(pair[2])
-            if lj is None:
-                lj = lcm(items[pair[2]].key, hk)
-            if li != lp and lj != lp:
+            if lcm(items[i].key, hk) != lp and lcm(items[j].key, hk) != lp:
                 continue
         kept.append(pair)
     by_b_k = len(pairs) - len(kept)
-    if by_b_k:
-        pairs = kept + new
-        heapq.heapify(pairs)
-    else:
-        for pair in new:
-            heapq.heappush(pairs, pair)
+    pairs = kept + new
+    heapq.heapify(pairs)
     active = [g for g in active if ((items[g].key | guard) - hk) & guard != guard]
     active.append(h)
     tally[0] += len(cands)

@@ -89,26 +89,21 @@ class QuotientRingSpec:
         return f"{self.ring!r}/{list(self.defining)!r}"
 
 
-def _pure_power_leads(ring, term_exps) -> int:
-    """Number of variables x_i such that x_i^a (a >= 1) is the leading term,
-    in `ring`'s order, of some polynomial given by its exponent vectors."""
-    return len(pure_powers(max(exps, key=ring.encode) for exps in term_exps))
-
-
 def _noether_ring(ring: PolynomialRing, defining) -> PolynomialRing:
     """`ring`, or the same ring with one variable moved to the front of its
     priority, whichever makes the most variables pure-power leading terms
     of the defining generators; `ring` itself on a tie.  The nvars
     candidates keep the search polynomial in the number of variables."""
-    term_exps = [[ring.decode(k) for k, _ in g._terms] for g in defining]
-    best, best_count = ring, _pure_power_leads(ring, term_exps)
+    def count(r):
+        return len(pure_powers(r.convert(g).leading_monomial().exponents for g in defining))
+
+    best, best_count = ring, count(ring)
     priority = ring.order.resolved_priority(ring.nvars)
     for v in priority[1:]:
         moved = (v,) + tuple(u for u in priority if u != v)
         cand = PolynomialRing(ring.domain, ring.variables, TermOrder(ring.order.kind, moved))
-        count = _pure_power_leads(cand, term_exps)
-        if count > best_count:
-            best, best_count = cand, count
+        if (n := count(cand)) > best_count:
+            best, best_count = cand, n
     return best
 
 

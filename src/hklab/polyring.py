@@ -285,14 +285,18 @@ class PolynomialRing:
     def gens(self):
         return tuple(self.var(v) for v in self.variables)
 
-    def parse(self, text: str) -> "Polynomial":
+    def parse(self, text: str, values: dict | None = None) -> "Polynomial":
+        """The polynomial written in `text`.  A name in `values` reads as the
+        constant with that raw coefficient, ahead of the domain's own
+        symbols; a family's fiber passes its point this way."""
+
         def atom(tok):
             if tok in self.variables:
                 return self.var(tok)
-            # int literals and the coefficient field's own symbols (extension
-            # generator, rational-function transcendental) are constants
+            # then `values`, int literals and the coefficient field's own symbols
+            # (extension generator, rational-function transcendental) are constants
             try:
-                raw = self.domain._parse_atom(tok)
+                raw = values[tok] if values and tok in values else self.domain._parse_atom(tok)
             except ValidationError:
                 raise ValidationError(
                     f"variable {tok!r} not declared in ring with variables {self.variables}"

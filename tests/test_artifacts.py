@@ -1,10 +1,11 @@
-"""Golden artifacts: the benchmark configs at seed 1 write byte-identical files.
+"""Golden artifacts: the benchmark configs at seed 1, and one small config
+per subcommand, write byte-identical files.
 
-The configs are those of `bench/workloads.py` for seed 1, embedded here as
-JSON.  Each run goes through `cli.run` in-process, with the flags the
-benchmark passes, and every file it writes is pinned by its sha256.  A
-change that means to alter an artifact updates its pin here and names it
-in CHANGES.md.
+The benchmark configs are those of `bench/workloads.py` for seed 1,
+embedded here as JSON.  Each run goes through `cli.run` in-process, with
+the flags the benchmark passes, and every file it writes is pinned by its
+sha256, with the exit code for the small configs.  A change that means to
+alter an artifact updates its pin here and names it in CHANGES.md.
 """
 
 import hashlib
@@ -75,16 +76,132 @@ SHA256 = {
 }
 
 
+# one small config per subcommand: (subcommand, config, --assume-reduced,
+# exit code, sha256 of each file written)
+SUBCOMMANDS = {
+    # the t = 0 Monsky quartic over F_2
+    "hk": ("hk", {
+        "field": {"kind": "prime", "p": 2},
+        "vars": ["x", "y", "z"],
+        "defining": ["z^4 + x*y*z^2 + (x^3+y^3)*z"],
+        "ideal": ["x", "y", "z"],
+        "e_max": 4,
+    }, False, 0, {
+        "hk.csv": "385b500c87ab6b79dbddd3ab89a5211ac89711218d934ea60beca5579b4fc109",
+        "hk.json": "af77f014580eaab452bcefad2d039de7b59d7ccc9a6f03ecf74a77820aae4890",
+        "hk_plot_series.dat": "c552d8a99afee254693ae5a035f938ce9714370dd66fb2341abf558f0f97283c",
+    }),
+    "hs": ("hs", {
+        "field": {"kind": "prime", "p": 3},
+        "vars": ["x", "y"],
+        "ideal": ["x^2", "y^3"],
+        "n_max": 6,
+    }, False, 0, {
+        "hs.csv": "53c2854a771b90f72db1690f31205ba60d84c39c528d6027eb19ac41a7c41d01",
+        "hs.json": "0ccd8e50454ff9b6ebd7d406397cefd3aea2f54cff19bfbaa249cf9db8c1ffce",
+    }),
+    "csig": ("csig", {
+        "field": {"kind": "prime", "p": 2},
+        "vars": ["x", "y"],
+        "defining": ["x*y"],
+        "sop": ["x + y"],
+        "candidates": [["x + y", "x"], ["x + y", "x^2"], ["x + y"]],
+        "e_max": 3,
+    }, False, 0, {
+        "csig.csv": "4c935e8e436f6498d4273b1c19e774dd287ad48a35d9009753f4cd6964c6c64b",
+        "csig.json": "d5b3f6f9e3ad546d234062b803bbdcb78264f920a47b501146c676525912212c",
+    }),
+    "groebner-gf4": ("groebner", {
+        "field": {"kind": "extension", "p": 2, "m": 2},
+        "vars": ["x", "y"],
+        "generators": ["x^2 + s*y", "y^3 + x*y"],
+        "matrix_of": "x + s",
+    }, False, 0, {
+        "groebner.json": "8246f16e113faef72c2f9eb2af496ca1bd9c53c8c295297731a0c520282cc1a6",
+    }),
+    "groebner-f3t-lex": ("groebner", {
+        "field": {"kind": "rational_function", "p": 3},
+        "vars": ["x", "y"],
+        "order": "lex",
+        "generators": ["t*x^2 + y", "y^2 + (t+1)*x"],
+    }, False, 0, {
+        "groebner.json": "aca53b512fcc0f57414ce3be8867d457407b0e2ce34c94b1d68dd28628961483",
+    }),
+    "disc": ("disc", {
+        "field": {"kind": "prime", "p": 5},
+        "vars": ["x", "y"],
+        "generators": ["x^3 + 2*x + 1", "y^2 - x"],
+    }, False, 0, {
+        "disc.json": "5d818ba9ce588cbadfc7c0736108e6d0f00e62e2f271e38bc2c2ebd06d7c9190",
+    }),
+    "rsig": ("rsig", {
+        "field": {"kind": "extension", "p": 2, "m": 2},
+        "vars": ["x", "y", "z"],
+        "defining": ["x*z - y^2"],
+        "sop": ["x", "z"],
+        "e_max": 3,
+    }, False, 0, {
+        "rsig.csv": "177b35fa278d360e892f18188bd910fe70c65969b708fb0f8fa6fcec306a1921",
+        "rsig.json": "0583f8788d614610568238f70348c0ae91156db519ddc42c139e669574d0e18d",
+    }),
+    # fibers at the generic point, t = 0, t = 1 and t = s + 1 in GF(9)
+    "sweep": ("sweep", {
+        "base": {"kind": "param", "p": 3, "params": ["t"]},
+        "vars": ["x", "y"],
+        "ideal": ["x^2 + t*y^2", "y^3"],
+        "fibers": [{"generic": True}, {"t": "0"}, {"t": "1"}, {"t": "s + 1", "m": 2}],
+        "e_max": 3,
+        "n_max": 5,
+        "checks": ["term_semicontinuity", "hk_monotonicity", "hs_lex", "uniform"],
+    }, True, 0, {
+        "sweep.csv": "d766f94c8060d1609cbae32cf4d7ae94dd2fb02a723b676209d44b7f624e481f",
+        "sweep.json": "ac97f66d54d42326eb6d327992d366745d1b89221b1a79046adc6e41042bbfc1",
+        "sweep_plot_generic.dat":
+            "0413f49cb2efa03f70578f54b1ab39adb1fcf17ba61230af065786bdd771d77a",
+        "sweep_plot_t_0.dat": "0413f49cb2efa03f70578f54b1ab39adb1fcf17ba61230af065786bdd771d77a",
+        "sweep_plot_t_1.dat": "0413f49cb2efa03f70578f54b1ab39adb1fcf17ba61230af065786bdd771d77a",
+        "sweep_plot_t_s___1_GF_3_2_.dat":
+            "0413f49cb2efa03f70578f54b1ab39adb1fcf17ba61230af065786bdd771d77a",
+    }),
+    # the defining generator vanishes mod 7, so modp.json holds the warning "prime 7
+    # skipped: degenerate fiber p=7: defining generator 7*y^3 + 7*x^2 specializes to zero"
+    "modp": ("modp", {
+        "base": {"kind": "integers"},
+        "vars": ["x", "y"],
+        "defining": ["7*x^2 + 7*y^3"],
+        "ideal": ["x", "y"],
+        "primes": [2, 3, 7],
+        "e_max": 3,
+    }, True, 1, {
+        "modp.csv": "d873ecb6274692f4ef3c74038ee98db3fb7093205bafb3744226a7322ffbe2c9",
+        "modp.json": "1d92b28543d030c75bb7f907e94714f822bd5886659df647827ab19d19bd936f",
+        "modp_plot_p_2.dat": "447fd735132481072560bf1e0e097235c09020e5a1404ac5ae9712504e8f6677",
+        "modp_plot_p_3.dat": "447fd735132481072560bf1e0e097235c09020e5a1404ac5ae9712504e8f6677",
+    }),
+}
+
+
+def run_and_hash(subcommand, cfg: dict, tmp_path, assume_reduced):
+    """(exit code, {file name: sha256}) of one in-process run."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = run(RunConfig(subcommand, str(path), str(out), assume_reduced=assume_reduced))
+    written = {
+        file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+        for file in sorted(os.listdir(out))
+    }
+    return code, written
+
+
 @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
 def test_bench_configs_write_the_pinned_artifacts(subcommand, tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(json.loads(CONFIGS[subcommand])))
-    out = tmp_path / "out"
-    code = run(RunConfig(subcommand, str(path), str(out),
-                         assume_reduced=ASSUME_REDUCED[subcommand]))
-    assert code == 0
-    written = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in sorted(os.listdir(out))
-    }
-    assert written == SHA256[subcommand]
+    cfg = json.loads(CONFIGS[subcommand])
+    assert run_and_hash(subcommand, cfg, tmp_path, ASSUME_REDUCED[subcommand]) == (
+        0, SHA256[subcommand])
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_subcommands_write_the_pinned_artifacts(name, tmp_path, capsys):
+    subcommand, cfg, assume_reduced, code, expected = SUBCOMMANDS[name]
+    assert run_and_hash(subcommand, cfg, tmp_path, assume_reduced) == (code, expected)

@@ -554,6 +554,10 @@ def test_csv_format_flag(tmp_path):
     assert run(RunConfig("hk", cfg, str(out), formats=("csv",))) == 0
     assert (out / "hk.csv").exists()
     assert not (out / "hk.json").exists()
+    out = tmp_path / "jsononly"
+    assert main(["hk", cfg, "-o", str(out), "--format", "json"]) == 0
+    assert (out / "hk.json").exists()
+    assert not (out / "hk.csv").exists()
 
 
 @pytest.mark.parametrize("command, payload, name", [

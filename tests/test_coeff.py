@@ -1,5 +1,6 @@
 """Field arithmetic: laws, Frobenius, canonical forms, construction."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -216,6 +217,46 @@ def test_dense_rational_functions_print_and_parse_back():
     f = ring.parse("(2*t + 1)*x^2 + t*y + 2")
     assert repr(f) == "(2*t + 1)*x^2 + t*y + 2"
     assert (F3T.parse(repr(a)), GF4T.parse(repr(b)), ring.parse(repr(f))) == (a, b, f)
+
+
+def _printed_fractions(base, count, rng):
+    """`count` reduced fractions over base(t): a numerator of degree <= 4
+    over a monic denominator of degree <= 3, as printed."""
+    field = RationalFunctionField(base)
+    coeffs = [repr(base.element(c)) for c in base.elements()]
+
+    def upoly(cs):
+        return field.parse(" + ".join(f"({c})*t^{i}" for i, c in enumerate(cs)))
+
+    texts = []
+    for _ in range(count):
+        num = upoly([rng.choice(coeffs) for _ in range(5)])
+        den = upoly([rng.choice(coeffs) for _ in range(rng.randrange(4))] + ["1"])
+        texts.append(repr(num / den))
+    return texts
+
+
+def test_univariate_printer_is_pinned():
+    # the one printer of GF(p^m) elements and of F_q(t) numerators and
+    # denominators; pinned on every element of eight extension fields and on
+    # 3,000 seeded fractions over F_2, F_3, GF(4) and GF(9)
+    elements = [
+        repr(field.element(a))
+        for p, m in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6))
+        for field in (make_extension(p, m),)
+        for a in field.elements()
+    ]
+    rng = random.Random(20)
+    fractions = [text for base in (F2, F3, GF4, GF9)
+                 for text in _printed_fractions(base, 750, rng)]
+    digest = {
+        name: hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        for name, texts in (("elements", elements), ("fractions", fractions))
+    }
+    assert digest == {
+        "elements": "114d8d045d1f288c57ea7865086d655aa866c5c2f75ffc889009444de15ceb9b",
+        "fractions": "ad1e7076b2326e73d26bc8b1885c96f6ac869b197046b3b94c9f09d6c26053b2",
+    }
 
 
 def test_field_elements_are_immutable():

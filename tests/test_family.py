@@ -58,6 +58,10 @@ def test_specialize_gf4_point(monsky_family):
     R, _ = specialize_fiber(monsky_family, FiberSpec.special(t=s))
     assert R.ring.domain == GF4
     assert len(R.defining[0]) == 5
+    # a parameter named like the generator of GF(4) reads as its value there
+    F = FamilySpec("param", ("x", "y"), (), ("x + s*y", "y^2"), p=2, parameters=("s",))
+    _, I = specialize_fiber(F, FiberSpec.special(s=s + 1))
+    assert I.generators[0] == I.ring.parse("x + (s + 1)*y")
 
 
 def test_degenerate_fiber_is_rejected():
@@ -85,12 +89,34 @@ def test_z_family_fibers_equal_the_generators_parsed_mod_p():
 
 
 def test_family_generators_must_be_strings():
-    # a polynomial of another ring would be read through its keys: (x + 1, y) at t = 1
+    # every fiber parses the family's generator strings in its own ring
     R5 = PolynomialRing(PrimeField(5), ("a", "b", "c"))
     with pytest.raises(ValidationError, match="needs strings"):
         FamilySpec("param", ("x", "y"), (), (R5.parse("3*a + c"), "y"), p=2, parameters=("t",))
     with pytest.raises(ValidationError, match="needs strings"):
         FamilySpec("integers", ("x", "y"), (7,), ("x", "y"))
+
+
+def test_family_reads_iterators_of_generators_once():
+    # an iterator gives the family of the same strings as a tuple
+    F = FamilySpec("param", ("x", "y"), iter(["x*y"]), iter(["x", "y"]), p=2,
+                   parameters=("t",))
+    R, I = specialize_fiber(F, FiberSpec.special(t=1))
+    assert (len(R.defining), len(I.generators)) == (1, 2)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("rational", ("x",), (), ("x",)), {}, "unknown family base kind"),
+    (("integers", ("x",), (), ("x",)), {"parameters": ("t",)}, "take no parameters"),
+    (("param", ("x",), (), ("x",)), {"parameters": ("t",)}, "need a characteristic p"),
+    (("param", ("x", "t"), (), ("x",)), {"p": 2, "parameters": ("t",)}, "overlap"),
+    (("param", ("x",), (), ()), {"p": 2, "parameters": ("t",)}, "at least one generator"),
+    (("integers", ("x", "y"), (), ("x - x", "y")), {}, "zero generator in family"),
+    (("param", ("x",), ("t - t",), ("x",)), {"p": 3, "parameters": ("t",)}, "zero generator"),
+])
+def test_family_spec_rejects_bad_input(args, kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        FamilySpec(*args, **kwargs)
 
 
 def test_fiber_assignment_validation(monsky_family):

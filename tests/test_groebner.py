@@ -592,12 +592,13 @@ def test_buchberger_stats_repeat_and_count_box_drops():
 COLENGTH_ORDER = TermOrder("degrevlex", (2, 0, 1))  # the Monsky quartic leads with z^4
 
 
-def monsky_bracket(field, q, order=None, pure=3):
-    """(f, x^q, y^q, z^q) for the t = 1 Monsky quartic f, or (f, x^q, y^q)
-    for pure=2."""
+def monsky_bracket(field, q, order=None, pure=3, t="1"):
+    """(f, x^q, y^q, z^q) for the Monsky quartic f at t (the element of
+    `field` written as `t`, 1 by default), or (f, x^q, y^q) for pure=2."""
     R = PolynomialRing(field, ("x", "y", "z"), order)
     powers = frobenius_power(IdealPresentation(R, R.gens()[:pure]), q).generators
-    return IdealPresentation(R, (R.parse(MONSKY_T1),) + powers)
+    f = R.parse(f"z^4 + x*y*z^2 + (x^3+y^3)*z + {t}*x^2*y^2")
+    return IdealPresentation(R, (f,) + powers)
 
 
 def twisted_cubic_bracket(q, order):
@@ -645,14 +646,20 @@ def test_indexed_reducer_matches_classic_loop(monkeypatch, make):
     assert G.stats.max_basis > groebner._INDEX_MIN_ITEMS and rejected
 
 
-@pytest.mark.parametrize("p, q, length, stats", [
-    (5, 125, 46870, (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)),
-    (3, 243, 177142, (19701, 4, 202, 19100, 395, 200, 13120, 21599, 199)),
+@pytest.mark.parametrize("field, t, q, length, stats", [
+    pytest.param(F5, "1", 125, 46870, (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177),
+                 id="F5-q125"),
+    pytest.param(F3, "1", 243, 177142, (19701, 4, 202, 19100, 395, 200, 13120, 21599, 199),
+                 id="F3-q243"),
+    pytest.param(F2T, "t", 64, 12284, (5671, 4, 118, 5338, 211, 108, 1264, 478, 107),
+                 id="F2(t)-generic-q64"),
+    pytest.param(GF4, "s", 32, 3076, (1035, 4, 49, 896, 86, 44, 323, 186, 46),
+                 id="GF4-t=s-q32"),
 ])
-def test_colength_order_counters_are_pinned(p, q, length, stats):
+def test_colength_order_counters_are_pinned(field, t, q, length, stats):
     # values measured with the plain scan: choosing another reducer for any
-    # term would move reduction_steps or the basis
-    G = buchberger(monsky_bracket(PrimeField(p), q, COLENGTH_ORDER))
+    # term, or another pair order, would move a counter or the basis
+    G = buchberger(monsky_bracket(field, q, COLENGTH_ORDER, t=t))
     assert G.colength() == length
     assert G.stats == stats
 

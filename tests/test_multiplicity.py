@@ -61,6 +61,14 @@ def test_quotient_ring_rejects_unit_defining_ideal():
         QuotientRingSpec(R2xy, (x + 1, x))
 
 
+def test_quotient_ring_rejects_foreign_and_zero_generators():
+    R2xy = PolynomialRing(F2, ("x", "y"))
+    with pytest.raises(ValidationError, match="from a different ring"):
+        QuotientRingSpec(R2xy, (R3.parse("x*y"),))
+    with pytest.raises(ValidationError, match="zero generator in defining ideal"):
+        QuotientRingSpec(R2xy, (R2xy.parse("x - x"),))
+
+
 def test_hk_regular_ring_baseline():
     R = QuotientRingSpec(R3)
     m = IdealPresentation(R3, R3.gens())

@@ -136,6 +136,11 @@ def test_parser():
         R2.parse("x + w")
     with pytest.raises(ValidationError):
         R2.parse("x + ")
+    for text, message in [("x $ y", "cannot tokenize '\\$ y'"), ("x y", "unexpected 'y'"),
+                          ("x^y", "nonnegative integer literal"),
+                          ("(x + y", "unbalanced parentheses")]:
+        with pytest.raises(ValidationError, match=message):
+            R2.parse(text)
 
 
 def test_frobenius_power_examples():
