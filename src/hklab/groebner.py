@@ -18,8 +18,9 @@ nilpotent.
 Colengths count the staircase of the leading monomials by slicing on one
 variable at a time (Bigatti, "Computation of Hilbert-Poincare series",
 JPAA 1997; Roune, "A slice algorithm for corners and Hilbert-Poincare
-series of monomial ideals", ISSAC 2010), and standard_monomials() walks
-the same slices.
+series of monomial ideals", ISSAC 2010); standard_monomials() walks the
+same slices, and colength_below_degree counts the monomials of degree < n
+outside a monomial ideal with the same count.
 
 The reducer works on the order keys of polyring, whose low bits are the
 exponent fields of the monomial (32 bits per variable, one guard bit).
@@ -80,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from . import linalg
@@ -473,6 +475,20 @@ def _slice_count(gens):
             break
         total += (b - a) * count
     return total
+
+
+def colength_below_degree(leads, nvars: int, n: int) -> int:
+    """Number of monomials of degree < n (n >= 1) in `nvars` variables
+    that no exponent vector of `leads` divides: the slice count of `leads`
+    together with every monomial of degree n, among them the pure powers
+    the count needs."""
+    degree_n = []
+    for combo in combinations_with_replacement(range(nvars), n):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        degree_n.append(tuple(exps))
+    return _slice_count([*leads, *degree_n])
 
 
 def _slice_points(gens):

@@ -23,6 +23,21 @@ position), and the staircase four stacked plane staircases.  csig_search
 counts its colengths and tests containment of the parameter ideal on such
 bases too.  socle_basis stays in R.ring, because its socle and the
 elements u built from it reach the rsig artifacts.
+
+Hilbert-Samuel lengths of the maximal ideal m need no basis per n when
+the defining ideal J is homogeneous.  For d < n, (J + m^n)_d = J_d, and
+for d >= n it is all of S_d; the standard monomials of degree d of any
+term order are a basis of (S/J)_d.  So the length of S/(J + m^n) is the
+number of monomials of degree < n that no leading monomial of J's reduced
+basis divides, counted on R.defining_gb() by colength_below_degree.
+hs_function takes this path only when both conditions hold exactly: the
+reduced basis of I is the variables (leading terms alone do not show it:
+(x - 1, y, z) is maximal at another point), and every element of
+R.defining_gb() is homogeneous (the input generators do not show it:
+(x^2 + y, y) is homogeneous).  Every other (R, I) keeps one basis of
+J + I^n per n: counting without them would need gr_I(R) through the Rees
+algebra when I != m, and the tangent cone (Mora's algorithm) when J is not
+homogeneous, and neither is implemented here.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ from .groebner import (
     buchberger,
     check_primary_to_origin,
     colength,
+    colength_below_degree,
     pure_powers,
     socle_lifts,
 )
@@ -224,11 +240,21 @@ def hk_estimate(samples) -> HKEstimate:
 
 
 def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
-    """Hilbert-Samuel samples: lengths of defining + I^n for n = 1..n_max,
-    counted on bases in R.colength_ring() (lengths do not depend on the
-    term order)."""
+    """Hilbert-Samuel samples: lengths of defining + I^n for n = 1..n_max.
+
+    For I = m and a homogeneous defining ideal they are counted on the
+    leading monomials of R.defining_gb() (see the module docstring), with
+    one small basis of I to check I = m.  Otherwise each is the colength of
+    a basis of defining + I^n in R.colength_ring() (lengths do not depend
+    on the term order)."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1: {n_max}")
+    _combined_gens(R, I)
+    leads = _graded_leads(R, I)
+    if leads is not None:
+        nvars = R.ring.nvars
+        return [HSSample(n=n, length=colength_below_degree(leads, nvars, n))
+                for n in range(1, n_max + 1)]
     samples = []
     for n in range(1, n_max + 1):
         length = colength(_colength_basis(R, I if n == 1 else ordinary_power(I, n)))
@@ -236,6 +262,20 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
             raise ValidationError("ideal is not zero-dimensional; Hilbert-Samuel undefined")
         samples.append(HSSample(n=n, length=length))
     return samples
+
+
+def _graded_leads(R: QuotientRingSpec, I: IdealPresentation):
+    """The leading exponents of R.defining_gb() when every element of it is
+    homogeneous and the reduced basis of I is the variables; None
+    otherwise."""
+    gb = R.defining_gb()
+    elements = () if gb is None else gb.elements
+    for g in elements:
+        if len({m.degree for _, m in g.terms}) > 1:
+            return None
+    if set(buchberger(I).elements) != set(R.ring.gens()):
+        return None
+    return () if gb is None else gb.leading_exponents()
 
 
 def hs_multiplicity(samples, d: int) -> HSEstimate:

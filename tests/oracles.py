@@ -36,10 +36,15 @@ verbatim as the reference for the search that shares one Hilbert-Kunz
 function per Frobenius orbit of candidates.  It runs one hk_function per
 candidate vector and shares the socle, the grid and the estimates with
 the code under test.
+
+hs_lengths_by_powers: Hilbert-Samuel lengths with one basis per n, the
+colength of classic_buchberger(defining + I^n) by the pivot split, I^n
+formed by its own product loop.  It shares neither the defining ideal's
+basis nor the slice count with hs_function.
 """
 
 import heapq
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from hklab.coeff import Field, PrimeField
 from hklab.errors import ValidationError
@@ -454,6 +459,22 @@ def classic_buchberger(I):
         reduced_items.append(final)
         elements.append(Polynomial(ring, ((it.key, ring.domain.one),) + tail))
     return GroebnerBasis(ring, elements)
+
+
+def hs_lengths_by_powers(R, I, n_max):
+    """Length of R.ring/(defining + I^n) for n = 1..n_max, one basis per n
+    (see module docstring)."""
+    lengths = []
+    for n in range(1, n_max + 1):
+        power = []
+        for combo in combinations_with_replacement(I.generators, n):
+            prod = R.ring.one
+            for g in combo:
+                prod = prod * g
+            power.append(prod)
+        gb = classic_buchberger(IdealPresentation(R.ring, R.defining + tuple(power)))
+        lengths.append(pivot_split_colength(gb.leading_exponents()))
+    return lengths
 
 
 def rsig_rows_per_vector(R, x, coefficient_grid=None, e_max=2):

@@ -100,6 +100,17 @@ SUBCOMMANDS = {
         "hs.csv": "53c2854a771b90f72db1690f31205ba60d84c39c528d6027eb19ac41a7c41d01",
         "hs.json": "0ccd8e50454ff9b6ebd7d406397cefd3aea2f54cff19bfbaa249cf9db8c1ffce",
     }),
+    # the twisted-cubic cone over GF(4) with I = m: lengths from the defining basis
+    "hs-twisted-cubic": ("hs", {
+        "field": {"kind": "extension", "p": 2, "m": 2},
+        "vars": ["x", "y", "z", "w"],
+        "defining": ["x*z - y^2", "x*w - y*z", "y*w - z^2"],
+        "ideal": ["x", "y", "z", "w"],
+        "n_max": 6,
+    }, False, 0, {
+        "hs.csv": "b13377d9d99488897cb06738cc0ffb40e6924662d7e2fcf02b9cd3b7025d1432",
+        "hs.json": "f268aa746ce37a4c3316227ae4cca64c12ba9f4fb5e1cb8ef8c8a82101477447",
+    }),
     "csig": ("csig", {
         "field": {"kind": "prime", "p": 2},
         "vars": ["x", "y"],

@@ -23,7 +23,7 @@ from hklab import (
     verdict_term_semicontinuity,
     verdict_uniform_bounds,
 )
-from hklab import family
+from hklab import family, multiplicity
 from hklab.config import fibers as parse_fibers
 
 FIBERS = [FiberSpec.generic(), FiberSpec.special(t=0), FiberSpec.special(t=1)]
@@ -287,6 +287,26 @@ def test_hs_family_sweep_on_monsky(monsky_family):
     # the quartic has degree 4: lengths below n = 4 cannot see the parameter
     assert len(set(tuples.values())) == 1
     assert verdict_hs_lex(result.hs_rows) == result.verdicts["hs_lex_semicontinuity"]
+
+
+def test_hs_table_of_the_maximal_ideal_forms_no_power_of_it(monsky_family, monkeypatch):
+    # the Monsky quartics are homogeneous, so each fiber's lengths come from
+    # its defining basis plus one small basis that checks I = m
+    calls = {"buchberger": 0, "ordinary_power": 0}
+    for name in calls:
+        def spy(*args, real=getattr(multiplicity, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(multiplicity, name, spy)
+
+    def spied(checks):
+        before = dict(calls)
+        hk_sweep(monsky_family, FIBERS, e_max=1, checks=checks, n_max=6)
+        return {name: calls[name] - before[name] for name in calls}
+
+    without_hs, with_hs = spied(()), spied(("hs_lex",))
+    assert with_hs["ordinary_power"] == 0
+    assert with_hs["buchberger"] - without_hs["buchberger"] == len(FIBERS)
 
 
 def test_hs_family_sweep_with_parameter_dependent_ideal():

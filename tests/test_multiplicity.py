@@ -30,11 +30,17 @@ from hklab import (
     rsig_search,
     socle_basis,
 )
-from hklab.groebner import INFINITE, _primary_witness
+from hklab.groebner import INFINITE, _primary_witness, colength_below_degree
 from hklab.multiplicity import hk_sample_gb
 from hklab.polyring import frobenius_power, ordinary_power
 
-from .oracles import bracket_colength_hypersurface, poly_dict, rsig_rows_per_vector
+from .oracles import (
+    bracket_colength_hypersurface,
+    hs_lengths_by_powers,
+    monomials_below,
+    poly_dict,
+    rsig_rows_per_vector,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -587,6 +593,83 @@ def test_colength_ring_keeps_lengths_and_verdicts(case):
             hs_function(R, I, 2)
     else:
         assert [s.length for s in hs_function(R, I, 2)] == lengths
+
+
+HS_FIELDS = SPEC_FIELDS + ((F5, ("1", "2", "3", "4")),
+                           (RationalFunctionField(F2), ("1", "t", "t + 1")))
+
+
+@st.composite
+def graded_cases(draw):
+    """(R, I) over F_2, F_3, F_5, GF(4) or F_2(t) in 2-4 variables, in
+    degrevlex or lex.  R has 1-3 homogeneous defining generators of degree
+    1-4; sometimes the first is replaced by itself plus a multiple of the
+    second, mostly a non-homogeneous presentation of the same ideal, like
+    (x^2 + y, y).  I is the maximal ideal, given by the variables or by
+    x_1 + x_2 and the others."""
+    field, coeffs = draw(st.sampled_from(HS_FIELDS))
+    n = draw(st.integers(2, 4))
+    ring = PolynomialRing(field, tuple("xyzw"[:n]), TermOrder(draw(st.sampled_from(
+        ("degrevlex", "lex")))))
+    v = ring.gens()
+    raws = [field.parse(c).raw for c in coeffs]
+    defining = []
+    for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        exps = [e for e in monomials_below(n, d) if sum(e) == d]
+        chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3, unique=True))
+        defining.append(ring.polynomial((ring.encode(e), draw(st.sampled_from(raws)))
+                                        for e in chosen))
+    if len(defining) > 1 and draw(st.booleans()):
+        defining[0] = defining[0] + defining[1] * v[draw(st.integers(0, n - 1))] ** draw(
+            st.integers(0, 2))
+    assume(all(defining))
+    ideal = list(v)
+    if draw(st.booleans()):
+        ideal[0] = v[0] + v[1]
+    return QuotientRingSpec(ring, defining), IdealPresentation(ring, ideal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_cases())
+def test_hs_lengths_of_the_maximal_ideal_match_one_basis_per_power(case):
+    R, I = case
+    n_max = 5 if R.ring.nvars < 4 else 4
+    assert [s.length for s in hs_function(R, I, n_max)] == hs_lengths_by_powers(R, I, n_max)
+
+
+def test_hs_lengths_of_a_non_reduced_homogeneous_presentation(monkeypatch):
+    # homogeneity is read off the reduced basis, so no power of m is formed
+    monkeypatch.setattr(multiplicity, "ordinary_power", None)
+    Rxy = PolynomialRing(F3, ("x", "y"))
+    x, y = Rxy.gens()
+    R = QuotientRingSpec(Rxy, (x**2 + y, y))  # the ideal (x^2, y)
+    assert [s.length for s in hs_function(R, IdealPresentation(Rxy, (x, y)), 4)] == [1, 2, 2, 2]
+
+
+def _leads_alone(R, n_max):
+    leads = R.defining_gb().leading_exponents()
+    return [colength_below_degree(leads, R.ring.nvars, n) for n in range(1, n_max + 1)]
+
+
+def test_hs_lengths_of_a_maximal_ideal_off_the_origin_keep_one_basis_per_power():
+    # (x - 1, y, z) has the variables as leading terms but is not m
+    Rxyz = PolynomialRing(F3, ("x", "y", "z"))
+    x, y, z = Rxyz.gens()
+    I = IdealPresentation(Rxyz, (x - 1, y, z))
+    cone = QuotientRingSpec(Rxyz, (x * z - y**2,))
+    assert [s.length for s in hs_function(cone, I, 5)] == [1, 3, 6, 10, 15]
+    assert _leads_alone(cone, 5) == [1, 4, 9, 16, 25]
+    double_plane = QuotientRingSpec(Rxyz, (x**2,))  # x - 1 is a unit there
+    assert [s.length for s in hs_function(double_plane, I, 5)] == [0, 0, 0, 0, 0]
+
+
+def test_hs_lengths_over_a_non_homogeneous_defining_ideal_keep_one_basis_per_power():
+    Rxy = PolynomialRing(F3, ("x", "y"))
+    x, y = Rxy.gens()
+    nodal = QuotientRingSpec(Rxy, (y**2 - x**3 - x**2,))
+    m = IdealPresentation(Rxy, (x, y))
+    assert [s.length for s in hs_function(nodal, m, 6)] == [1, 3, 5, 7, 9, 11]
+    assert _leads_alone(nodal, 6) == [1, 3, 6, 9, 12, 15]
 
 
 def test_socle_basis_rejects_a_sop_that_is_not_zero_dimensional_or_not_primary():
