@@ -62,9 +62,10 @@ the remainder without a scan.  Every other term is scanned in list order
 as before, so the first divisor is still the reducer chosen, and every
 reduction step, counter and basis is the same as without the index.
 buchberger keeps one index for the pair loop and one for the final
-interreduction, and consults it only while the reducer list is longer
-than _INDEX_MIN_ITEMS (16): on shorter lists a lookup costs more than
-the scan it saves.  GroebnerBasis.normal_form scans without an index.
+interreduction (of the few tails that need it, see below), and consults
+it only while the reducer list is longer than _INDEX_MIN_ITEMS (16): on
+shorter lists a lookup costs more than the scan it saves.
+GroebnerBasis.normal_form scans without an index.
 
 Pairs are managed by the update of Gebauer and Moller ("On an
 installation of Buchberger's algorithm", JSC 1988) in the UPDATE form of
@@ -75,6 +76,16 @@ with elements whose leading monomial no later one divides; every element
 stays a reducer.  Pair selection is the normal strategy (smallest lcm in
 the order, ties by generator index).  For a fixed input and order the
 computation is deterministic.
+
+The final interreduction reduces the tails of the minimal elements in
+ascending order of the lead.  The pair loop makes each element as a full
+normal form against all elements older than it, so only a younger kept
+lead can divide a term of its tail (and it is smaller than its lead); a
+tail that no younger kept lead divides is kept as it is.  Inputs enter
+unreduced, so they always get the pass.  If a younger element Y that
+minimalization dropped divides a tail term t, the kept lead K dividing
+lead(Y) divides t, and K is younger since t survived reduction by every
+older element; a pure power found later is such a Y.
 """
 
 from __future__ import annotations
@@ -263,21 +274,22 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
 
 def _spair(item_f, item_g, lcm_key, dom, guard):
     """S-polynomial of two monic items with the given lcm, as the
-    key -> raw dict that _reduce_terms takes."""
-    work = {}
-    for item, minus in ((item_f, False), (item_g, True)):
-        shift = lcm_key - item.key
-        for k, c in item.tail:
-            kk = k + shift
-            if kk & guard:
-                raise _overflow()
-            if minus:
-                prev = work.get(kk)
-                c = dom.neg(c) if prev is None else dom.sub(prev, c)
-                if dom.is_zero(c):
-                    work.pop(kk, None)
-                    continue
+    key -> raw dict that _reduce_terms takes, with F_p arithmetic inline.
+    A cancelled term is removed, not kept as zero, since box drops count
+    terms; a term of the result with an exponent >= 2^31 raises."""
+    p = dom.characteristic if isinstance(dom, PrimeField) else 0
+    shift = lcm_key - item_f.key
+    work = {k + shift: c for k, c in item_f.tail}
+    shift = lcm_key - item_g.key
+    for k, c in item_g.tail:
+        kk = k + shift
+        prev = work.pop(kk, dom.zero)
+        c = (prev - c) % p if p else dom.sub(prev, c)
+        if c != dom.zero:
             work[kk] = c
+    for k in work:
+        if k & guard:
+            raise _overflow()
     return work
 
 
@@ -287,8 +299,8 @@ def _gm_update(items, active, pairs, h, ring, tally):
     `active` lists the indices that may form new pairs and `pairs` is the
     heap of queued (lcm key, i, j) with i < j.  Returns the new active
     list and pair heap, and adds to tally[0..3] the new pairs formed, the
-    new pairs dropped by criteria M and F and by the product criterion,
-    and the queued pairs dropped by criterion B_k."""
+    new pairs dropped by the product criterion, the queued pairs dropped
+    by criterion B_k and the new pairs dropped by criteria M and F."""
     guard = ring.guard
     exp_mask = ring.exp_mask
     lcm = ring.lcm_fields
@@ -303,36 +315,27 @@ def _gm_update(items, active, pairs, h, ring, tally):
     cands.sort()
     witnesses = []
     new = []
-    by_m_f = by_product = 0
     for lp, overlap, g in cands:
         lg = lp | guard
-        if any((lg - w) & guard == guard for w in witnesses):
-            by_m_f += 1
-            continue
-        witnesses.append(lp)
-        if overlap:
-            new.append((ring.key_of_fields(lp), g, h))
+        for w in witnesses:
+            if (lg - w) & guard == guard:
+                break
         else:
-            by_product += 1
+            witnesses.append(lp)
+            if overlap:
+                new.append((ring.key_of_fields(lp), g, h))
     # criterion B_k drops the queued pairs (i, j) whose lcm lead(h) divides,
     # and equals neither lcm(i, h) nor lcm(j, h)
-    kept = []
-    for pair in pairs:
-        lk, i, j = pair
-        if ((lk | guard) - hk) & guard == guard:
-            lp = lk & exp_mask
-            if lcm(items[i].key, hk) != lp and lcm(items[j].key, hk) != lp:
-                continue
-        kept.append(pair)
-    by_b_k = len(pairs) - len(kept)
+    kept = [(lk, i, j) for lk, i, j in pairs if ((lk | guard) - hk) & guard != guard
+            or lcm(items[i].key, hk) == lk & exp_mask or lcm(items[j].key, hk) == lk & exp_mask]
+    tally[0] += len(cands)
+    tally[1] += len(witnesses) - len(new)
+    tally[2] += len(pairs) - len(kept)
+    tally[3] += len(cands) - len(witnesses)
     pairs = kept + new
     heapq.heapify(pairs)
     active = [g for g in active if ((items[g].key | guard) - hk) & guard != guard]
     active.append(h)
-    tally[0] += len(cands)
-    tally[1] += by_m_f
-    tally[2] += by_product
-    tally[3] += by_b_k
     return active, pairs
 
 
@@ -508,24 +511,22 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by I, in the term
     order of I's ring; its `stats` hold the counters of the run."""
     ring = I.ring
-    if not isinstance(ring.domain, Field):
+    dom = ring.domain
+    if not isinstance(dom, Field):
         raise ValidationError("Groebner bases require field coefficients")
 
-    dom = ring.domain
     guard = ring.guard
-    items: list[_Item] = []
-    seen = set()
+    unique = {}  # the first of equal monic generators
     for g in I.generators:
         item = _make_item(ring, g._terms)
-        sig = (item.key, item.tail)
-        if sig not in seen:
-            seen.add(sig)
-            items.append(item)
+        unique.setdefault((item.key, item.tail), item)
+    items: list[_Item] = list(unique.values())
     box = _box_mask(items)
+    inputs = len(items)  # items made before this were never reduced
 
     active: list[int] = []
     pairs: list = []
-    crit = [0, 0, 0, 0]  # pairs formed; dropped by M and F, product, B_k
+    crit = [0, 0, 0, 0]  # pairs formed; dropped by product, B_k, M and F
     tally = [0, 0]  # reduction steps, box drops
     reduced = zeros = 0
     index = _DivisorIndex(ring)
@@ -549,30 +550,28 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
     # minimalize: drop elements whose lead is divisible by another kept lead;
     # every minimal lead is still active
     kept: list[_Item] = []
+    born = []  # the index in `items` of each kept element
     for k in sorted(active, key=lambda k: items[k].key):
-        cand = items[k]
-        cg = cand.key | guard
-        if any((cg - it.key) & guard == guard for it in kept):
-            continue
-        kept.append(cand)
+        cg = items[k].key | guard
+        if not any((cg - it.key) & guard == guard for it in kept):
+            kept.append(items[k])
+            born.append(k)
     max_basis = len(items)
     del items, active, index  # free the dropped elements before the tails are rebuilt
     # auto-reduce tails ascending, smaller leads being already final; each
     # old item is released as its reduced one is made, and kept as it is
-    # when nothing in its tail reduces
+    # unless it is an input or a younger kept lead divides a tail term
     kept.reverse()
     reduced_items: list[_Item] = []
     index = _DivisorIndex(ring)
-    while kept:
+    for k in born:
         it = kept.pop()
-        before = tally[:]
-        tail = _reduce_terms(dict(it.tail), reduced_items, dom, guard, box, tally, index)
-        if tally != before:
-            it = _Item(it.key, it.exps, tail)
+        if k < inputs or any(((t | guard) - r.key) & guard == guard for r, b
+                             in zip(reduced_items, born) if b > k for t, _ in it.tail):
+            it = _Item(it.key, it.exps, _reduce_terms(dict(it.tail), reduced_items, dom, guard,
+                                                      box, tally, index))
         reduced_items.append(it)
-    formed, by_m_f, by_product, by_b_k = crit
-    stats = BuchbergerStats(formed, by_product, by_b_k, by_m_f, reduced, zeros,
-                            tally[0], tally[1], max_basis)
+    stats = BuchbergerStats(*crit, reduced, zeros, *tally, max_basis)
     return GroebnerBasis._of_items(ring, reduced_items, stats)
 
 

@@ -27,6 +27,7 @@ from hklab import (
     trace_discriminant,
 )
 from hklab import groebner
+from hklab.coeff import FieldElement
 from hklab.groebner import BuchbergerStats, GroebnerBasis
 from hklab.polyring import EXP_BITS, FIELD_MASK
 
@@ -572,6 +573,96 @@ def test_buchberger_matches_classic_loop(ideal):
     assert s.pairs_formed == s.by_product + s.by_b_k + s.by_m_f + s.pairs_reduced
 
 
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_ideals())
+def test_buchberger_returns_a_reduced_basis(ideal):
+    # the definition, checked on the elements: monic, no lead divisible by
+    # another lead, no tail term divisible by any lead
+    G = buchberger(ideal)
+    ring = ideal.ring
+    leads = [ring.decode(g._terms[0][0]) for g in G]
+    for i, g in enumerate(G):
+        assert g._terms[0][1] == ring.domain.one
+        assert not any(divides(lead, leads[i]) for j, lead in enumerate(leads) if j != i)
+        for k, _ in g._terms[1:]:
+            assert not any(divides(lead, ring.decode(k)) for lead in leads)
+
+
+@pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+def test_input_tail_reducible_by_an_older_input_is_reduced(kind):
+    # inputs enter the working set unreduced: with y^2 first, the tail of
+    # the quartic holds x*y^2 and y^3, which only the final pass removes
+    R = PolynomialRing(F5, ("x", "y"), TermOrder(kind))
+    gens = (R.parse("y^2"), R.parse("x^3 + x^2*y + x*y^2 + y^3"))
+    expected = (R.parse("y^2"), R.parse("x^3 + x^2*y"))
+    for order in (gens, gens[::-1]):
+        I = IdealPresentation(R, order)
+        assert buchberger(I).elements == classic_buchberger(I).elements == expected
+
+
+SPAIR_FIELDS = (
+    pytest.param(F5, ("1", "2", "3", "4"), id="F5"),
+    pytest.param(F2T, ("1", "t", "t + 1"), id="F2(t)"),
+    pytest.param(GF4, ("1", "s", "s + 1"), id="GF4"),
+)
+
+
+@pytest.mark.parametrize("field, coeffs", SPAIR_FIELDS)
+def test_spair_is_the_tail_of_the_s_polynomial(field, coeffs):
+    # against m_f*f - m_g*g by Polynomial arithmetic; small supports make
+    # the shifted tails meet, and a term that cancels must be absent
+    import random
+
+    rng = random.Random(2022)
+    ring = PolynomialRing(field, ("x", "y"))
+    raws = [field.parse(c).raw for c in coeffs]
+
+    def monomial(exps):
+        return ring.polynomial([(ring.encode(exps), field.one)])
+
+    def monic(h):
+        return h * FieldElement(field, field.inv(h._terms[0][1]))
+
+    cancelled = 0
+    for _ in range(300):
+        f, g = (ring.polynomial([(ring.encode((rng.randrange(3), rng.randrange(3))),
+                                  rng.choice(raws)) for _ in range(rng.randint(1, 5))])
+                for _ in range(2))
+        if not f or not g:
+            continue
+        item_f, item_g = groebner._make_item(ring, f._terms), groebner._make_item(ring, g._terms)
+        lcm = tuple(map(max, item_f.exps, item_g.exps))
+        m_f = tuple(a - b for a, b in zip(lcm, item_f.exps))
+        m_g = tuple(a - b for a, b in zip(lcm, item_g.exps))
+        s = monomial(m_f) * monic(f) - monomial(m_g) * monic(g)
+        work = groebner._spair(item_f, item_g, ring.encode(lcm), field, ring.guard)
+        assert work == dict(s._terms)
+        shifted_f = {k + ring.encode(m_f): c for k, c in item_f.tail}
+        for k, c in item_g.tail:
+            kk = k + ring.encode(m_g)
+            if shifted_f.get(kk) == c:  # the two terms cancel
+                cancelled += 1
+                assert kk not in work
+    assert cancelled > 0
+
+
+def test_spair_overflow_stays_loud():
+    # lex with x > y: shifting the tail term y^(2^30 + 5) of x + y^(2^30 + 5)
+    # by y^(2^30) passes 2^31
+    R = PolynomialRing(F3, ("x", "y"), TermOrder("lex"))
+    x, y = R.gens()
+    f, g = x + y ** (2**30 + 5), x * y ** (2**30)
+    item_f, item_g = groebner._make_item(R, f._terms), groebner._make_item(R, g._terms)
+    with pytest.raises(OverflowError):
+        groebner._spair(item_f, item_g, item_g.key, F3, R.guard)
+    with pytest.raises(OverflowError):
+        buchberger(IdealPresentation(R, (f, g)))
+
+
 def test_buchberger_stats_repeat_and_count_box_drops():
     R = PolynomialRing(F5, ("x", "y", "z"))
     bracket = frobenius_power(IdealPresentation(R, R.gens()), 125).generators
@@ -686,6 +777,30 @@ def test_reducer_pushes_each_key_once(monkeypatch):
     assert G.stats == (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)
     assert all(len(set(keys)) == len(keys) for keys in pushed)
     assert sum(map(len, pushed)) > 0
+
+
+@pytest.mark.parametrize("field, q, stats, final", [
+    pytest.param(F5, 125, (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177), 27, id="F5-q125"),
+    pytest.param(F3, 243, (19701, 4, 202, 19100, 395, 200, 13120, 21599, 199), 7, id="F3-q243"),
+])
+def test_final_interreduction_passes_only_tails_a_younger_lead_divides(
+        monkeypatch, field, q, stats, final):
+    # the pair loop reduces each S-pair once; the final pass reduces the
+    # three kept inputs (f, x^q, y^q) and the few kept elements whose tail
+    # a younger kept lead divides, not all 176 (F_5) or 198 (F_3) of them
+    indexes = []
+    reduce_terms = groebner._reduce_terms
+
+    def spy(work, items, dom, guard, box, tally, index=None):
+        indexes.append(index)
+        return reduce_terms(work, items, dom, guard, box, tally, index)
+
+    monkeypatch.setattr(groebner, "_reduce_terms", spy)
+    G = buchberger(monsky_bracket(field, q, COLENGTH_ORDER))
+    assert G.stats == stats
+    loop = sum(index is indexes[0] for index in indexes)
+    assert loop == G.stats.pairs_reduced
+    assert len(indexes) - loop == final < len(G)
 
 
 def test_trace_discriminant_is_the_discriminant_of_a_univariate_modulus():
