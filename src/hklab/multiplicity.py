@@ -15,14 +15,15 @@ Results are immutable NamedTuples.
 Lengths do not depend on the term order: the standard monomials of any
 order form a basis of the same quotient.  So the bases that hk_function
 and hs_function use only for colengths are computed in the order of
-QuotientRingSpec.colength_ring(), chosen once per spec so that as many
-variables as possible have a pure power as the leading term of a defining
-generator.  For the Monsky quartics this makes z^4 the leading term of f,
-the quotient by f a free k[x,y]-module on 1, z, z^2, z^3 (Noether
-position), and the staircase four stacked plane staircases.  csig_search
-counts its colengths and tests containment of the parameter ideal on such
-bases too.  socle_basis stays in R.ring, because its socle and the
-elements u built from it reach the rsig artifacts.
+QuotientRingSpec.colength_ring(): degrevlex whatever R.ring's order, with
+the priority chosen once per spec so that as many variables as possible
+have a pure power as the leading term of a defining generator.  For the
+Monsky quartics this makes z^4 the leading term of f, the quotient by f a
+free k[x,y]-module on 1, z, z^2, z^3 (Noether position), and the
+staircase four stacked plane staircases.  csig_search counts its
+colengths and tests containment of the parameter ideal on such bases too.
+socle_basis stays in R.ring, because its socle and the elements u built
+from it reach the rsig artifacts.
 
 Hilbert-Samuel lengths of the maximal ideal m need no basis per n when
 the defining ideal J is homogeneous.  For d < n, (J + m^n)_d = J_d, and
@@ -92,11 +93,10 @@ class QuotientRingSpec:
         return self._gb
 
     def colength_ring(self) -> PolynomialRing:
-        """The ring, differing from `ring` at most in the variable
-        priority of its term order, in which bases used only for colengths
-        are computed (see the module docstring).  Chosen once, when the
-        spec is built; it is `ring` itself unless another priority makes
-        strictly more variables pure-power leading terms."""
+        """The degrevlex ring in which bases used only for colengths are
+        computed (see the module docstring and _noether_ring); its order
+        may differ from `ring`'s in kind and priority.  Chosen once, when
+        the spec is built."""
         return self._colength_ring
 
     def __repr__(self):
@@ -106,18 +106,20 @@ class QuotientRingSpec:
 
 
 def _noether_ring(ring: PolynomialRing, defining) -> PolynomialRing:
-    """`ring`, or the same ring with one variable moved to the front of its
-    priority, whichever makes the most variables pure-power leading terms
-    of the defining generators; `ring` itself on a tie.  The nvars
-    candidates keep the search polynomial in the number of variables."""
+    """The degrevlex ring with `ring`'s priority (`ring` itself if it is
+    degrevlex), or it with one variable moved to the front, whichever makes
+    the most variables pure-power leading terms of the defining generators;
+    the first on a tie.  It tries nvars priorities, not all nvars! of them."""
     def count(r):
         return len(pure_powers(r.convert(g).leading_monomial().exponents for g in defining))
 
+    if ring.order.kind != "degrevlex":
+        ring = PolynomialRing(ring.domain, ring.variables, TermOrder(priority=ring.order.priority))
     best, best_count = ring, count(ring)
     priority = ring.order.resolved_priority(ring.nvars)
     for v in priority[1:]:
         moved = (v,) + tuple(u for u in priority if u != v)
-        cand = PolynomialRing(ring.domain, ring.variables, TermOrder(ring.order.kind, moved))
+        cand = PolynomialRing(ring.domain, ring.variables, TermOrder("degrevlex", moved))
         if (n := count(cand)) > best_count:
             best, best_count = cand, n
     return best
@@ -179,10 +181,10 @@ def _combined_gens(R: QuotientRingSpec, I: IdealPresentation):
 
 def _colength_basis(R: QuotientRingSpec, I: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of defining + I in R.colength_ring(), whose
-    term order may differ from R.ring's.  The ideal is the same, so its
-    colength, zero-dimensionality, primality to the origin and which
-    polynomials it contains are those computed in R.ring: the standard
-    monomials of any order are a basis of the same quotient."""
+    degrevlex order may differ from R.ring's in kind and priority.  The
+    ideal is the same, so its colength, zero-dimensionality, primality to
+    the origin and the polynomials it contains are as in R.ring: the
+    standard monomials of any order are a basis of the same quotient."""
     ring = R.colength_ring()
     gens = _combined_gens(R, I)
     return buchberger(IdealPresentation(ring, tuple(ring.convert(g) for g in gens)))

@@ -49,6 +49,7 @@ every scalar that is not an int.
 from __future__ import annotations
 
 import operator
+from itertools import combinations_with_replacement
 
 from ._expr import Evaluator, writes_as_variable
 from .coeff import Field, FieldElement, power
@@ -332,8 +333,7 @@ class PolynomialRing:
         return hash((self.domain, self.variables, self.order))
 
     def __repr__(self):
-        dom = getattr(self.domain, "__repr__", lambda: "?")()
-        return f"{dom}[{', '.join(self.variables)}]"
+        return f"{self.domain!r}[{', '.join(self.variables)}]"
 
 
 class Polynomial:
@@ -560,8 +560,6 @@ def ordinary_power(I: IdealPresentation, n: int) -> IdealPresentation:
     """I^n generated by all n-fold products of generators (duplicates removed)."""
     if n < 1:
         raise ValidationError(f"ordinary power wants n >= 1: {n}")
-    from itertools import combinations_with_replacement
-
     seen = {}
     for combo in combinations_with_replacement(I.generators, n):
         prod = combo[0]

@@ -190,6 +190,10 @@ SUBCOMMANDS = {
         "modp_plot_p_3.dat": "447fd735132481072560bf1e0e097235c09020e5a1404ac5ae9712504e8f6677",
     }),
 }
+# `order` shapes only the bases a caller sees: lengths, and so the hk
+# artifacts, are those of the degrevlex config
+_, _hk_cfg, *_hk_pins = SUBCOMMANDS["hk"]
+SUBCOMMANDS["hk-lex"] = ("hk", {**_hk_cfg, "order": "lex"}, *_hk_pins)
 
 
 def run_and_hash(subcommand, cfg: dict, tmp_path, assume_reduced):

@@ -514,6 +514,31 @@ def test_colength_ring_is_chosen_once_and_used_only_for_colengths():
         assert cubic.colength_ring() is R4
         assert regular.colength_ring() is R3
 
+    # a lex ring counts in degrevlex over the same variables, and keeps its
+    # own order for the bases a caller sees
+    L4 = PolynomialRing(F2, R4.variables, TermOrder("lex"))
+    x, y, z, w = L4.gens()
+    lex_cubic = QuotientRingSpec(L4, (x * z - y**2, x * w - y * z, y * w - z**2))
+    ring = lex_cubic.colength_ring()
+    assert ring.order.kind == "degrevlex" and ring.variables == L4.variables
+    assert lex_cubic.defining_gb().ring is L4
+
+
+def test_lex_ring_counts_on_degrevlex_bases():
+    # lex bases of the t = 1 Monsky quartic's bracket powers take minutes
+    # at q = 125; its lengths come from the degrevlex bases of a degrevlex
+    # ring, with the counters of test_colength_order_counters_are_pinned
+    specs = {}
+    for field in (F3, F5):
+        ring = PolynomialRing(field, ("x", "y", "z"), TermOrder("lex"))
+        R = QuotientRingSpec(ring, (ring.parse("z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2"),))
+        assert R.colength_ring().order == TermOrder("degrevlex", (2, 0, 1))
+        specs[field] = R, IdealPresentation(ring, ring.gens())
+    G = hk_sample_gb(*specs[F5], 125)
+    assert G.colength() == 46870
+    assert G.stats == (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)
+    assert [s.length for s in hk_function(*specs[F3], 4)] == [22, 238, 2182, 19678]
+
 
 GF4 = make_extension(2, 2)
 SPEC_FIELDS = ((F2, ("1",)), (F3, ("1", "2")), (GF4, ("1", "s", "s + 1")))
