@@ -9,11 +9,9 @@ from hklab import (
     PrimeField,
     TermOrder,
     buchberger,
-    colength,
     ideal_colon_m,
     is_primary_to_origin,
     multiplication_matrix,
-    normal_form,
     trace_discriminant,
 )
 
@@ -24,16 +22,16 @@ x, y = R.gens()
 print("== reduced basis and normal forms ==")
 G = buchberger(IdealPresentation(R, (x - y**2, y**3)))
 print(f"reduced basis of (x - y^2, y^3) in lex: {list(G.elements)}")
-print(f"normal form of x*y: {normal_form(x * y, G)}  (x*y = y^3 = 0 in the quotient)")
-print(f"colength: {colength(G)}  (basis of the quotient: 1, y, y^2)")
+print(f"normal form of x*y: {G.normal_form(x * y)}  (x*y = y^3 = 0 in the quotient)")
+print(f"colength: {G.colength()}  (basis of the quotient: 1, y, y^2)")
 
 print("\n== staircases and zero-dimensionality ==")
 Rd = PolynomialRing(F5, ("x", "y"))
 xd, yd = Rd.gens()
 G2 = buchberger(IdealPresentation(Rd, (xd**3, yd**4)))
-print(f"colength of (x^3, y^4): {colength(G2)} (a 3 x 4 staircase box)")
+print(f"colength of (x^3, y^4): {G2.colength()} (a 3 x 4 staircase box)")
 G3 = buchberger(IdealPresentation(Rd, (xd * yd, xd - 1)))
-print(f"(x*y, x - 1) has colength {colength(G3)} but is primary to the origin: "
+print(f"(x*y, x - 1) has colength {G3.colength()} but is primary to the origin: "
       f"{is_primary_to_origin(G3)}  (it lives at x = 1)")
 
 print("\n== socle via the colon ideal ==")

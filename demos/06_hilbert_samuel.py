@@ -16,7 +16,6 @@ from hklab import (
     PrimeField,
     QuotientRingSpec,
     buchberger,
-    colength,
     hk_function,
     hs_function,
     hs_multiplicity,
@@ -39,7 +38,7 @@ I = IdealPresentation(ring, (x**2, y**3))
 samples = hs_function(R, I, 6)
 print(f"lengths of R/I^n: {[s.length for s in samples]}")
 est = hs_multiplicity(samples, R.dimension)
-print(f"e(I) = {est.multiplicity}; colength of I = {colength(buchberger(I))}")
+print(f"e(I) = {est.multiplicity}; colength of I = {buchberger(I).colength()}")
 hk = hk_function(R, I, 3)
 print(f"normalized Hilbert-Kunz samples: {[str(s.normalized) for s in hk]} "
       "(constant at the same value)")

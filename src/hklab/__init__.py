@@ -31,11 +31,9 @@ from .groebner import (
     INFINITE,
     GroebnerBasis,
     buchberger,
-    colength,
     ideal_colon_m,
     is_primary_to_origin,
     multiplication_matrix,
-    normal_form,
     trace_discriminant,
 )
 from .multiplicity import (
@@ -51,7 +49,6 @@ from .multiplicity import (
     hk_function,
     hs_function,
     hs_multiplicity,
-    krull_dimension,
     rsig_search,
     socle_basis,
 )

@@ -31,13 +31,7 @@ from typing import NamedTuple
 from . import config
 from .errors import HKLabError, ValidationError
 from .family import DEFAULT_CHECKS, hk_row, hk_sweep, modp_sweep
-from .groebner import (
-    INFINITE,
-    buchberger,
-    colength,
-    multiplication_matrix,
-    trace_discriminant,
-)
+from .groebner import INFINITE, buchberger, multiplication_matrix, trace_discriminant
 from .multiplicity import csig_search, hs_function, hs_multiplicity, rsig_search
 
 D_HAT_NOTE = "empirical estimate from sampled differences, not a proven constant"
@@ -161,7 +155,7 @@ def _cmd_groebner(run: RunConfig, cfg: dict):
     I = config.ideal(ring, cfg, "generators")
     config.reject_unread(cfg)
     G = buchberger(I)
-    length = colength(G)
+    length = G.colength()
     payload = {
         "basis": [repr(g) for g in G.elements],
         "leading_monomials": [list(e) for e in G.leading_exponents()],
@@ -422,7 +416,7 @@ def _cmd_disc(run: RunConfig, cfg: dict):
     config.reject_unread(cfg)
     G = buchberger(I)
     value = trace_discriminant(G)
-    payload = {"discriminant": repr(value), "colength": colength(G)}
+    payload = {"discriminant": repr(value), "colength": G.colength()}
     files = _write_json(run, "disc.json", payload)
     print(f"trace discriminant: {value}")
     return 0, files

@@ -575,16 +575,6 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
     return GroebnerBasis._of_items(ring, reduced_items, stats)
 
 
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Remainder of f modulo G; zero iff f lies in the ideal."""
-    return G.normal_form(f)
-
-
-def colength(G: GroebnerBasis):
-    """Vector-space dimension of the quotient, or INFINITE."""
-    return G.colength()
-
-
 def _primary_witness(G: GroebnerBasis, what="ideal"):
     """None if the ideal is primary to the origin, else an offending
     variable name; an ideal of infinite colength is a ValidationError

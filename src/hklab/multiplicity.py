@@ -12,18 +12,18 @@ existence the underlying theory guarantees without giving an algorithm.
 It is labeled heuristic in every output and never asserted as rigorous.
 Results are immutable NamedTuples.
 
-Lengths do not depend on the term order: the standard monomials of any
-order form a basis of the same quotient.  So the bases that hk_function
-and hs_function use only for colengths are computed in the order of
-QuotientRingSpec.colength_ring(): degrevlex whatever R.ring's order, with
-the priority chosen once per spec so that as many variables as possible
-have a pure power as the leading term of a defining generator.  For the
-Monsky quartics this makes z^4 the leading term of f, the quotient by f a
-free k[x,y]-module on 1, z, z^2, z^3 (Noether position), and the
-staircase four stacked plane staircases.  csig_search counts its
-colengths and tests containment of the parameter ideal on such bases too.
-socle_basis stays in R.ring, because its socle and the elements u built
-from it reach the rsig artifacts.
+Lengths and the dimension do not depend on the term order: the standard
+monomials of any order form a basis of the same quotient.  So every basis
+that is only counted on, R.defining_gb() among them, is computed in the
+order of QuotientRingSpec.colength_ring(): degrevlex whatever R.ring's
+order, with the priority chosen once per spec so that as many variables
+as possible have a pure power as the leading term of a defining
+generator.  For the Monsky quartics this makes z^4 the leading term of f,
+the quotient by f a free k[x,y]-module on 1, z, z^2, z^3 (Noether
+position), and the staircase four stacked plane staircases.  csig_search
+counts its colengths and tests containment of the parameter ideal on such
+bases too.  socle_basis stays in R.ring, because its socle and the
+elements u built from it reach the rsig artifacts.
 
 Hilbert-Samuel lengths of the maximal ideal m need no basis per n when
 the defining ideal J is homogeneous.  For d < n, (J + m^n)_d = J_d, and
@@ -54,7 +54,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     check_primary_to_origin,
-    colength,
     colength_below_degree,
     pure_powers,
     socle_lifts,
@@ -82,18 +81,19 @@ class QuotientRingSpec:
                 raise ValidationError("defining generator from a different ring")
             if g.is_zero():
                 raise ValidationError("zero generator in defining ideal")
-        self._gb = buchberger(IdealPresentation(ring, self.defining)) if self.defining else None
-        if self._gb is not None and self._gb.is_unit_ideal():
-            raise ValidationError("defining ideal is the unit ideal")
-        self.dimension = krull_dimension(self)
         self._colength_ring = _noether_ring(ring, self.defining)
+        self._gb = gb = _colength_basis(self, self.defining) if self.defining else None
+        if gb is not None and gb.is_unit_ideal():
+            raise ValidationError("defining ideal is the unit ideal")
+        self.dimension = _dimension(() if gb is None else gb.leading_exponents(), ring.nvars)
 
     def defining_gb(self) -> GroebnerBasis | None:
-        """Reduced basis of the defining ideal; None when it is zero."""
+        """Reduced basis of the defining ideal in colength_ring(); None when
+        it is zero."""
         return self._gb
 
     def colength_ring(self) -> PolynomialRing:
-        """The degrevlex ring in which bases used only for colengths are
+        """The degrevlex ring in which bases used only for counting are
         computed (see the module docstring and _noether_ring); its order
         may differ from `ring`'s in kind and priority.  Chosen once, when
         the spec is built."""
@@ -125,22 +125,13 @@ def _noether_ring(ring: PolynomialRing, defining) -> PolynomialRing:
     return best
 
 
-def krull_dimension(R: QuotientRingSpec) -> int:
-    """Krull dimension of the quotient: the largest number of variables
-    spanning a coordinate subspace avoided by every leading monomial of
-    the defining ideal (combinatorial dimension of the initial ideal)."""
-    n = R.ring.nvars
-    gb = R.defining_gb()
-    if gb is None:
-        return n
-    leads = gb.leading_exponents()
-    supports = [frozenset(i for i, e in enumerate(exps) if e) for exps in leads]
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            s = set(subset)
-            if all(not sup <= s for sup in supports):
-                return size
-    return 0
+def _dimension(leads, n: int) -> int:
+    """Krull dimension of S/J from the leading exponents of a basis of the
+    proper ideal J: the largest number of variables spanning a coordinate
+    subspace that no leading monomial lies in."""
+    supports = [{i for i, e in enumerate(exps) if e} for exps in leads]
+    return next(size for size in range(n, -1, -1) for subset in combinations(range(n), size)
+                if not any(sup <= set(subset) for sup in supports))
 
 
 class HKSample(NamedTuple):
@@ -179,20 +170,20 @@ def _combined_gens(R: QuotientRingSpec, I: IdealPresentation):
     return tuple(R.defining) + tuple(I.generators)
 
 
-def _colength_basis(R: QuotientRingSpec, I: IdealPresentation) -> GroebnerBasis:
-    """Reduced Groebner basis of defining + I in R.colength_ring(), whose
-    degrevlex order may differ from R.ring's in kind and priority.  The
-    ideal is the same, so its colength, zero-dimensionality, primality to
-    the origin and the polynomials it contains are as in R.ring: the
-    standard monomials of any order are a basis of the same quotient."""
+def _colength_basis(R: QuotientRingSpec, gens) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal of `gens` in R.colength_ring(),
+    whose degrevlex order may differ from R.ring's in kind and priority.
+    The ideal is the same, so its colength, dimension, zero-dimensionality,
+    primality to the origin and the polynomials it contains are as in
+    R.ring: the standard monomials of any order are a basis of the same
+    quotient."""
     ring = R.colength_ring()
-    gens = _combined_gens(R, I)
     return buchberger(IdealPresentation(ring, tuple(ring.convert(g) for g in gens)))
 
 
 def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerBasis:
     """Reduced Groebner basis of defining + I^[q] in R.colength_ring()."""
-    return _colength_basis(R, frobenius_power(I, q))
+    return _colength_basis(R, _combined_gens(R, frobenius_power(I, q)))
 
 
 def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
@@ -215,7 +206,7 @@ def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
     def sample(e: int) -> HKSample:
         q = p**e
         gb = hk_sample_gb(R, I, q)
-        length = colength(gb)
+        length = gb.colength()
         if length is INFINITE:
             raise ValidationError(
                 f"ideal is not zero-dimensional at q = {q}; Hilbert-Kunz undefined"
@@ -247,8 +238,8 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
     For I = m and a homogeneous defining ideal they are counted on the
     leading monomials of R.defining_gb() (see the module docstring), with
     one small basis of I to check I = m.  Otherwise each is the colength of
-    a basis of defining + I^n in R.colength_ring() (lengths do not depend
-    on the term order)."""
+    a basis of defining + I^n.  Every basis is in R.colength_ring()
+    (lengths do not depend on the term order)."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1: {n_max}")
     _combined_gens(R, I)
@@ -259,7 +250,8 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
                 for n in range(1, n_max + 1)]
     samples = []
     for n in range(1, n_max + 1):
-        length = colength(_colength_basis(R, I if n == 1 else ordinary_power(I, n)))
+        power = I if n == 1 else ordinary_power(I, n)
+        length = _colength_basis(R, _combined_gens(R, power)).colength()
         if length is INFINITE:
             raise ValidationError("ideal is not zero-dimensional; Hilbert-Samuel undefined")
         samples.append(HSSample(n=n, length=length))
@@ -268,14 +260,14 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
 
 def _graded_leads(R: QuotientRingSpec, I: IdealPresentation):
     """The leading exponents of R.defining_gb() when every element of it is
-    homogeneous and the reduced basis of I is the variables; None
-    otherwise."""
+    homogeneous and the reduced basis of I in R.colength_ring() is the
+    variables; None otherwise."""
     gb = R.defining_gb()
     elements = () if gb is None else gb.elements
     for g in elements:
         if len({m.degree for _, m in g.terms}) > 1:
             return None
-    if set(buchberger(I).elements) != set(R.ring.gens()):
+    if set(_colength_basis(R, I.generators).elements) != set(R.colength_ring().gens()):
         return None
     return () if gb is None else gb.leading_exponents()
 
@@ -319,7 +311,7 @@ def socle_basis(R: QuotientRingSpec, x: IdealPresentation):
     gens = _combined_gens(R, x)
     gb = buchberger(IdealPresentation(ring, gens))
     check_primary_to_origin(gb, "parameter ideal")
-    if colength(gb) == 0:
+    if gb.colength() == 0:
         raise ValidationError("parameter ideal is the unit ideal; socle is empty")
     return socle_lifts(gb)
 
@@ -490,7 +482,7 @@ def csig_search(
     """Relative-signature ratios over a list of candidate ideals containing
     the parameter ideal; exact colengths in the denominator, Hilbert-Kunz
     estimates in the numerator."""
-    len_x = colength(_colength_basis(R, x))
+    len_x = _colength_basis(R, _combined_gens(R, x)).colength()
     if len_x is INFINITE:
         raise ValidationError("parameter ideal is not zero-dimensional")
     ehk_x = hk_estimate(hk_function(R, x, e_max))
@@ -498,14 +490,14 @@ def csig_search(
     warnings = []
     minimum = None
     for idx, cand in enumerate(candidate_ideals):
-        gb_c = _colength_basis(R, cand)
+        gb_c = _colength_basis(R, _combined_gens(R, cand))
         for g in x.generators:
             if gb_c.normal_form(g):
                 raise ValidationError(
                     f"candidate #{idx} does not contain the parameter ideal "
                     f"(generator {g!r} has nonzero normal form)"
                 )
-        len_c = colength(gb_c)
+        len_c = gb_c.colength()
         denom = len_x - len_c
         est = ratio = None
         if denom == 0:

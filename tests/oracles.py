@@ -537,7 +537,7 @@ def random_zero_dim_ideals(seed: int, count: int):
     import random
 
     from hklab.coeff import PrimeField
-    from hklab.groebner import INFINITE, buchberger, colength
+    from hklab.groebner import INFINITE, buchberger
     from hklab.polyring import IdealPresentation, PolynomialRing
 
     rng = random.Random(seed)
@@ -560,7 +560,7 @@ def random_zero_dim_ideals(seed: int, count: int):
             continue
         ideal = IdealPresentation(ring, gens)
         gb = buchberger(ideal)
-        if colength(gb) is INFINITE:
+        if gb.colength() is INFINITE:
             continue
         produced += 1
         yield field, ring, ideal, gb

@@ -17,16 +17,13 @@ from hklab import (
     TermOrder,
     ValidationError,
     buchberger,
-    colength,
     csig_search,
     hk_estimate,
     hk_function,
     hs_function,
     hs_multiplicity,
-    krull_dimension,
     make_extension,
     multiplicity,
-    normal_form,
     rsig_search,
     socle_basis,
 )
@@ -57,7 +54,7 @@ def test_krull_dimension_examples():
     x, y = R2xy.gens()
     assert QuotientRingSpec(R2xy, (x, y)).dimension == 0
     assert QuotientRingSpec(R2xy, (x * y,)).dimension == 1
-    assert krull_dimension(QuotientRingSpec(R2xy, (x**2,))) == 1
+    assert QuotientRingSpec(R2xy, (x**2,)).dimension == 1
 
 
 def test_quotient_ring_rejects_unit_defining_ideal():
@@ -141,7 +138,7 @@ def test_hk_monotone_in_the_ideal():
     inner = IdealPresentation(Rxy, (x**2, y**2))
     outer = IdealPresentation(Rxy, (x**2, y**2, x * y))
     gb_outer = buchberger(outer)
-    assert all(normal_form(g, gb_outer).is_zero() for g in inner.generators)
+    assert all(gb_outer.normal_form(g).is_zero() for g in inner.generators)
     for a, b in zip(hk_function(R, inner, 3), hk_function(R, outer, 3)):
         assert b.length <= a.length
 
@@ -157,7 +154,7 @@ def test_parameter_monomial_ideal_has_constant_normalized_samples():
     assert len({s.normalized for s in samples}) == 1
     hs = hs_function(R, sop, 6)
     est = hs_multiplicity(hs, 2)
-    assert est.multiplicity == samples[0].normalized == colength(buchberger(sop))
+    assert est.multiplicity == samples[0].normalized == buchberger(sop).colength()
 
 
 def test_hs_examples():
@@ -248,7 +245,7 @@ def test_rsig_rows_and_grid_on_non_f_rational_ring():
     # cross-check one bracket colength against the rank oracle
     xu = IdealPresentation(Rxy, (x + y, result.argmin.u))
     gb = buchberger(IdealPresentation(Rxy, (x * y,) + tuple(xu.generators)))
-    direct = colength(gb)
+    direct = gb.colength()
     # oracle: lengths of ((x+y)^q, u^q) mod xy at q=3 computed independently
     assert direct >= 1
 
@@ -396,7 +393,7 @@ def test_csig_examples():
         gb = buchberger(
             IdealPresentation(Rxy, (x ** (2 * q), y ** (2 * q), (x * y) ** q))
         )
-        assert colength(gb) == 3 * q * q
+        assert gb.colength() == 3 * q * q
 
 
 def test_csig_skips_zero_denominator():
@@ -429,7 +426,7 @@ def test_csig_counts_in_the_colength_ring():
     candidates = [IdealPresentation(R3, (x, y, g)) for g in (z**3, z**2, z, x * z)]
 
     def own_order_colength(I):
-        return colength(buchberger(IdealPresentation(R3, R.defining + I.generators)))
+        return buchberger(IdealPresentation(R3, R.defining + I.generators)).colength()
 
     result = csig_search(R, sop, candidates, e_max=2)
     assert [row.colength_x for row in result.rows] == [own_order_colength(sop)] * 4
@@ -499,9 +496,10 @@ def test_colength_ring_is_chosen_once_and_used_only_for_colengths():
     assert ring.convert(MONSKY0).leading_monomial().exponents == (0, 0, 4)
     m = IdealPresentation(R3, R3.gens())
     assert hk_sample_gb(R, m, 4).ring is ring
-    # bases a caller sees stay in the ring's own order
-    assert R.defining_gb().ring is R3
-    assert R.defining_gb().elements == (MONSKY0,)
+    # the defining ideal's one basis is counted on, so it is in that ring too;
+    # the socle reaches the rsig artifacts and stays in the ring's own order
+    assert R.defining_gb().ring is ring
+    assert R.defining_gb().elements == (ring.convert(MONSKY0),)
     assert all(s.ring is R3 for s in socle_basis(R, IdealPresentation(R3, R3.gens()[:2])))
 
     # ties keep the ring itself: the twisted cubic's leads y^2, yz, z^2
@@ -514,14 +512,14 @@ def test_colength_ring_is_chosen_once_and_used_only_for_colengths():
         assert cubic.colength_ring() is R4
         assert regular.colength_ring() is R3
 
-    # a lex ring counts in degrevlex over the same variables, and keeps its
-    # own order for the bases a caller sees
+    # a lex ring counts in degrevlex over the same variables, the defining
+    # ideal's basis among its counting bases
     L4 = PolynomialRing(F2, R4.variables, TermOrder("lex"))
     x, y, z, w = L4.gens()
     lex_cubic = QuotientRingSpec(L4, (x * z - y**2, x * w - y * z, y * w - z**2))
     ring = lex_cubic.colength_ring()
     assert ring.order.kind == "degrevlex" and ring.variables == L4.variables
-    assert lex_cubic.defining_gb().ring is L4
+    assert lex_cubic.defining_gb().ring is ring
 
 
 def test_lex_ring_counts_on_degrevlex_bases():
@@ -538,6 +536,38 @@ def test_lex_ring_counts_on_degrevlex_bases():
     assert G.colength() == 46870
     assert G.stats == (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)
     assert [s.length for s in hk_function(*specs[F3], 4)] == [22, 238, 2182, 19678]
+
+
+def test_counting_paths_compute_no_basis_in_a_lex_ring(monkeypatch):
+    # every basis that is only counted on is degrevlex, the defining ideal's
+    # one basis among them; the socle reaches rsig.csv and stays in lex
+    seen = []
+
+    def spy(I, real=multiplicity.buchberger):
+        seen.append(I.ring.order.kind)
+        return real(I)
+
+    def orders(run, *args):
+        seen.clear()
+        return run(*args), seen
+
+    monkeypatch.setattr(multiplicity, "buchberger", spy)
+    cubic = PolynomialRing(F3, ("x", "y", "z", "w"), TermOrder("lex"))
+    quartic = PolynomialRing(F3, ("x", "y", "z"), TermOrder("lex"))
+    cases = ((cubic, ("x*z - y^2", "x*w - y*z", "y*w - z^2"), ("x", "w"), "y"),
+             (quartic, ("z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2",), ("x", "y"), "z^2"))
+    for ring, defining, sop, extra in cases:
+        v = ring.gens()
+        R, kinds = orders(QuotientRingSpec, ring, tuple(ring.parse(g) for g in defining))
+        assert set(kinds) == {"degrevlex"}
+        m = IdealPresentation(ring, v)
+        off = IdealPresentation(ring, (v[0] - 1, *v[1:]))
+        x = IdealPresentation(ring, tuple(ring.parse(g) for g in sop))
+        cand = IdealPresentation(ring, x.generators + (ring.parse(extra),))
+        for run, *args in ((hk_function, R, m, 2), (hs_function, R, m, 3),
+                           (hs_function, R, off, 3), (csig_search, R, x, [cand], 2)):
+            assert set(orders(run, *args)[1]) == {"degrevlex"}
+        assert orders(socle_basis, R, x)[1] == ["lex"]
 
 
 GF4 = make_extension(2, 2)
@@ -603,15 +633,17 @@ def _user_order_basis(R, J):
 @given(quotient_cases())
 def test_colength_ring_keeps_lengths_and_verdicts(case):
     R, I = case
+    own = buchberger(IdealPresentation(R.ring, R.defining))  # J in R.ring's own order
+    assert R.dimension == multiplicity._dimension(own.leading_exponents(), R.ring.nvars)
     p = R.ring.domain.characteristic
     for q in (p, p * p) if p == 2 else (p,):
         chosen = hk_sample_gb(R, I, q)
         user = _user_order_basis(R, frobenius_power(I, q))
         assert chosen.ring is R.colength_ring()
-        assert colength(chosen) == colength(user)
-        if q == p and colength(user) is not INFINITE:
+        assert chosen.colength() == user.colength()
+        if q == p and user.colength() is not INFINITE:
             assert _primary_witness(chosen) == _primary_witness(user)
-    lengths = [colength(_user_order_basis(R, I if n == 1 else ordinary_power(I, n)))
+    lengths = [_user_order_basis(R, I if n == 1 else ordinary_power(I, n)).colength()
                for n in (1, 2)]
     if INFINITE in lengths:
         with pytest.raises(ValidationError, match="zero-dimensional"):
