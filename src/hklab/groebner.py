@@ -45,27 +45,22 @@ every such variable, the test is (key + BOX) & GUARD, and the same test
 catches an exponent that reached 2^31, which raises ExponentOverflow.
 
 Inside buchberger the reducer finds irreducible terms through a divisor
-index, in the spirit of the short exponent vectors of Bachmann and
-Schonemann ("Monomial representations for Groebner bases computations",
-ISSAC 1998).  It keys a term on its exponent fields with the field of
-one variable cleared: the variable last in the ring's priority.  That is
-never the variable QuotientRingSpec.colength_ring() moves to the front,
-whose exponents stay below the degree of its pure-power leading term
-(z^4 for the Monsky quartics), so keys repeat across terms; dropping z
-there instead made the loop about twice as slow.  An entry holds the
-least exponent of the dropped variable among the reducers whose other
-exponents divide the key, and the number of reducers it has seen; the
-reducer list only grows by appending, so an entry is brought up to date
-from the reducers appended since when a lookup needs it.  A term whose
-dropped exponent is below that least exponent has no divisor and goes to
-the remainder without a scan.  Every other term is scanned in list order
-as before, so the first divisor is still the reducer chosen, and every
-reduction step, counter and basis is the same as without the index.
-buchberger keeps one index for the pair loop and one for the final
-interreduction (of the few tails that need it, see below), and consults
-it only while the reducer list is longer than _INDEX_MIN_ITEMS (16): on
-shorter lists a lookup costs more than the scan it saves.
-GroebnerBasis.normal_form scans without an index.
+index, after the short exponent vectors of Bachmann and Schonemann
+(ISSAC 1998).  It keys a term on its exponent fields with those of u and
+v, the last two variables in the ring's priority, cleared.  An entry is
+the staircase (Miller and Sturmfels, Combinatorial Commutative Algebra,
+ch. 3) of the (u, v) fields of the reducers whose kept fields divide the
+key's: its minimal points, u ascending, v descending, so a term has a
+divisor exactly when the last point with u at most its own has v at most
+its own.  In three variables the kept field is that of the first, which
+QuotientRingSpec.colength_ring() puts there: it stays below its pure
+power (z^4 for the Monsky quartics), so entries are few.  Reducers are
+only appended, and an entry takes in those appended since it was last
+read.  A term with no divisor goes to the remainder without a scan, as
+the scan would send it; every other term is scanned in list order, so
+the first divisor is still the reducer chosen, and every step, counter
+and basis is as without the index.  The index is used only on more than
+_INDEX_MIN_ITEMS reducers.
 
 Pairs are managed by the update of Gebauer and Moller ("On an
 installation of Buchberger's algorithm", JSC 1988) in the UPDATE form of
@@ -92,6 +87,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -158,54 +155,49 @@ def _staircase_bounds(items, n):
 
 
 class _DivisorIndex:
-    """The divisor index of the module docstring, for one reducer list that
-    only grows by appending.  `table` maps a term's exponent fields with
-    the field of the dropped variable (at bit offset `drop`) cleared, that
-    is the key masked by `keep`, to (seen << EXP_BITS) | low: `low` is the
-    least dropped exponent among the first `seen` reducers whose other
-    exponents divide the term's, and 2^31 when none does."""
-
-    __slots__ = ("drop", "keep", "guard", "fill", "table")
+    """The divisor index of the module docstring: `table` maps a key masked
+    by `keep` to [seen, us, vs], the staircase of the first `seen` items."""
 
     def __init__(self, ring):
-        self.drop = EXP_BITS * ring.order.resolved_priority(ring.nvars)[-1]
-        self.keep = ring.exp_mask ^ (FIELD_MASK << self.drop)
+        # in one variable u is v, and a staircase has one point
+        u, v = (ring.order.resolved_priority(ring.nvars) * 2)[-2:]
+        uf = self.ufield = FIELD_MASK << EXP_BITS * u
+        vf = self.vfield = FIELD_MASK << EXP_BITS * v
+        self.keep = ring.exp_mask ^ (uf | vf)
         self.guard = ring.guard
-        # every bit of the dropped field set: a probe that ignores that field
-        self.fill = (FIELD_MASK << self.drop) | self.guard
-        self.table = {}
+        # between the points (-1, vf) and (uf, -1), which divide no term
+        self.table = defaultdict(lambda: [0, [-1, uf], [vf, -1]])
 
     def update(self, items, masked, entry):
-        """The entry of `masked` brought up to date with the items appended
-        since it was made, stored and returned."""
-        probe = masked | self.fill
-        guard = self.guard
-        drop = self.drop
-        low = entry & FIELD_MASK
-        for item in items[entry >> EXP_BITS:]:
-            ik = item.key
-            if (probe - ik) & guard == guard:
-                d = (ik >> drop) & FIELD_MASK
-                if d < low:
-                    low = d
-        entry = self.table[masked] = (len(items) << EXP_BITS) | low
-        return entry
+        """Bring the entry of `masked` up to date."""
+        seen, us, vs = entry
+        probe = masked | self.ufield | self.vfield | self.guard  # ignores u and v
+        for item in items[seen:]:
+            u, v = item.key & self.ufield, item.key & self.vfield
+            if (probe - item.key) & self.guard == self.guard and vs[bisect_right(us, u) - 1] > v:
+                # no point divides (u, v): it replaces the points it divides,
+                # those from its u on with v at least its own
+                i = bisect_left(us, u)
+                while vs[i] >= v:
+                    del us[i], vs[i]
+                us.insert(i, u)
+                vs.insert(i, v)
+        entry[0] = len(items)
 
 
-_INDEX_MIN_ITEMS = 16  # shorter reducer lists are scanned without the index
-_NO_DIVISOR = MAX_EXPONENT  # the entry with seen = 0 and low = 2^31
+# shorter reducer lists are scanned without the index: with no cutoff
+# rsig-cubic, whose bases are small, ran about 1.7x slower, and with 64
+# modp-prime about 1.15x slower; 8 and 32 were within noise
+_INDEX_MIN_ITEMS = 16
 
 
 def _reduce_terms(work, items, dom, guard, box, tally, index=None):
     """Full normal form of the terms of `work` (key -> raw, consumed)
     against monic items, in a fixed scan order.  The exponents of the keys
     of `work` are all below 2^31; terms outside the box are dropped.
-    `index`, a _DivisorIndex over `items`, sends terms that no item
-    divides to the remainder without a scan.  Returns the remainder as
-    descending (key, raw) pairs, and adds the reduction steps and the box
-    drops to tally[0] and tally[1].  One loop serves every field; a
-    cancelled term stays in `work` as zero until it is popped, so each key
-    is pushed onto the heap once."""
+    `index`, a _DivisorIndex over `items`, sends terms no item divides to
+    the remainder unscanned.  Returns the remainder as descending (key,
+    raw) pairs, and adds the reduction steps and box drops to tally[0:2]."""
     prime = isinstance(dom, PrimeField)
     p = dom.characteristic
     zero, neg, mul, sub = dom.zero, dom.neg, dom.mul, dom.sub
@@ -217,11 +209,9 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
     n = len(items)
     indexed = index is not None and n > _INDEX_MIN_ITEMS
     if indexed:
-        lookup = index.table.get
+        table = index.table
         update = index.update
-        drop = index.drop
-        keep = index.keep
-        mask = FIELD_MASK
+        ufield, vfield, keep = index.ufield, index.vfield, index.keep
     heap = [-k for k in work]
     heapq.heapify(heap)
     out = []
@@ -231,17 +221,13 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
         if c == zero:  # cancelled
             continue
         if indexed:
-            e = (k >> drop) & mask
             masked = k & keep
-            entry = lookup(masked, _NO_DIVISOR)
-            # reducers are only appended, so a stale entry that finds a
-            # divisor is still right; one that finds none is brought up to date
-            if e < entry & mask:
-                if entry >> EXP_BITS < n:
-                    entry = update(items, masked, entry)
-                if e < entry & mask:
-                    out.append((k, c))
-                    continue
+            seen, us, vs = entry = table[masked]
+            if seen < n:
+                update(items, masked, entry)
+            if vs[bisect_right(us, k & ufield) - 1] > k & vfield:
+                out.append((k, c))
+                continue
         vk = k | guard
         for item in items:
             if (vk - item.key) & guard == guard:

@@ -2,10 +2,11 @@
 
 import math
 import time
+from bisect import bisect_right
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hklab import (
@@ -27,7 +28,7 @@ from hklab import (
 from hklab import groebner
 from hklab.coeff import FieldElement
 from hklab.groebner import BuchbergerStats, GroebnerBasis
-from hklab.polyring import EXP_BITS, FIELD_MASK
+from hklab.polyring import EXP_BITS
 
 from .oracles import (
     classic_buchberger,
@@ -41,6 +42,7 @@ from .oracles import (
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 GF4 = make_extension(2, 2)
 GF4489 = make_extension(67, 2)  # above the table cap: multiplies by convolution
 F2T = RationalFunctionField(F2)
@@ -699,10 +701,13 @@ def twisted_cubic_bracket(q, order):
 
 def index_rejects(index, items, key):
     """Whether `index`, up to date with `items`, sends the term with this
-    key to the remainder without a scan."""
-    e = (key >> index.drop) & FIELD_MASK
+    key to the remainder without a scan: no point of its staircase divides
+    the term's (u, v) fields."""
     entry = index.table.get(key & index.keep)
-    return entry is not None and entry >> EXP_BITS == len(items) and e < entry & FIELD_MASK
+    if entry is None or entry[0] != len(items):
+        return False
+    _, us, vs = entry
+    return vs[bisect_right(us, key & index.ufield) - 1] > key & index.vfield
 
 
 @pytest.mark.parametrize("make", [
@@ -719,20 +724,71 @@ def index_rejects(index, items, key):
     pytest.param(lambda: twisted_cubic_bracket(8, TermOrder("lex")), id="GF4-cubic-q8-lex"),
 ])
 def test_indexed_reducer_matches_classic_loop(monkeypatch, make):
-    rejected = []
+    rejected, missed = [], []
     reduce_terms = groebner._reduce_terms
 
     def spy(work, items, dom, guard, box, tally, index=None):
         terms = reduce_terms(work, items, dom, guard, box, tally, index)
-        if index is not None:
-            rejected.extend(k for k, _ in terms if index_rejects(index, items, k))
+        if index is not None and len(items) > groebner._INDEX_MIN_ITEMS:
+            for k, _ in terms:
+                (rejected if index_rejects(index, items, k) else missed).append(k)
         return terms
 
     monkeypatch.setattr(groebner, "_reduce_terms", spy)
     I = make()
     G = buchberger(I)
     assert G.elements == classic_buchberger(I).elements
-    assert G.stats.max_basis > groebner._INDEX_MIN_ITEMS and rejected
+    assert G.stats.max_basis > groebner._INDEX_MIN_ITEMS and rejected and not missed
+
+
+@st.composite
+def divisor_index_runs(draw):
+    """A ring in 1-4 variables with a random order and priority, and a
+    sequence of (append, exponents): append a reducer with that lead, or
+    query the term."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("lex", "degrevlex")))
+    order = TermOrder(kind, tuple(draw(st.permutations(range(n)))))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    return n, order, draw(st.lists(st.tuples(st.booleans(), exps), min_size=1, max_size=40))
+
+
+def staircase_run(*leads):
+    """A run in x, y, where every reducer enters the one staircase, that
+    queries the term x^9 y^9 after each lead."""
+    return 2, TermOrder("degrevlex"), [op for e in leads for op in ((True, e), (False, (9, 9)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisor_index_runs())
+# an equal u replaces (3, 3); (4, 4) is dominated; (2, 1) removes (3, 2) and
+# (5, 1); (0, 0) removes every point
+@example(staircase_run((3, 3), (1, 5), (5, 1), (3, 2), (4, 4), (2, 1), (0, 6), (0, 0)))
+def test_divisor_index_matches_brute_force_divisibility(run):
+    n, order, ops = run
+    R = PolynomialRing(F5, tuple("xyzw"[:n]), order)
+    index = groebner._DivisorIndex(R)
+    prio = order.resolved_priority(n)
+    kept, (u, v) = prio[:-2], (prio * 2)[-2:]  # in one variable u is v
+    items = []
+    for append, e in ops:
+        key = R.encode(e)
+        if append:
+            items.append(groebner._Item(key, e, ()))
+            continue
+        below = [it.exps for it in items if all(it.exps[i] <= e[i] for i in kept)]
+        points = {(a[u] << EXP_BITS * u, a[v] << EXP_BITS * v) for a in below}
+        minimal = sorted(p for p in points
+                         if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in points))
+        divides = any(all(a <= b for a, b in zip(it.exps, e)) for it in items)
+        masked = key & index.keep
+        entry = index.table[masked]
+        index.update(items, masked, entry)
+        assert entry[0] == len(items)
+        # between the points (-1, vfield) and (ufield, -1), which divide no term
+        ends = [(-1, index.vfield)], [(index.ufield, -1)]
+        assert list(zip(entry[1], entry[2])) == ends[0] + minimal + ends[1]
+        assert index_rejects(index, items, key) == (not divides)
 
 
 @pytest.mark.parametrize("field, t, q, length, stats", [
@@ -744,6 +800,8 @@ def test_indexed_reducer_matches_classic_loop(monkeypatch, make):
                  id="F2(t)-generic-q64"),
     pytest.param(GF4, "s", 32, 3076, (1035, 4, 49, 896, 86, 44, 323, 186, 46),
                  id="GF4-t=s-q32"),
+    pytest.param(F7, "1", 343, 352942,
+                 (193131, 4, 626, 191260, 1241, 623, 47020, 5721, 622), id="F7-q343"),
 ])
 def test_colength_order_counters_are_pinned(field, t, q, length, stats):
     # values measured with the plain scan: choosing another reducer for any
@@ -751,6 +809,25 @@ def test_colength_order_counters_are_pinned(field, t, q, length, stats):
     G = buchberger(monsky_bracket(field, q, COLENGTH_ORDER, t=t))
     assert G.colength() == length
     assert G.stats == stats
+
+
+def test_divisor_index_keeps_one_staircase_per_kept_exponent(monkeypatch):
+    # in the colength order only the field of z is kept, and z stays below 4
+    # on the terms the reducer meets; keyed on every field but y's, the pair
+    # loop's index held 652 entries and both indexes examined 100,650 reducers
+    indexes, examined = [], [0]
+    update = groebner._DivisorIndex.update
+
+    def spy(self, items, masked, entry):
+        if self not in indexes:
+            indexes.append(self)
+        examined[0] += len(items) - entry[0]
+        return update(self, items, masked, entry)
+
+    monkeypatch.setattr(groebner._DivisorIndex, "update", spy)
+    G = buchberger(monsky_bracket(F5, 125, COLENGTH_ORDER))
+    assert G.stats == (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)
+    assert len(indexes) == 2 and len(indexes[0].table) <= 8 and examined[0] < 5000
 
 
 def test_reducer_pushes_each_key_once(monkeypatch):
