@@ -73,14 +73,46 @@ the order, ties by generator index).  For a fixed input and order the
 computation is deterministic.
 
 The final interreduction reduces the tails of the minimal elements in
-ascending order of the lead.  The pair loop makes each element as a full
-normal form against all elements older than it, so only a younger kept
-lead can divide a term of its tail (and it is smaller than its lead); a
-tail that no younger kept lead divides is kept as it is.  Inputs enter
-unreduced, so they always get the pass.  If a younger element Y that
-minimalization dropped divides a tail term t, the kept lead K dividing
-lead(Y) divides t, and K is younger since t survived reduction by every
-older element; a pure power found later is such a Y.
+ascending order of the lead.  A tail needs the pass exactly when some
+kept lead divides one of its terms; such a lead is below the term, so it
+belongs to an element already final, and the divisor index over those
+answers the question term by term.  In the ideal loop the lead is a
+younger one: the loop makes each element as a full normal form against
+all elements older than it (if a younger element Y that minimalization
+dropped divides a tail term t, the kept lead dividing lead(Y) divides
+t).  Inputs enter unreduced, and the ideal loop passes them always.
+
+Positions (Moller and Mora, "New constructive methods in classical
+ideal theory", J. Algebra 1986; Kreuzer and Robbiano, Computational
+Commutative Algebra 1, ch. 2).  Let f in I have the lead z^d, so that f =
+z^d + terms of z-degree < d, and write x for the other variables.  R =
+S/(f) is a free k[x]-module on 1, z, ..., z^(d-1), a term x^a z^i lying
+at position i, and the term order of S restricted to these terms is a
+module term order.  N = I/(f) is a k[x]-submodule of R, closed under z
+(N is an ideal of R), and it is generated over k[x] by the z^i * g
+reduced by f, for the other generators g of I and i < d: every s in S is
+congruent mod f to a k[x]-combination of the z^i.  Every lead of I is
+divisible by z^d or is the lead of its remainder mod f, which lies in N
+(dividing by f replaces only terms below a lead not divisible by z^d).
+So a Groebner basis of the module N together with f is a Groebner basis
+of I, and minimalizing and reducing it in the ideal's sense gives the
+same reduced basis.  buchberger takes this run when told f and z is a
+kept field of the divisor index: the inputs are the z^i * g, each made
+from the last by one multiplication by z and a reduction by f; pairs
+and criteria M, F and B_k act only between leads of one position, and f
+forms no pair; a term is reduced only by leads of its own position (one
+equality test on z's field in the index and the scan).  There is no
+product criterion: it rests on the syzygy g*h - h*g of two ring
+elements, which is not a relation between two elements of a module.
+The box holds the pure powers of the other variables among I's one-term
+generators and stays fixed: x_i^b z^j is an input for every j < d, so a
+term cut at position j is a multiple of an element of its own position,
+while a one-term element found in the loop is one at its own position
+only, and cutting by it at the others (as the ideal loop's growing box
+would) drops terms no element of theirs reduces.  At the end f joins the
+minimalization, and the final pass above runs in the ideal's sense with
+no input passed unconditionally: an element's tail may hold a term that
+a lead at a lower position divides, which the module loop never reduces.
 """
 
 from __future__ import annotations
@@ -89,7 +121,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import NamedTuple
 
 from . import linalg
@@ -113,19 +145,32 @@ class _Item:
     def __init__(self, key, exps, tail):
         self.key = key
         self.exps = exps
-        self.tail = tail  # ((key, raw), ...) strictly below `key`
+        self.tail = tail  # key, raw, key, raw, ... strictly below `key`, descending
 
 
 def _make_item(ring, terms):
-    """Monicize a nonzero term tuple and build its _Item."""
-    lead_key, lead_coeff = terms[0]
+    """The _Item of a nonzero tuple of (key, raw) terms."""
+    return _item(ring, tuple(chain.from_iterable(terms)))
+
+
+def _item(ring, flat):
+    """Monicize a nonzero flat term tuple (key, raw, key, raw, ...,
+    descending) and build its _Item.  Tails stay flat: a (key, raw) pair
+    object per term would take about half the memory of a basis."""
+    lead_key, lead_coeff = flat[0], flat[1]
     dom = ring.domain
-    if lead_coeff == dom.one:  # raws are canonical
-        tail = terms[1:]
-    else:
-        inv = dom.inv(lead_coeff)
-        tail = tuple((k, dom.mul(c, inv)) for k, c in terms[1:])
+    tail = flat[2:]
+    if lead_coeff != dom.one:  # raws are canonical
+        inv, mul = dom.inv(lead_coeff), dom.mul
+        tail = list(tail)
+        tail[1::2] = [mul(c, inv) for c in tail[1::2]]
+        tail = tuple(tail)
     return _Item(lead_key, ring.decode(lead_key), tail)
+
+
+def _pairs(tail):
+    """The (key, raw) terms of a flat tail."""
+    return tuple(zip(tail[::2], tail[1::2]))
 
 
 def pure_powers(exponent_vectors) -> dict:
@@ -156,15 +201,18 @@ def _staircase_bounds(items, n):
 
 class _DivisorIndex:
     """The divisor index of the module docstring: `table` maps a key masked
-    by `keep` to [seen, us, vs], the staircase of the first `seen` items."""
+    by `keep` to [seen, us, vs], the staircase of the first `seen` items.
+    With a `zfield` (a kept field), an item counts for a key only when that
+    field of the two is equal: the positions of a module run."""
 
-    def __init__(self, ring):
+    def __init__(self, ring, zfield=0):
         # in one variable u is v, and a staircase has one point
         u, v = (ring.order.resolved_priority(ring.nvars) * 2)[-2:]
         uf = self.ufield = FIELD_MASK << EXP_BITS * u
         vf = self.vfield = FIELD_MASK << EXP_BITS * v
         self.keep = ring.exp_mask ^ (uf | vf)
         self.guard = ring.guard
+        self.zfield = zfield
         # between the points (-1, vf) and (uf, -1), which divide no term
         self.table = defaultdict(lambda: [0, [-1, uf], [vf, -1]])
 
@@ -174,7 +222,8 @@ class _DivisorIndex:
         probe = masked | self.ufield | self.vfield | self.guard  # ignores u and v
         for item in items[seen:]:
             u, v = item.key & self.ufield, item.key & self.vfield
-            if (probe - item.key) & self.guard == self.guard and vs[bisect_right(us, u) - 1] > v:
+            if ((probe - item.key) & self.guard == self.guard and not (item.key ^ masked) & self.zfield
+                    and vs[bisect_right(us, u) - 1] > v):
                 # no point divides (u, v): it replaces the points it divides,
                 # those from its u on with v at least its own
                 i = bisect_left(us, u)
@@ -183,6 +232,17 @@ class _DivisorIndex:
                 us.insert(i, u)
                 vs.insert(i, v)
         entry[0] = len(items)
+
+    def divides(self, items, keys):
+        """Whether the lead of some item divides one of the terms `keys`."""
+        table, keep, uf, vf, n = self.table, self.keep, self.ufield, self.vfield, len(items)
+        for k in keys:
+            entry = table[k & keep]
+            if entry[0] < n:
+                self.update(items, k & keep, entry)
+            if entry[2][bisect_right(entry[1], k & uf) - 1] <= k & vf:
+                return True
+        return False
 
 
 # shorter reducer lists are scanned without the index: with no cutoff
@@ -196,11 +256,14 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
     against monic items, in a fixed scan order.  The exponents of the keys
     of `work` are all below 2^31; terms outside the box are dropped.
     `index`, a _DivisorIndex over `items`, sends terms no item divides to
-    the remainder unscanned.  Returns the remainder as descending (key,
-    raw) pairs, and adds the reduction steps and box drops to tally[0:2]."""
+    the remainder unscanned; with its `zfield`, a term is reduced only by
+    items of its own position.  Returns the remainder flat and descending,
+    key, raw, key, raw, ..., and adds the reduction steps and box drops to
+    tally[0:2]."""
     prime = isinstance(dom, PrimeField)
     p = dom.characteristic
     zero, neg, mul, sub = dom.zero, dom.neg, dom.mul, dom.sub
+    zfield = index.zfield if index is not None else 0
     steps = dropped = 0
     if box:
         for k in [k for k in work if (k + box) & guard]:
@@ -226,17 +289,19 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
             if seen < n:
                 update(items, masked, entry)
             if vs[bisect_right(us, k & ufield) - 1] > k & vfield:
-                out.append((k, c))
+                out += k, c
                 continue
         vk = k | guard
         for item in items:
-            if (vk - item.key) & guard == guard:
+            if (vk - item.key) & guard == guard and not (k ^ item.key) & zfield:
                 steps += 1
                 shift = k - item.key
                 # the term k lies in the box and shift divides it, so kk + box
                 # cannot carry across fields: its guard bits mark exactly the
                 # terms outside the box and the exponents that reached 2^31
-                for k2, c2 in item.tail:
+                tail = iter(item.tail)
+                for k2 in tail:
+                    c2 = next(tail)
                     kk = k2 + shift
                     prev = work.get(kk)
                     if prev is None:
@@ -252,7 +317,7 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
                         work[kk] = (prev - c * c2) % p if prime else sub(prev, mul(c, c2))
                 break
         else:
-            out.append((k, c))
+            out += k, c
     tally[0] += steps
     tally[1] += dropped
     return tuple(out)
@@ -265,9 +330,11 @@ def _spair(item_f, item_g, lcm_key, dom, guard):
     terms; a term of the result with an exponent >= 2^31 raises."""
     p = dom.characteristic if isinstance(dom, PrimeField) else 0
     shift = lcm_key - item_f.key
-    work = {k + shift: c for k, c in item_f.tail}
+    tail = iter(item_f.tail)
+    work = {k + shift: c for k, c in zip(tail, tail)}
     shift = lcm_key - item_g.key
-    for k, c in item_g.tail:
+    tail = iter(item_g.tail)
+    for k, c in zip(tail, tail):
         kk = k + shift
         prev = work.pop(kk, dom.zero)
         c = (prev - c) % p if p else dom.sub(prev, c)
@@ -279,14 +346,16 @@ def _spair(item_f, item_g, lcm_key, dom, guard):
     return work
 
 
-def _gm_update(items, active, pairs, h, ring, tally):
+def _gm_update(items, active, pairs, h, ring, tally, zfield=0):
     """The Gebauer-Moller UPDATE for the new element items[h].
 
     `active` lists the indices that may form new pairs and `pairs` is the
     heap of queued (lcm key, i, j) with i < j.  Returns the new active
     list and pair heap, and adds to tally[0..3] the new pairs formed, the
     new pairs dropped by the product criterion, the queued pairs dropped
-    by criterion B_k and the new pairs dropped by criteria M and F."""
+    by criterion B_k and the new pairs dropped by criteria M and F.  In a
+    module run (`zfield` set) `active` holds h's position alone, B_k drops
+    only pairs of that position and there is no product criterion."""
     guard = ring.guard
     exp_mask = ring.exp_mask
     lcm = ring.lcm_fields
@@ -297,7 +366,7 @@ def _gm_update(items, active, pairs, h, ring, tally):
     for g in active:
         gk = items[g].key
         lp = lcm(gk, hk)
-        cands.append((lp, lp != (gk + hk) & exp_mask, g))
+        cands.append((lp, zfield != 0 or lp != (gk + hk) & exp_mask, g))
     cands.sort()
     witnesses = []
     new = []
@@ -313,6 +382,7 @@ def _gm_update(items, active, pairs, h, ring, tally):
     # criterion B_k drops the queued pairs (i, j) whose lcm lead(h) divides,
     # and equals neither lcm(i, h) nor lcm(j, h)
     kept = [(lk, i, j) for lk, i, j in pairs if ((lk | guard) - hk) & guard != guard
+            or (lk ^ hk) & zfield
             or lcm(items[i].key, hk) == lk & exp_mask or lcm(items[j].key, hk) == lk & exp_mask]
     tally[0] += len(cands)
     tally[1] += len(witnesses) - len(new)
@@ -347,7 +417,7 @@ class GroebnerBasis:
     the BuchbergerStats of the run that computed it (None when it was
     built from given elements)."""
 
-    __slots__ = ("ring", "elements", "stats", "_items", "_box", "_colength", "_bounds")
+    __slots__ = ("ring", "_elements", "stats", "_items", "_box", "_colength", "_bounds")
 
     def __init__(self, ring: PolynomialRing, elements):
         elements = tuple(elements)
@@ -356,15 +426,23 @@ class GroebnerBasis:
     @classmethod
     def _of_items(cls, ring, items, stats):
         """The basis of reduced items."""
-        one = ring.domain.one
-        elements = tuple(Polynomial(ring, ((it.key, one),) + it.tail) for it in items)
         basis = cls.__new__(cls)
-        basis._fill(ring, elements, items, stats)
+        basis._fill(ring, None, items, stats)
         return basis
+
+    @property
+    def elements(self):
+        """The basis as polynomials, made from the items when first read: a
+        basis that is only counted on never holds them."""
+        if self._elements is None:
+            one = self.ring.domain.one
+            object.__setattr__(self, "_elements", tuple(
+                Polynomial(self.ring, ((it.key, one),) + _pairs(it.tail)) for it in self._items))
+        return self._elements
 
     def _fill(self, ring, elements, items, stats):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_elements", elements)
         object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_box", _box_mask(items))
@@ -375,7 +453,7 @@ class GroebnerBasis:
         raise AttributeError("GroebnerBasis is immutable")
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._items)
 
     def __iter__(self):
         return iter(self.elements)
@@ -390,7 +468,7 @@ class GroebnerBasis:
         f = self.ring.convert(f)  # raises unless f's ring differs at most in order
         terms = _reduce_terms(dict(f._terms), self._items, self.ring.domain, self.ring.guard,
                               self._box, [0, 0])
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, _pairs(terms))
 
     def staircase_bounds(self):
         """Per-variable minimal pure-power exponents of the leading-term
@@ -493,9 +571,14 @@ def _slice_points(gens):
     return points
 
 
-def buchberger(I: IdealPresentation) -> GroebnerBasis:
+def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by I, in the term
-    order of I's ring; its `stats` hold the counters of the run."""
+    order of I's ring; its `stats` hold the counters of the run.
+
+    Naming f, one of I's generators (up to a unit), runs the pair loop by
+    positions when f's lead is a pure power z^d of a kept variable of the
+    divisor index (see the module docstring); otherwise, or without f, the
+    loop runs over the ideal."""
     ring = I.ring
     dom = ring.domain
     if not isinstance(dom, Field):
@@ -509,15 +592,43 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
     items: list[_Item] = list(unique.values())
     box = _box_mask(items)
     inputs = len(items)  # items made before this were never reduced
+    tally = [0, 0]  # reduction steps, box drops
+    index = _DivisorIndex(ring)
+    zfield = 0  # the exponent field of z in a run by positions
+    if f:
+        fi = _make_item(ring, ring.convert(f)._terms)
+        fi = unique.get((fi.key, fi.tail))  # None unless f is a generator
+        support = [i for i, e in enumerate(fi.exps) if e] if fi else ()
+        if len(support) == 1 and (FIELD_MASK << EXP_BITS * support[0]) & index.keep:
+            z = support[0]
+            zfield = FIELD_MASK << EXP_BITS * z
+    if zfield:
+        # the inputs of N = I/(f): z^i * g reduced by f for i < d, each made
+        # from the last; an input whose lead lies outside the box, as the
+        # pure powers that define it do, is not cut by it
+        index = _DivisorIndex(ring, zfield)
+        box &= ~zfield
+        zkey = ring.encode([int(i == z) for i in range(ring.nvars)])
+        items, inputs = [], 0
+        for it in unique.values():
+            if it is fi:
+                continue
+            work = dict(_pairs((it.key, dom.one) + it.tail))
+            for _ in range(fi.exps[z]):
+                terms = _reduce_terms(work, [fi], dom, guard, 0 if (it.key + box) & guard else box,
+                                      tally)
+                if not terms:
+                    break
+                items.append(_item(ring, terms))
+                work = {k + zkey: c for k, c in _pairs(terms)}
 
-    active: list[int] = []
+    actives = defaultdict(list)  # active indices by position; one list over the ideal
     pairs: list = []
     crit = [0, 0, 0, 0]  # pairs formed; dropped by product, B_k, M and F
-    tally = [0, 0]  # reduction steps, box drops
     reduced = zeros = 0
-    index = _DivisorIndex(ring)
     for h in range(len(items)):
-        active, pairs = _gm_update(items, active, pairs, h, ring, crit)
+        pos = items[h].key & zfield
+        actives[pos], pairs = _gm_update(items, actives[pos], pairs, h, ring, crit, zfield)
 
     while pairs:
         lk, i, j = heapq.heappop(pairs)
@@ -527,12 +638,18 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
         if not terms:
             zeros += 1
             continue
-        new = _make_item(ring, terms)
+        new = _item(ring, terms)
         items.append(new)
-        if not new.tail:  # a monomial element, maybe a new pure power
+        if not new.tail and not zfield:  # a monomial element, maybe a new pure power
             box = _box_mask(items)
-        active, pairs = _gm_update(items, active, pairs, len(items) - 1, ring, crit)
+        pos = new.key & zfield
+        actives[pos], pairs = _gm_update(items, actives[pos], pairs, len(items) - 1, ring, crit,
+                                         zfield)
 
+    active = [k for ks in actives.values() for k in ks]
+    if zfield:  # f joins the minimalization in the ideal's sense
+        items.append(fi)
+        active.append(len(items) - 1)
     # minimalize: drop elements whose lead is divisible by another kept lead;
     # every minimal lead is still active
     kept: list[_Item] = []
@@ -543,19 +660,18 @@ def buchberger(I: IdealPresentation) -> GroebnerBasis:
             kept.append(items[k])
             born.append(k)
     max_basis = len(items)
-    del items, active, index  # free the dropped elements before the tails are rebuilt
+    del items, active, actives, index  # free the dropped elements before the tails are rebuilt
     # auto-reduce tails ascending, smaller leads being already final; each
     # old item is released as its reduced one is made, and kept as it is
-    # unless it is an input or a younger kept lead divides a tail term
+    # unless it is an input or a kept lead divides a tail term
     kept.reverse()
     reduced_items: list[_Item] = []
     index = _DivisorIndex(ring)
     for k in born:
         it = kept.pop()
-        if k < inputs or any(((t | guard) - r.key) & guard == guard for r, b
-                             in zip(reduced_items, born) if b > k for t, _ in it.tail):
-            it = _Item(it.key, it.exps, _reduce_terms(dict(it.tail), reduced_items, dom, guard,
-                                                      box, tally, index))
+        if k < inputs or index.divides(reduced_items, it.tail[::2]):
+            it = _Item(it.key, it.exps, _reduce_terms(dict(_pairs(it.tail)), reduced_items, dom,
+                                                      guard, box, tally, index))
         reduced_items.append(it)
     stats = BuchbergerStats(*crit, reduced, zeros, *tally, max_basis)
     return GroebnerBasis._of_items(ring, reduced_items, stats)

@@ -25,6 +25,16 @@ counts its colengths and tests containment of the parameter ideal on such
 bases too.  socle_basis stays in R.ring, because its socle and the
 elements u built from it reach the rsig artifacts.
 
+When R.defining_gb() is one element f, _colength_basis names it to
+buchberger, which runs the pair loop by positions, over the free
+k[x, y]-module R (see groebner), when f is among the generators up to a
+unit and its lead is a pure power z^d.  The callers that pass R.defining
+first are such: hk_sample_gb, csig_search's bases and hs_function's basis
+per n.  _graded_leads passes I alone and keeps the loop over the ideal,
+as does every other ring (rsig-cubic's twisted cubic has three defining
+generators) and every other buchberger call (socle_basis, the groebner
+and disc commands).
+
 Hilbert-Samuel lengths of the maximal ideal m need no basis per n when
 the defining ideal J is homogeneous.  For d < n, (J + m^n)_d = J_d, and
 for d >= n it is all of S_d; the standard monomials of degree d of any
@@ -82,6 +92,7 @@ class QuotientRingSpec:
             if g.is_zero():
                 raise ValidationError("zero generator in defining ideal")
         self._colength_ring = _noether_ring(ring, self.defining)
+        self._gb = None  # so that J's own basis names no f
         self._gb = gb = _colength_basis(self, self.defining) if self.defining else None
         if gb is not None and gb.is_unit_ideal():
             raise ValidationError("defining ideal is the unit ideal")
@@ -176,9 +187,13 @@ def _colength_basis(R: QuotientRingSpec, gens) -> GroebnerBasis:
     The ideal is the same, so its colength, dimension, zero-dimensionality,
     primality to the origin and the polynomials it contains are as in
     R.ring: the standard monomials of any order are a basis of the same
-    quotient."""
+    quotient.  When R.defining_gb() is one element f, buchberger is told
+    f, and takes positions when f is among `gens` (see the module
+    docstring)."""
     ring = R.colength_ring()
-    return buchberger(IdealPresentation(ring, tuple(ring.convert(g) for g in gens)))
+    gb = R.defining_gb()
+    return buchberger(IdealPresentation(ring, tuple(ring.convert(g) for g in gens)),
+                      gb.elements[0] if gb is not None and len(gb) == 1 else None)
 
 
 def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerBasis:

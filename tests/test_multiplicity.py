@@ -33,6 +33,7 @@ from hklab.polyring import frobenius_power, ordinary_power
 
 from .oracles import (
     bracket_colength_hypersurface,
+    graded_hypersurface_colength,
     hs_lengths_by_powers,
     monomials_below,
     poly_dict,
@@ -458,6 +459,25 @@ def test_hk_against_hypersurface_rank_oracle():
             assert s.length == bracket_colength_hypersurface(F2, 3, raw, s.q)
 
 
+@pytest.mark.parametrize("field, t, e_max", [
+    pytest.param(F2, "1", 5, id="F2-q32"),
+    pytest.param(F3, "1", 3, id="F3-q27"),
+    pytest.param(F5, "1", 2, id="F5-q25"),
+    pytest.param(PrimeField(7), "1", 2, id="F7-q49"),
+    pytest.param(make_extension(2, 2), "s", 4, id="GF4-t=s-q16"),
+])
+def test_hk_function_matches_graded_macaulay_oracle(field, t, e_max):
+    # every length of a hypersurface is counted on a basis from buchberger's
+    # position loop; the oracle counts without any Groebner basis
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    quartic = ring.parse(f"z^4 + x*y*z^2 + (x^3+y^3)*z + {t}*x^2*y^2")
+    samples = hk_function(QuotientRingSpec(ring, (quartic,)), IdealPresentation(ring, ring.gens()),
+                          e_max)
+    raw = poly_dict(ring, quartic)
+    assert [s.length for s in samples] == [graded_hypersurface_colength(field, raw, s.q)
+                                           for s in samples]
+
+
 def test_degenerate_quartic_fiber_closed_form():
     # at the degenerate point the quartic is a union of four planes over
     # GF(4); inclusion-exclusion of 4 planes and 6 lines gives exactly
@@ -525,7 +545,8 @@ def test_colength_ring_is_chosen_once_and_used_only_for_colengths():
 def test_lex_ring_counts_on_degrevlex_bases():
     # lex bases of the t = 1 Monsky quartic's bracket powers take minutes
     # at q = 125; its lengths come from the degrevlex bases of a degrevlex
-    # ring, with the counters of test_colength_order_counters_are_pinned
+    # ring, by positions, with the counters of
+    # test_position_run_counters_are_pinned
     specs = {}
     for field in (F3, F5):
         ring = PolynomialRing(field, ("x", "y", "z"), TermOrder("lex"))
@@ -534,8 +555,25 @@ def test_lex_ring_counts_on_degrevlex_bases():
         specs[field] = R, IdealPresentation(ring, ring.gens())
     G = hk_sample_gb(*specs[F5], 125)
     assert G.colength() == 46870
-    assert G.stats == (15576, 5, 175, 15043, 353, 180, 6381, 2311, 177)
+    assert G.stats == (4337, 0, 180, 3971, 186, 8, 2286, 1298, 191)
     assert [s.length for s in hk_function(*specs[F3], 4)] == [22, 238, 2182, 19678]
+
+
+def test_hypersurface_counting_bases_run_by_positions():
+    # _colength_basis names R.defining_gb()'s one element f, and buchberger
+    # finds it among the generators up to a unit: the quartic written with
+    # a factor 2 is counted by positions too (no product criterion), with
+    # the monic quartic's counters; I alone, as _graded_leads passes it,
+    # does not hold f and keeps the loop over the ideal
+    ring = PolynomialRing(F5, ("x", "y", "z"))
+    m = IdealPresentation(ring, ring.gens())
+    quartic = "z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2"
+    runs = [hk_sample_gb(QuotientRingSpec(ring, (ring.parse(g),)), m, 25)
+            for g in (quartic, f"2*({quartic})")]
+    assert runs[0].stats == runs[1].stats and runs[0].stats.by_product == 0
+    assert runs[0].colength() == 1870
+    R = QuotientRingSpec(ring, (ring.parse(quartic),))
+    assert multiplicity._colength_basis(R, m.generators).stats.by_product == 3
 
 
 def test_counting_paths_compute_no_basis_in_a_lex_ring(monkeypatch):
@@ -543,9 +581,9 @@ def test_counting_paths_compute_no_basis_in_a_lex_ring(monkeypatch):
     # one basis among them; the socle reaches rsig.csv and stays in lex
     seen = []
 
-    def spy(I, real=multiplicity.buchberger):
+    def spy(I, f=None, real=multiplicity.buchberger):
         seen.append(I.ring.order.kind)
-        return real(I)
+        return real(I, f)
 
     def orders(run, *args):
         seen.clear()
