@@ -27,15 +27,7 @@ from .family import (
     verdict_term_semicontinuity,
     verdict_uniform_bounds,
 )
-from .groebner import (
-    INFINITE,
-    GroebnerBasis,
-    buchberger,
-    ideal_colon_m,
-    is_primary_to_origin,
-    multiplication_matrix,
-    trace_discriminant,
-)
+from .groebner import INFINITE, GroebnerBasis, buchberger, is_primary_to_origin
 from .multiplicity import (
     CSigResult,
     HKEstimate,
@@ -62,6 +54,7 @@ from .polyring import (
     frobenius_power,
     ordinary_power,
 )
+from .quotient import ideal_colon_m, multiplication_matrix, trace_discriminant
 
 __version__ = "0.1.0"
 

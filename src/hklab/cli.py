@@ -31,8 +31,9 @@ from typing import NamedTuple
 from . import config
 from .errors import HKLabError, ValidationError
 from .family import DEFAULT_CHECKS, hk_row, hk_sweep, modp_sweep
-from .groebner import INFINITE, buchberger, multiplication_matrix, trace_discriminant
+from .groebner import INFINITE, buchberger
 from .multiplicity import csig_search, hs_function, hs_multiplicity, rsig_search
+from .quotient import multiplication_matrix, trace_discriminant
 
 D_HAT_NOTE = "empirical estimate from sampled differences, not a proven constant"
 FAMILY_CAVEAT = (

@@ -1,18 +1,8 @@
-"""Buchberger's algorithm and everything built on the reduced basis:
-normal forms, colengths, primality-to-origin, colon ideals by linear
-algebra, multiplication matrices, and the trace-form discriminant of a
-finite quotient algebra.
-
-Linear algebra on a finite quotient goes through one helper,
-_multiplication_maps: given a basis of finite colength and multipliers
-f, it returns the standard monomials e_j and, for each f, the matrix of
-multiplication by f on them, whose column j holds the coordinates of
-normal_form(normal_form(f) * e_j) (Cox, Little and O'Shea, Using
-Algebraic Geometry, ch. 2, sec. 4).  multiplication_matrix passes f
-itself, socle_lifts the variables, whose stacked maps have the socle as
-kernel, and trace_discriminant the e_i.  check_primary_to_origin is the
-one primality check of the package: it raises a ValidationError that
-names the caller's object, and the witness variable when one is not
+"""Buchberger's algorithm and everything built on its basis: normal
+forms, colengths and primality-to-origin; the linear algebra of a finite
+quotient algebra built on them is in quotient.  check_primary_to_origin
+is the one primality check of the package: it raises a ValidationError
+that names the caller's object, and the witness variable when one is not
 nilpotent.
 
 Colengths count the staircase of the leading monomials by slicing on one
@@ -56,11 +46,13 @@ its own.  In three variables the kept field is that of the first, which
 QuotientRingSpec.colength_ring() puts there: it stays below its pure
 power (z^4 for the Monsky quartics), so entries are few.  Reducers are
 only appended, and an entry takes in those appended since it was last
-read.  A term with no divisor goes to the remainder without a scan, as
-the scan would send it; every other term is scanned in list order, so
-the first divisor is still the reducer chosen, and every step, counter
-and basis is as without the index.  The index is used only on more than
-_INDEX_MIN_ITEMS reducers.
+read.  A term enters the heap only when the index shows a divisor; the
+others stay in the work dict, where a step may still update them, and
+leave it sorted as the remainder, each key negated twice: a key made by
+k + shift keeps a spare digit, 52 B against 48 B.  Heap terms are
+scanned in list order, so the first divisor is still the reducer chosen,
+and every step, counter and basis is as without the index.  The index is
+used only on more than _INDEX_MIN_ITEMS reducers.
 
 Pairs are managed by the update of Gebauer and Moller ("On an
 installation of Buchberger's algorithm", JSC 1988) in the UPDATE form of
@@ -70,17 +62,25 @@ criterion, queued pairs by criterion B_k, and new pairs are formed only
 with elements whose leading monomial no later one divides; every element
 stays a reducer.  Pair selection is the normal strategy (smallest lcm in
 the order, ties by generator index).  For a fixed input and order the
-computation is deterministic.
+computation is deterministic.  In a run by positions in three variables
+(below) the active leads of a position form a staircase in (u, v), and
+only a few can give a least lcm with a new lead: the last point left of
+it, the first below it and the points it divides, or the points that
+divide it (_neighbours); the update forms its candidates from these
+alone, and every other run scans every active element.
 
-The final interreduction reduces the tails of the minimal elements in
-ascending order of the lead.  A tail needs the pass exactly when some
-kept lead divides one of its terms; such a lead is below the term, so it
-belongs to an element already final, and the divisor index over those
-answers the question term by term.  In the ideal loop the lead is a
-younger one: the loop makes each element as a full normal form against
-all elements older than it (if a younger element Y that minimalization
-dropped divides a tail term t, the kept lead dividing lead(Y) divides
-t).  Inputs enter unreduced, and the ideal loop passes them always.
+Minimalization asks a divisor index over the kept leads, ascending,
+whether one divides the next candidate.  The ideal loop then reduces the
+tails of the minimal elements in ascending order of the lead, reading
+the same index, its table cleared.  A tail needs the pass exactly when
+some kept lead divides one of its terms; such a lead is below the term,
+so it belongs to an element already final, and the divisor index over
+those answers the question term by term.  In the ideal loop the lead
+is a younger one: the loop makes each element as a full normal form
+against all elements older than it (if a younger element Y that
+minimalization dropped divides a tail term t, the kept lead dividing
+lead(Y) divides t).  Inputs enter unreduced, and the ideal loop passes
+them always.
 
 Positions (Moller and Mora, "New constructive methods in classical
 ideal theory", J. Algebra 1986; Kreuzer and Robbiano, Computational
@@ -95,13 +95,13 @@ congruent mod f to a k[x]-combination of the z^i.  Every lead of I is
 divisible by z^d or is the lead of its remainder mod f, which lies in N
 (dividing by f replaces only terms below a lead not divisible by z^d).
 So a Groebner basis of the module N together with f is a Groebner basis
-of I, and minimalizing and reducing it in the ideal's sense gives the
-same reduced basis.  buchberger takes this run when told f and z is a
-kept field of the divisor index: the inputs are the z^i * g, each made
-from the last by one multiplication by z and a reduction by f; pairs
-and criteria M, F and B_k act only between leads of one position, and f
-forms no pair; a term is reduced only by leads of its own position (one
-equality test on z's field in the index and the scan).  There is no
+of I, and minimalizing it in the ideal's sense gives a minimal one, with
+the leads of the reduced basis.  buchberger takes this run when told f
+and z is a kept field of the divisor index: the inputs are the z^i * g,
+each made from the last by one multiplication by z and a reduction by f;
+pairs and criteria M, F and B_k act only between leads of one position,
+and f forms no pair; a term is reduced only by leads of its own
+position, which have a reducer list of their own.  There is no
 product criterion: it rests on the syzygy g*h - h*g of two ring
 elements, which is not a relation between two elements of a module.
 The box holds the pure powers of the other variables among I's one-term
@@ -110,9 +110,11 @@ term cut at position j is a multiple of an element of its own position,
 while a one-term element found in the loop is one at its own position
 only, and cutting by it at the others (as the ideal loop's growing box
 would) drops terms no element of theirs reduces.  At the end f joins the
-minimalization, and the final pass above runs in the ideal's sense with
-no input passed unconditionally: an element's tail may hold a term that
-a lead at a lower position divides, which the module loop never reduces.
+minimalization in the ideal's sense, and the run stops there, with no
+final pass: such runs feed colengths, which read the leads, and normal
+forms, which are the same for every Groebner basis.  A tail is as the
+module loop left it and may hold a term that a lead at a lower position
+divides.
 """
 
 from __future__ import annotations
@@ -124,9 +126,8 @@ from collections import defaultdict
 from itertools import chain, combinations_with_replacement
 from typing import NamedTuple
 
-from . import linalg
-from .coeff import Field, FieldElement, PrimeField
-from .errors import ExponentOverflow, StructuralError, ValidationError
+from .coeff import Field, PrimeField
+from .errors import ExponentOverflow, ValidationError
 from .polyring import (EXP_BITS, FIELD_MASK, MAX_EXPONENT, IdealPresentation, Polynomial,
                        PolynomialRing)
 
@@ -201,18 +202,17 @@ def _staircase_bounds(items, n):
 
 class _DivisorIndex:
     """The divisor index of the module docstring: `table` maps a key masked
-    by `keep` to [seen, us, vs], the staircase of the first `seen` items.
-    With a `zfield` (a kept field), an item counts for a key only when that
-    field of the two is equal: the positions of a module run."""
+    by `keep` to [seen, us, vs], the staircase of the first `seen` items of
+    the list it is read with, in a run by positions the reducers of the
+    key's position."""
 
-    def __init__(self, ring, zfield=0):
+    def __init__(self, ring):
         # in one variable u is v, and a staircase has one point
         u, v = (ring.order.resolved_priority(ring.nvars) * 2)[-2:]
         uf = self.ufield = FIELD_MASK << EXP_BITS * u
         vf = self.vfield = FIELD_MASK << EXP_BITS * v
         self.keep = ring.exp_mask ^ (uf | vf)
         self.guard = ring.guard
-        self.zfield = zfield
         # between the points (-1, vf) and (uf, -1), which divide no term
         self.table = defaultdict(lambda: [0, [-1, uf], [vf, -1]])
 
@@ -222,8 +222,7 @@ class _DivisorIndex:
         probe = masked | self.ufield | self.vfield | self.guard  # ignores u and v
         for item in items[seen:]:
             u, v = item.key & self.ufield, item.key & self.vfield
-            if ((probe - item.key) & self.guard == self.guard and not (item.key ^ masked) & self.zfield
-                    and vs[bisect_right(us, u) - 1] > v):
+            if (probe - item.key) & self.guard == self.guard and vs[bisect_right(us, u) - 1] > v:
                 # no point divides (u, v): it replaces the points it divides,
                 # those from its u on with v at least its own
                 i = bisect_left(us, u)
@@ -234,8 +233,12 @@ class _DivisorIndex:
         entry[0] = len(items)
 
     def divides(self, items, keys):
-        """Whether the lead of some item divides one of the terms `keys`."""
+        """Whether the lead of some item divides one of the terms `keys`;
+        a short list is scanned, as the reducer does."""
         table, keep, uf, vf, n = self.table, self.keep, self.ufield, self.vfield, len(items)
+        if n <= _INDEX_MIN_ITEMS:  # a scan is cheaper
+            guard = self.guard
+            return any(((k | guard) - it.key) & guard == guard for k in keys for it in items)
         for k in keys:
             entry = table[k & keep]
             if entry[0] < n:
@@ -251,49 +254,52 @@ class _DivisorIndex:
 _INDEX_MIN_ITEMS = 16
 
 
-def _reduce_terms(work, items, dom, guard, box, tally, index=None):
+def _reduce_terms(work, reducers, dom, guard, box, tally, index=None, zfield=0):
     """Full normal form of the terms of `work` (key -> raw, consumed)
-    against monic items, in a fixed scan order.  The exponents of the keys
-    of `work` are all below 2^31; terms outside the box are dropped.
-    `index`, a _DivisorIndex over `items`, sends terms no item divides to
-    the remainder unscanned; with its `zfield`, a term is reduced only by
-    items of its own position.  Returns the remainder flat and descending,
-    key, raw, key, raw, ..., and adds the reduction steps and box drops to
-    tally[0:2]."""
+    against monic items: a term is reduced by the first item of
+    reducers[key & zfield] whose lead divides it, so with `zfield` set
+    only by items of its own position.  The exponents of the keys of
+    `work` are all below 2^31; terms outside the box are dropped.
+    `index`, a _DivisorIndex over the reducers, keeps the terms no item
+    divides out of the heap: they stay in `work` until the end.  Returns
+    the remainder flat and descending, key, raw, key, raw, ..., and adds
+    the reduction steps and box drops to tally[0:2]."""
     prime = isinstance(dom, PrimeField)
     p = dom.characteristic
     zero, neg, mul, sub = dom.zero, dom.neg, dom.mul, dom.sub
-    zfield = index.zfield if index is not None else 0
     steps = dropped = 0
     if box:
         for k in [k for k in work if (k + box) & guard]:
             del work[k]
             dropped += 1
-    n = len(items)
-    indexed = index is not None and n > _INDEX_MIN_ITEMS
+    indexed = index is not None and sum(map(len, reducers.values())) > _INDEX_MIN_ITEMS
     if indexed:
-        table = index.table
-        update = index.update
+        table, update = index.table, index.update
         ufield, vfield, keep = index.ufield, index.vfield, index.keep
-    heap = [-k for k in work]
-    heapq.heapify(heap)
+    heap = []
+    fresh = list(work)  # keys new to the work dict, not yet in the heap
     out = []
-    while heap:
+    while True:
+        for k in fresh:
+            if indexed:
+                masked = k & keep
+                seen, us, vs = entry = table[masked]
+                items = reducers[k & zfield]
+                if seen < len(items):
+                    update(items, masked, entry)
+                if vs[bisect_right(us, k & ufield) - 1] > k & vfield:
+                    continue  # no item divides k: it stays in work, out of the heap
+            heapq.heappush(heap, -k)
+        fresh.clear()
+        if not heap:
+            break
         k = -heapq.heappop(heap)
         c = work.pop(k)
         if c == zero:  # cancelled
             continue
-        if indexed:
-            masked = k & keep
-            seen, us, vs = entry = table[masked]
-            if seen < n:
-                update(items, masked, entry)
-            if vs[bisect_right(us, k & ufield) - 1] > k & vfield:
-                out += k, c
-                continue
         vk = k | guard
-        for item in items:
-            if (vk - item.key) & guard == guard and not (k ^ item.key) & zfield:
+        for item in reducers[k & zfield]:
+            if (vk - item.key) & guard == guard:
                 steps += 1
                 shift = k - item.key
                 # the term k lies in the box and shift divides it, so kk + box
@@ -311,13 +317,20 @@ def _reduce_terms(work, items, dom, guard, box, tally, index=None):
                             dropped += 1
                             continue
                         work[kk] = (-c * c2) % p if prime else neg(mul(c, c2))
-                        heapq.heappush(heap, -kk)
+                        if indexed:
+                            fresh.append(kk)
+                        else:
+                            heapq.heappush(heap, -kk)
                     else:
                         # a cancelled term keeps its zero, so kk is never pushed twice
                         work[kk] = (prev - c * c2) % p if prime else sub(prev, mul(c, c2))
                 break
         else:
             out += k, c
+    if indexed:  # the terms the index kept out of the heap
+        for k in sorted([-k for k, c in work.items() if c != zero]):
+            k = -k
+            out += k, work[k]
     tally[0] += steps
     tally[1] += dropped
     return tuple(out)
@@ -346,6 +359,37 @@ def _spair(item_f, item_g, lcm_key, dom, guard):
     return work
 
 
+def _neighbours(stair, h, hk):
+    """The candidates for the new pairs of h, with lead key hk, in a run by
+    positions in three variables, from the staircase (us, vs, gs) of h's
+    position: the minimal active leads by their (u, v) fields, u
+    ascending, v descending, between the points (-1, vfield) and
+    (ufield, -1), gs[i - 1] the element at point i.  An active lead that
+    another one divides is younger than it (else it would be gone), so it
+    never forms a pair: the older one's lcm with h divides its own, and the
+    older one wins a tie.  The least lcms are lead(h), when points divide
+    h, or those of the last point left of h, of the points h divides and
+    of the first point below h; the candidates are these points with the
+    neighbours of those dividing h.  Unless another point divides h, h
+    replaces the points it divides."""
+    us, vs, gs = stair
+    a, b = hk & us[-1], hk & vs[0]
+    i = lo = bisect_right(us, a)
+    while vs[lo - 1] <= b:  # points that divide h
+        lo -= 1
+    r = i
+    while vs[r] > b:  # points right of h that h divides
+        r += 1
+    cands = gs[max(lo - 2, 0):r]
+    start = i - 1 if us[i - 1] == a and vs[i - 1] >= b else i  # from the points h divides
+    if lo >= start:  # no other point divides h: it replaces the points it divides
+        end = r + 1 if vs[r] == b else r
+        us[start:end] = [a]
+        vs[start:end] = [b]
+        gs[start - 1:end - 1] = [h]
+    return cands
+
+
 def _gm_update(items, active, pairs, h, ring, tally, zfield=0):
     """The Gebauer-Moller UPDATE for the new element items[h].
 
@@ -355,15 +399,18 @@ def _gm_update(items, active, pairs, h, ring, tally, zfield=0):
     new pairs dropped by the product criterion, the queued pairs dropped
     by criterion B_k and the new pairs dropped by criteria M and F.  In a
     module run (`zfield` set) `active` holds h's position alone, B_k drops
-    only pairs of that position and there is no product criterion."""
+    only pairs of that position and there is no product criterion; in
+    three variables `active` is the staircase of _neighbours, updated in
+    place, and only its candidates are formed."""
     guard = ring.guard
     exp_mask = ring.exp_mask
     lcm = ring.lcm_fields
     hk = items[h].key
+    stair = isinstance(active, tuple)
     # new pairs by ascending lcm exponent fields: a proper divisor comes
     # first, and among equal lcms a coprime pair, which then removes the others
     cands = []
-    for g in active:
+    for g in _neighbours(active, h, hk) if stair else active:
         gk = items[g].key
         lp = lcm(gk, hk)
         cands.append((lp, zfield != 0 or lp != (gk + hk) & exp_mask, g))
@@ -390,8 +437,9 @@ def _gm_update(items, active, pairs, h, ring, tally, zfield=0):
     tally[3] += len(cands) - len(witnesses)
     pairs = kept + new
     heapq.heapify(pairs)
-    active = [g for g in active if ((items[g].key | guard) - hk) & guard != guard]
-    active.append(h)
+    if not stair:
+        active = [g for g in active if ((items[g].key | guard) - hk) & guard != guard]
+        active.append(h)
     return active, pairs
 
 
@@ -412,10 +460,11 @@ class BuchbergerStats(NamedTuple):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced, sorted by leading
-    monomial ascending.  Carries cached staircase data for colengths, and
-    the BuchbergerStats of the run that computed it (None when it was
-    built from given elements)."""
+    """Minimal Groebner basis, monic and sorted by leading monomial
+    ascending, and reduced unless buchberger made it by positions: then
+    its tails are not interreduced.  Carries cached staircase data for
+    colengths, and the BuchbergerStats of the run that computed it (None
+    when it was built from given elements)."""
 
     __slots__ = ("ring", "_elements", "stats", "_items", "_box", "_colength", "_bounds")
 
@@ -466,8 +515,8 @@ class GroebnerBasis:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         f = self.ring.convert(f)  # raises unless f's ring differs at most in order
-        terms = _reduce_terms(dict(f._terms), self._items, self.ring.domain, self.ring.guard,
-                              self._box, [0, 0])
+        terms = _reduce_terms(dict(f._terms), {0: self._items}, self.ring.domain,
+                              self.ring.guard, self._box, [0, 0])
         return Polynomial(self.ring, _pairs(terms))
 
     def staircase_bounds(self):
@@ -577,8 +626,9 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
 
     Naming f, one of I's generators (up to a unit), runs the pair loop by
     positions when f's lead is a pure power z^d of a kept variable of the
-    divisor index (see the module docstring); otherwise, or without f, the
-    loop runs over the ideal."""
+    divisor index (see the module docstring), and the basis is minimal
+    only, its tails not interreduced; otherwise, or without f, the loop
+    runs over the ideal."""
     ring = I.ring
     dom = ring.domain
     if not isinstance(dom, Field):
@@ -606,35 +656,40 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
         # the inputs of N = I/(f): z^i * g reduced by f for i < d, each made
         # from the last; an input whose lead lies outside the box, as the
         # pure powers that define it do, is not cut by it
-        index = _DivisorIndex(ring, zfield)
         box &= ~zfield
         zkey = ring.encode([int(i == z) for i in range(ring.nvars)])
-        items, inputs = [], 0
+        items = []
         for it in unique.values():
             if it is fi:
                 continue
             work = dict(_pairs((it.key, dom.one) + it.tail))
             for _ in range(fi.exps[z]):
-                terms = _reduce_terms(work, [fi], dom, guard, 0 if (it.key + box) & guard else box,
-                                      tally)
+                terms = _reduce_terms(work, {0: [fi]}, dom, guard,
+                                      0 if (it.key + box) & guard else box, tally)
                 if not terms:
                     break
                 items.append(_item(ring, terms))
                 work = {k + zkey: c for k, c in _pairs(terms)}
 
-    actives = defaultdict(list)  # active indices by position; one list over the ideal
+    reducers = defaultdict(list)  # by position; one list over the ideal
+    if zfield and index.keep == zfield:  # the active leads of a position form a staircase
+        uf, vf = index.ufield, index.vfield
+        actives = defaultdict(lambda: ([-1, uf], [vf, -1], []))
+    else:
+        actives = defaultdict(list)  # active indices by position
     pairs: list = []
     crit = [0, 0, 0, 0]  # pairs formed; dropped by product, B_k, M and F
     reduced = zeros = 0
-    for h in range(len(items)):
-        pos = items[h].key & zfield
+    for h, it in enumerate(items):
+        pos = it.key & zfield
+        reducers[pos].append(it)
         actives[pos], pairs = _gm_update(items, actives[pos], pairs, h, ring, crit, zfield)
 
     while pairs:
         lk, i, j = heapq.heappop(pairs)
         reduced += 1
         work = _spair(items[i], items[j], lk, dom, guard)
-        terms = _reduce_terms(work, items, dom, guard, box, tally, index)
+        terms = _reduce_terms(work, reducers, dom, guard, box, tally, index, zfield)
         if not terms:
             zeros += 1
             continue
@@ -643,10 +698,12 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
         if not new.tail and not zfield:  # a monomial element, maybe a new pure power
             box = _box_mask(items)
         pos = new.key & zfield
+        reducers[pos].append(new)
         actives[pos], pairs = _gm_update(items, actives[pos], pairs, len(items) - 1, ring, crit,
                                          zfield)
 
-    active = [k for ks in actives.values() for k in ks]
+    # a staircase (us, vs, gs) holds its elements in gs
+    active = [k for ks in actives.values() for k in (ks[2] if isinstance(ks, tuple) else ks)]
     if zfield:  # f joins the minimalization in the ideal's sense
         items.append(fi)
         active.append(len(items) - 1)
@@ -654,27 +711,29 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
     # every minimal lead is still active
     kept: list[_Item] = []
     born = []  # the index in `items` of each kept element
+    index = _DivisorIndex(ring)
     for k in sorted(active, key=lambda k: items[k].key):
-        cg = items[k].key | guard
-        if not any((cg - it.key) & guard == guard for it in kept):
+        if not index.divides(kept, (items[k].key,)):
             kept.append(items[k])
             born.append(k)
     max_basis = len(items)
-    del items, active, actives, index  # free the dropped elements before the tails are rebuilt
-    # auto-reduce tails ascending, smaller leads being already final; each
-    # old item is released as its reduced one is made, and kept as it is
-    # unless it is an input or a kept lead divides a tail term
-    kept.reverse()
-    reduced_items: list[_Item] = []
-    index = _DivisorIndex(ring)
-    for k in born:
-        it = kept.pop()
-        if k < inputs or index.divides(reduced_items, it.tail[::2]):
-            it = _Item(it.key, it.exps, _reduce_terms(dict(_pairs(it.tail)), reduced_items, dom,
-                                                      guard, box, tally, index))
-        reduced_items.append(it)
+    del items, active, actives, reducers  # free the dropped elements before the tails are rebuilt
+    if not zfield:
+        # auto-reduce tails ascending, smaller leads being already final; each
+        # old item is released as its reduced one is made, and kept as it is
+        # unless it is an input or a kept lead divides a tail term
+        kept.reverse()
+        reduced_items: list[_Item] = []
+        index.table.clear()
+        for k in born:
+            it = kept.pop()
+            if k < inputs or index.divides(reduced_items, it.tail[::2]):
+                it = _Item(it.key, it.exps, _reduce_terms(dict(_pairs(it.tail)), {0: reduced_items},
+                                                          dom, guard, box, tally, index))
+            reduced_items.append(it)
+        kept = reduced_items
     stats = BuchbergerStats(*crit, reduced, zeros, *tally, max_basis)
-    return GroebnerBasis._of_items(ring, reduced_items, stats)
+    return GroebnerBasis._of_items(ring, kept, stats)
 
 
 def _primary_witness(G: GroebnerBasis, what="ideal"):
@@ -710,84 +769,3 @@ def check_primary_to_origin(G: GroebnerBasis, what: str) -> None:
         raise ValidationError(
             f"{what} is not primary to the origin: variable {witness!r} is not nilpotent"
         )
-
-
-def _multiplication_maps(G: GroebnerBasis, multipliers):
-    """The standard monomials e_0 < e_1 < ... of a finite-colength G and,
-    for each f in `multipliers`, the matrix of multiplication by f on them
-    as a list of columns: column j holds the coordinates of
-    normal_form(normal_form(f) * e_j)."""
-    ring = G.ring
-    zero = ring.domain.zero
-    smb = G.standard_monomials()
-    index = {m.key: i for i, m in enumerate(smb)}
-    maps = []
-    for f in multipliers:
-        terms = G.normal_form(f)._terms
-        cols = []
-        for m in smb:
-            col = [zero] * len(smb)
-            shifted = Polynomial(ring, tuple((k + m.key, c) for k, c in terms))
-            for k, c in G.normal_form(shifted)._terms:
-                i = index.get(k)
-                if i is None:
-                    raise StructuralError("normal form left the standard-monomial span")
-                col[i] = c
-            cols.append(col)
-        maps.append(cols)
-    return smb, maps
-
-
-def multiplication_matrix(G: GroebnerBasis, f: Polynomial):
-    """Matrix of multiplication-by-f on the standard-monomial basis;
-    column j holds the coordinates of normal_form(f * e_j)."""
-    smb, (cols,) = _multiplication_maps(G, (f,))
-    field = G.ring.domain
-    return [[FieldElement(field, col[i]) for col in cols] for i in range(len(smb))]
-
-
-def socle_lifts(G: GroebnerBasis):
-    """Polynomials lifting a basis of the kernel of the stacked
-    multiplication-by-variable maps on the standard-monomial basis of a
-    finite-colength G, i.e. of the socle of the quotient."""
-    ring = G.ring
-    field = ring.domain
-    smb, maps = _multiplication_maps(G, ring.gens())
-    n = len(smb)
-    stacked = [[col[r] for col in cols] for cols in maps for r in range(n)]
-    return [
-        ring.polynomial([(smb[i].key, v) for i, v in enumerate(vec) if not field.is_zero(v)])
-        for vec in linalg.kernel_basis(field, stacked, n)
-    ]
-
-
-def ideal_colon_m(J: IdealPresentation) -> IdealPresentation:
-    """(J : m) for the maximal ideal m at the origin, computed as the
-    kernel of the stacked multiplication-by-variable maps on the
-    standard-monomial basis, lifted back to polynomial generators."""
-    G = buchberger(J)
-    check_primary_to_origin(G, "ideal")
-    return IdealPresentation(J.ring, tuple(J.generators) + tuple(socle_lifts(G)))
-
-
-def trace_discriminant(G: GroebnerBasis) -> FieldElement:
-    """Determinant of the trace-pairing Gram matrix on the canonical
-    standard-monomial basis (sorted by the term order, which pins the
-    unit ambiguity of a basis change)."""
-    ring = G.ring
-    field = ring.domain
-    basis = [Polynomial(ring, ((m.key, field.one),)) for m in G.standard_monomials()]
-    # prods[i][j] holds the coordinates of nf(e_i * e_j)
-    _, prods = _multiplication_maps(G, basis)
-    n = len(basis)
-
-    def total(values):
-        acc = field.zero
-        for v in values:
-            acc = field.add(acc, v)
-        return acc
-
-    traces = [total(prods[c][j][j] for j in range(n)) for c in range(n)]  # of e_c
-    gram = [[total(field.mul(v, t) for v, t in zip(prods[i][j], traces) if not field.is_zero(v))
-             for j in range(n)] for i in range(n)]
-    return FieldElement(field, linalg.det(field, gram))

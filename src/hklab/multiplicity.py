@@ -28,12 +28,14 @@ elements u built from it reach the rsig artifacts.
 When R.defining_gb() is one element f, _colength_basis names it to
 buchberger, which runs the pair loop by positions, over the free
 k[x, y]-module R (see groebner), when f is among the generators up to a
-unit and its lead is a pure power z^d.  The callers that pass R.defining
-first are such: hk_sample_gb, csig_search's bases and hs_function's basis
-per n.  _graded_leads passes I alone and keeps the loop over the ideal,
-as does every other ring (rsig-cubic's twisted cubic has three defining
-generators) and every other buchberger call (socle_basis, the groebner
-and disc commands).
+unit and its lead is a pure power z^d; that basis is minimal, its tails
+not interreduced, and only its leads and normal forms are read.  The
+callers that pass R.defining first are such: hk_sample_gb, csig_search's
+bases and hs_function's basis per n.  _graded_leads passes I alone, which
+may hold f, and reads no tail.  Every other ring (rsig-cubic's twisted
+cubic has three defining generators) and every other buchberger call
+(socle_basis, the groebner and disc commands) keeps the loop over the
+ideal.
 
 Hilbert-Samuel lengths of the maximal ideal m need no basis per n when
 the defining ideal J is homogeneous.  For d < n, (J + m^n)_d = J_d, and
@@ -66,7 +68,6 @@ from .groebner import (
     check_primary_to_origin,
     colength_below_degree,
     pure_powers,
-    socle_lifts,
 )
 from .polyring import (
     IdealPresentation,
@@ -76,6 +77,7 @@ from .polyring import (
     frobenius_power,
     ordinary_power,
 )
+from .quotient import socle_lifts
 
 _HS_WINDOW = 3  # consecutive equal d-th differences that make hs_multiplicity stable
 
@@ -182,7 +184,7 @@ def _combined_gens(R: QuotientRingSpec, I: IdealPresentation):
 
 
 def _colength_basis(R: QuotientRingSpec, gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal of `gens` in R.colength_ring(),
+    """Groebner basis of the ideal of `gens` in R.colength_ring(),
     whose degrevlex order may differ from R.ring's in kind and priority.
     The ideal is the same, so its colength, dimension, zero-dimensionality,
     primality to the origin and the polynomials it contains are as in
@@ -197,7 +199,7 @@ def _colength_basis(R: QuotientRingSpec, gens) -> GroebnerBasis:
 
 
 def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerBasis:
-    """Reduced Groebner basis of defining + I^[q] in R.colength_ring()."""
+    """Groebner basis of defining + I^[q] in R.colength_ring()."""
     return _colength_basis(R, _combined_gens(R, frobenius_power(I, q)))
 
 
@@ -275,14 +277,15 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
 
 def _graded_leads(R: QuotientRingSpec, I: IdealPresentation):
     """The leading exponents of R.defining_gb() when every element of it is
-    homogeneous and the reduced basis of I in R.colength_ring() is the
-    variables; None otherwise."""
+    homogeneous and I is the maximal ideal (colength 1, every variable in
+    it); None otherwise."""
     gb = R.defining_gb()
     elements = () if gb is None else gb.elements
     for g in elements:
         if len({m.degree for _, m in g.terms}) > 1:
             return None
-    if set(_colength_basis(R, I.generators).elements) != set(R.colength_ring().gens()):
+    G = _colength_basis(R, I.generators)
+    if G.colength() != 1 or any(G.normal_form(v) for v in G.ring.gens()):
         return None
     return () if gb is None else gb.leading_exponents()
 

@@ -39,7 +39,16 @@ chain scan over every basis element against the set of treated pairs; the
 reducer decodes each popped term to packed exponents (through a per-call
 cache) and never truncates to a box.  It shares only the ring encoding,
 the coefficient arithmetic and the GroebnerBasis container with the code
-under test.
+under test.  tail_reduced turns a minimal basis into the reduced one with
+the same reducer, one tail at a time in ascending order of the lead.
+
+reduce_by_positions: a plain normal form that scans every item for a
+divisor of the term's own z-exponent, the reference for the reducer's
+per-position lists and for the terms it keeps out of its heap.
+
+gm_update_full_scan: the pair update that forms a candidate with every
+active element, kept verbatim as the reference for the staircase
+neighbours of a three-variable run by positions.
 
 rsig_rows_per_vector: the package's former rsig_search loop, kept
 verbatim as the reference for the search that shares one Hilbert-Kunz
@@ -520,15 +529,113 @@ def classic_buchberger(I):
         if any(all(a <= b for a, b in zip(it.exps, cand.exps)) for it in kept):
             continue
         kept.append(cand)
-    # auto-reduce tails ascending; smaller leads are already final
+    return GroebnerBasis(ring, _reduce_tails(ring, kept, packed_cache, guard))
+
+
+def _reduce_tails(ring, kept, packed_cache, guard):
+    """The elements of a minimal basis, given as items ascending by lead,
+    with each tail reduced by the elements before it: the reduced basis."""
     reduced_items: list[_Item] = []
     elements = []
-    for it in kept:
+    for it in kept:  # smaller leads are already final
         tail = _reduce_terms(it.tail, reduced_items, ring, packed_cache, guard)
         final = _Item(it.key, it.exps, it.packed, tail)
         reduced_items.append(final)
         elements.append(Polynomial(ring, ((it.key, ring.domain.one),) + tail))
-    return GroebnerBasis(ring, elements)
+    return tuple(elements)
+
+
+def tail_reduced(G):
+    """The reduced basis of the ideal of a minimal Groebner basis G, whose
+    tails need not be reduced, by this module's own reducer."""
+    ring = G.ring
+    kept = sorted((_make_item(ring, g._terms) for g in G.elements), key=lambda it: it.key)
+    return _reduce_tails(ring, kept, {}, _guard_mask(ring.nvars))
+
+
+def reduce_by_positions(terms, items, ring, z, bounds):
+    """Normal form of the {key: raw} dict `terms` by monic `items`, given
+    as (lead exponents, ((key, raw), ...) tail) in scan order: the largest
+    term left is reduced by the first item whose lead divides it and has
+    its exponent of variable z.  A term with an exponent at or above its
+    variable's bound in `bounds` is dropped, and so is one a step creates
+    there.  Returns the remainder as descending (key, raw) pairs, the
+    steps and the drops."""
+    dom = ring.domain
+
+    def outside(key):
+        exps = ring.decode(key)
+        return any(exps[i] >= b for i, b in bounds.items())
+
+    work = {k: c for k, c in terms.items() if not outside(k)}
+    drops = len(terms) - len(work)
+    steps = 0
+    out = []
+    while work:
+        k = max(work)
+        c = work.pop(k)
+        if dom.is_zero(c):
+            continue
+        exps = ring.decode(k)
+        for lead, tail in items:
+            if lead[z] == exps[z] and all(a <= b for a, b in zip(lead, exps)):
+                steps += 1
+                shift = k - ring.encode(lead)
+                for k2, c2 in tail:
+                    kk = k2 + shift
+                    if kk in work:
+                        work[kk] = dom.sub(work[kk], dom.mul(c, c2))
+                    elif outside(kk):
+                        drops += 1
+                    else:
+                        work[kk] = dom.neg(dom.mul(c, c2))
+                break
+        else:
+            out.append((k, c))
+    return tuple(out), steps, drops
+
+
+def gm_update_full_scan(items, active, pairs, h, ring, tally, zfield=0):
+    """The Gebauer-Moller update as it was before staircase neighbours,
+    kept verbatim as their reference: every active element is a candidate
+    for a new pair with items[h], and `active` is the list of indices."""
+    guard = ring.guard
+    exp_mask = ring.exp_mask
+    lcm = ring.lcm_fields
+    hk = items[h].key
+    # new pairs by ascending lcm exponent fields: a proper divisor comes
+    # first, and among equal lcms a coprime pair, which then removes the others
+    cands = []
+    for g in active:
+        gk = items[g].key
+        lp = lcm(gk, hk)
+        cands.append((lp, zfield != 0 or lp != (gk + hk) & exp_mask, g))
+    cands.sort()
+    witnesses = []
+    new = []
+    for lp, overlap, g in cands:
+        lg = lp | guard
+        for w in witnesses:
+            if (lg - w) & guard == guard:
+                break
+        else:
+            witnesses.append(lp)
+            if overlap:
+                new.append((ring.key_of_fields(lp), g, h))
+    # criterion B_k drops the queued pairs (i, j) whose lcm lead(h) divides,
+    # and equals neither lcm(i, h) nor lcm(j, h)
+    kept = [(lk, i, j) for lk, i, j in pairs if ((lk | guard) - hk) & guard != guard
+            or (lk ^ hk) & zfield
+            or lcm(items[i].key, hk) == lk & exp_mask or lcm(items[j].key, hk) == lk & exp_mask]
+    tally[0] += len(cands)
+    tally[1] += len(witnesses) - len(new)
+    tally[2] += len(pairs) - len(kept)
+    tally[3] += len(cands) - len(witnesses)
+    pairs = kept + new
+    heapq.heapify(pairs)
+    active = [g for g in active if ((items[g].key | guard) - hk) & guard != guard]
+    active.append(h)
+    return active, pairs
 
 
 def hs_lengths_by_powers(R, I, n_max):

@@ -7,8 +7,12 @@ import os
 import pytest
 
 from hklab.cli import RunConfig, emit_plotdata, main, run
+from hklab.coeff import PrimeField
 from hklab.errors import ValidationError
 from hklab.multiplicity import QuotientRingSpec
+from hklab.polyring import IdealPresentation, PolynomialRing
+
+from .oracles import classic_buchberger
 
 MONSKY_SWEEP = {
     "base": {"kind": "param", "p": 2, "params": ["t"]},
@@ -382,6 +386,20 @@ def test_groebner_cli_with_matrix(tmp_path):
     payload = json.load(open(out / "groebner.json"))
     assert payload["colength"] == 2
     assert payload["matrix"] == [["0", "3"], ["1", "0"]]
+
+
+def test_groebner_cli_basis_of_a_hypersurface_is_reduced(tmp_path):
+    # the groebner artifact shows the reduced basis, never a minimal one
+    generators = ["z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2", "x^25", "y^25", "z^25"]
+    cfg = write_config(tmp_path, "gb.json", {"field": {"kind": "prime", "p": 5},
+                                             "vars": ["x", "y", "z"], "generators": generators})
+    out = tmp_path / "out"
+    assert run(RunConfig("groebner", cfg, str(out))) == 0
+    ring = PolynomialRing(PrimeField(5), ("x", "y", "z"))
+    expected = classic_buchberger(IdealPresentation(ring, tuple(map(ring.parse, generators))))
+    payload = json.load(open(out / "groebner.json"))
+    assert payload["basis"] == [repr(g) for g in expected.elements]
+    assert payload["colength"] == 1870
 
 
 def test_disc_cli(tmp_path):

@@ -3,10 +3,12 @@
 import math
 import time
 from bisect import bisect_right
+from collections import defaultdict
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hklab import (
@@ -32,11 +34,14 @@ from hklab.polyring import EXP_BITS
 
 from .oracles import (
     classic_buchberger,
+    gm_update_full_scan,
     macaulay_colength,
     mat_mul,
     pivot_split_colength,
     poly_dict,
     random_zero_dim_ideals,
+    reduce_by_positions,
+    tail_reduced,
 )
 
 F2 = PrimeField(2)
@@ -727,8 +732,9 @@ def test_indexed_reducer_matches_classic_loop(monkeypatch, make):
     rejected, missed = [], []
     reduce_terms = groebner._reduce_terms
 
-    def spy(work, items, dom, guard, box, tally, index=None):
-        terms = reduce_terms(work, items, dom, guard, box, tally, index)
+    def spy(work, reducers, dom, guard, box, tally, index=None, zfield=0):
+        terms = reduce_terms(work, reducers, dom, guard, box, tally, index, zfield)
+        items = reducers[0]  # the ideal loop's one list
         if index is not None and len(items) > groebner._INDEX_MIN_ITEMS:
             for k in terms[::2]:
                 (rejected if index_rejects(index, items, k) else missed).append(k)
@@ -811,19 +817,29 @@ def test_colength_order_counters_are_pinned(field, t, q, length, stats):
     assert G.stats == stats
 
 
+def assert_minimal_basis_of(G, reduced):
+    """G, a basis made by positions, is a minimal Groebner basis of the
+    ideal whose reduced basis is `reduced`: the same leads, each reducing
+    the other to zero, and `reduced` once G's tails are reduced."""
+    assert G.leading_exponents() == reduced.leading_exponents()
+    assert not any(G.normal_form(g) for g in reduced)
+    assert not any(reduced.normal_form(g) for g in G)
+    assert tail_reduced(G) == reduced.elements
+
+
 @pytest.mark.parametrize("field, t, q, length, stats", [
-    pytest.param(F5, "1", 125, 46870, (4337, 0, 180, 3971, 186, 8, 2286, 1298, 191),
-                 id="F5-q125"),
-    pytest.param(F7, "1", 343, 352942, (49150, 0, 625, 47896, 629, 8, 16468, 2530, 634),
+    pytest.param(F5, "1", 125, 46870, (368, 0, 180, 2, 186, 8, 2262, 1298, 191), id="F5-q125"),
+    pytest.param(F7, "1", 343, 352942, (1254, 0, 625, 0, 629, 8, 16366, 2530, 634),
                  id="F7-q343"),
-    pytest.param(F2T, "t", 64, 12284, (2090, 0, 127, 1832, 131, 8, 676, 239, 136),
+    pytest.param(F2T, "t", 64, 12284, (258, 0, 127, 0, 131, 8, 675, 239, 136),
                  id="F2(t)-generic-q64"),
-    pytest.param(GF4, "s", 32, 3076, (396, 0, 50, 290, 56, 8, 167, 95, 61), id="GF4-t=s-q32"),
+    pytest.param(GF4, "s", 32, 3076, (108, 0, 50, 2, 56, 8, 167, 95, 61), id="GF4-t=s-q32"),
 ])
 def test_position_run_counters_are_pinned(field, t, q, length, stats):
     # the same cells by positions, f named: pairs only within one z-exponent,
-    # no product criterion; reduction_steps include the f-steps that make
-    # the inputs z^i * g, and zero reductions fall to 8 in every cell
+    # formed with staircase neighbours only, no product criterion and no
+    # final pass; reduction_steps include the f-steps that make the inputs
+    # z^i * g, and zero reductions fall to 8 in every cell
     I = monsky_bracket(field, q, COLENGTH_ORDER, t=t)
     G = buchberger(I, I.generators[0])
     assert G.colength() == length
@@ -831,8 +847,8 @@ def test_position_run_counters_are_pinned(field, t, q, length, stats):
     s = G.stats
     assert s.by_product == 0
     assert s.pairs_formed == s.by_product + s.by_b_k + s.by_m_f + s.pairs_reduced
-    if q < 343:  # the ideal loop takes about a second at q = 343; its colength is pinned
-        assert G.elements == buchberger(I).elements
+    if q < 343:  # the classic loop takes seconds at q = 125; at q = 343 the colength is pinned
+        assert_minimal_basis_of(G, classic_buchberger(I))
 
 
 POSITION_FIELDS = (F2, F3, F5, F7, GF4, make_extension(3, 2))
@@ -893,7 +909,8 @@ def named_case(field, order, *gens):
 def test_position_run_matches_ideal_run_and_classic_loop(case):
     I, f = case
     G, H = buchberger(I, f), buchberger(I)
-    assert G.elements == H.elements == classic_buchberger(I).elements
+    assert H.elements == classic_buchberger(I).elements
+    assert_minimal_basis_of(G, H)
     s = G.stats
     assert s.pairs_formed == s.by_product + s.by_b_k + s.by_m_f + s.pairs_reduced
     if I.ring.order.resolved_priority(3).index(2) < 1:  # z is kept: positions
@@ -902,11 +919,28 @@ def test_position_run_matches_ideal_run_and_classic_loop(case):
         assert s == H.stats
 
 
-def test_position_run_pairs_and_divisors_stay_within_one_position():
+@pytest.mark.parametrize("gens", [
+    ("w^3 + x*y*w + x^3 + y*z^2", "x^4", "y^4", "z^4"),
+    ("w^2 + x*z + y^2", "x^3 + y*w", "y^3", "z^3"),
+    ("w^3 + x*y*z + z^2*w", "x^3", "y^3", "z^3 + x*w"),
+])
+def test_position_run_in_four_variables_scans_every_active_lead(gens):
+    # w and x are kept fields: the leads of one position are not a plane
+    # staircase, so every active lead is a candidate (staircase neighbours
+    # in (y, z) alone give colength infinity on each of these)
+    R = PolynomialRing(F3, ("x", "y", "z", "w"), TermOrder("degrevlex", (3, 0, 1, 2)))
+    I = IdealPresentation(R, tuple(map(R.parse, gens)))
+    G = buchberger(I, I.generators[0])
+    assert G.stats.by_product == 0  # by positions
+    assert_minimal_basis_of(G, classic_buchberger(I))
+
+
+def test_position_run_pairs_and_divisors_stay_within_one_position(monkeypatch):
     # over the ideal, lead(h) = x*y divides the lcm x^2*y^2*z of the queued
     # pair of x^2*y*z and x*y^2*z, so criterion B_k drops the pair; by
     # positions h sits at z^0 and the pair at z^1, so it stays, and no lead
-    # at z^0 divides a term at z^1
+    # at z^0 reduces a term at z^1, with the divisor index or without
+    monkeypatch.setattr(groebner, "_INDEX_MIN_ITEMS", 0)
     R = PolynomialRing(F5, ("x", "y", "z"), COLENGTH_ORDER)
     zfield = groebner.FIELD_MASK << EXP_BITS * 2
     items = [groebner._Item(R.encode(e), e, ()) for e in ((2, 1, 1), (1, 2, 1), (1, 1, 0))]
@@ -915,9 +949,89 @@ def test_position_run_pairs_and_divisors_stay_within_one_position():
         tally = [0, 0, 0, 0]
         _, pairs = groebner._gm_update(items, [], [(lcm, 0, 1)], 2, R, tally, z)
         assert pairs == kept and tally[2] == 1 - len(kept)
-        index = groebner._DivisorIndex(R, z)
-        assert index.divides(items[2:], (R.encode((3, 3, 1)),)) == (not z)
-        assert index.divides(items[2:], (R.encode((3, 3, 0)),))
+        for index in (None, groebner._DivisorIndex(R)):
+            for e in ((3, 3, 1), (3, 3, 0)):
+                work = {R.encode(e): 1}
+                reducers = defaultdict(list, {0: items[2:]})  # by position, as buchberger's
+                left = groebner._reduce_terms(dict(work), reducers, F5, R.guard, 0, [0, 0],
+                                              index, z)
+                assert left == (() if e[2] == 0 or not z else (R.encode(e), 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 1)),
+                min_size=1, max_size=30))
+# (1, 1) is divided by (1, 0) and (0, 1), the first lead dividing it, and
+# (1, 0) again replaces its equal lead
+@example([(3, 0, 0), (0, 3, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0), (1, 0, 0)])
+def test_staircase_neighbours_match_the_full_scan(leads):
+    # elements with these leads at z^0 or z^1 enter one by one, as the
+    # inputs of a run by positions do (one may have a lead another divides):
+    # the neighbours form the new pairs of the full scan and keep its queue;
+    # the staircase holds the active leads no other active lead divides,
+    # which are the only ones that can win a pair
+    R = PolynomialRing(F5, ("x", "y", "z"), COLENGTH_ORDER)
+    zfield = groebner.FIELD_MASK << EXP_BITS * 2
+    index = groebner._DivisorIndex(R)
+    assert index.keep == zfield
+    items = [groebner._Item(R.encode(e), e, ()) for e in leads]
+    stairs = defaultdict(lambda: ([-1, index.ufield], [index.vfield, -1], []))
+    actives = defaultdict(list)
+    pairs, expected = [], []
+    tally, full = [0, 0, 0, 0], [0, 0, 0, 0]
+    for h, it in enumerate(items):
+        pos = it.key & zfield
+        actives[pos], expected = gm_update_full_scan(items, actives[pos], expected, h, R, full,
+                                                     zfield)
+        stairs[pos], pairs = groebner._gm_update(items, stairs[pos], pairs, h, R, tally, zfield)
+        assert pairs == expected
+        assert tally[1:3] == full[1:3] and tally[0] - tally[3] == full[0] - full[3]
+        us, vs, gs = stairs[pos]
+        assert [(it.key & index.ufield, it.key & index.vfield) for it in map(items.__getitem__, gs)
+                ] == list(zip(us, vs))[1:-1]
+        minimal = [g for g in actives[pos] if not any(
+            k != g and divides(items[k].exps, items[g].exps) for k in actives[pos])]
+        assert sorted(gs) == sorted(minimal)
+
+
+@st.composite
+def position_reductions(draw):
+    """Monic items at z^0 .. z^3 in x, y, z over F_2, F_5 or GF(4) in the
+    colength order, a work dict, and bounds on x and y for the box."""
+    field = draw(st.sampled_from((F2, F5, GF4)))
+    R = PolynomialRing(field, ("x", "y", "z"), COLENGTH_ORDER)
+    raws = [c for c in field.elements() if c != field.zero]
+    exps = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3))
+    terms = st.lists(st.tuples(exps, st.sampled_from(raws)), min_size=1, max_size=4)
+    polys = [R.polynomial((R.encode(e), c) for e, c in t)
+             for t in draw(st.lists(terms, min_size=1, max_size=24))]
+    items = [groebner._make_item(R, g._terms) for g in polys if g]
+    work = {R.encode(e): c for e, c in draw(terms)}
+    bounds = draw(st.dictionaries(st.integers(0, 1), st.integers(1, 8)))
+    return R, items, work, bounds
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(position_reductions())
+def test_reducer_by_positions_matches_a_plain_scan(case):
+    # one reducer list per position, with the divisor index keeping
+    # irreducible terms out of the heap or without it, reduces like a scan
+    # of every item for a divisor at the term's own z-exponent
+    R, items, work, bounds = case
+    zfield = groebner.FIELD_MASK << EXP_BITS * 2
+    reducers = defaultdict(list)
+    for it in items:
+        reducers[it.key & zfield].append(it)
+    box = groebner._box_mask([groebner._Item(0, (b if i == 0 else 0, b if i == 1 else 0, 0), ())
+                              for i, b in bounds.items()])
+    remainder, steps, drops = reduce_by_positions(
+        work, [(it.exps, groebner._pairs(it.tail)) for it in items], R, 2, bounds)
+    for index in (None, groebner._DivisorIndex(R)):
+        tally = [0, 0]
+        with patch.object(groebner, "_INDEX_MIN_ITEMS", 0):
+            left = groebner._reduce_terms(dict(work), reducers, R.domain, R.guard, box, tally,
+                                          index, zfield)
+        assert groebner._pairs(left) == remainder and tally == [steps, drops]
 
 
 def test_divisor_index_keeps_one_staircase_per_kept_exponent(monkeypatch):
@@ -975,9 +1089,9 @@ def test_final_interreduction_passes_only_tails_a_younger_lead_divides(
     indexes = []
     reduce_terms = groebner._reduce_terms
 
-    def spy(work, items, dom, guard, box, tally, index=None):
+    def spy(work, reducers, dom, guard, box, tally, index=None, zfield=0):
         indexes.append(index)
-        return reduce_terms(work, items, dom, guard, box, tally, index)
+        return reduce_terms(work, reducers, dom, guard, box, tally, index, zfield)
 
     monkeypatch.setattr(groebner, "_reduce_terms", spy)
     G = buchberger(monsky_bracket(field, q, COLENGTH_ORDER))

@@ -33,6 +33,7 @@ from hklab.polyring import frobenius_power, ordinary_power
 
 from .oracles import (
     bracket_colength_hypersurface,
+    classic_buchberger,
     graded_hypersurface_colength,
     hs_lengths_by_powers,
     monomials_below,
@@ -555,7 +556,7 @@ def test_lex_ring_counts_on_degrevlex_bases():
         specs[field] = R, IdealPresentation(ring, ring.gens())
     G = hk_sample_gb(*specs[F5], 125)
     assert G.colength() == 46870
-    assert G.stats == (4337, 0, 180, 3971, 186, 8, 2286, 1298, 191)
+    assert G.stats == (368, 0, 180, 2, 186, 8, 2262, 1298, 191)
     assert [s.length for s in hk_function(*specs[F3], 4)] == [22, 238, 2182, 19678]
 
 
@@ -574,6 +575,30 @@ def test_hypersurface_counting_bases_run_by_positions():
     assert runs[0].colength() == 1870
     R = QuotientRingSpec(ring, (ring.parse(quartic),))
     assert multiplicity._colength_basis(R, m.generators).stats.by_product == 3
+
+
+def test_bases_a_caller_sees_stay_reduced():
+    # a counting basis made by positions ends minimal, its tails as the
+    # module loop left them; R.defining_gb() names no f and is reduced, and
+    # _graded_leads reads no tail: the position run on (x + y, f, x - y,
+    # z + x) keeps x - y and z + x, whose tails hold the leads y and x
+    ring = PolynomialRing(F5, ("x", "y", "z"))
+    quartic = ring.parse("z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2")
+    R = QuotientRingSpec(ring, (2 * quartic,))
+    cring = R.colength_ring()
+    assert R.defining_gb().elements == classic_buchberger(
+        IdealPresentation(cring, (cring.convert(quartic),))).elements
+    x, y, z = ring.gens()
+    I = IdealPresentation(ring, (x + y, x - y, z + x))
+    with_f = IdealPresentation(ring, (x + y, 3 * quartic, x - y, z + x))
+    G = multiplicity._colength_basis(R, with_f.generators)
+    assert G.stats.by_product == 0  # by positions
+    assert set(G.elements) == set(map(cring.convert, (y, x - y, z + x)))
+    leads = multiplicity._graded_leads(R, I)
+    assert leads == multiplicity._graded_leads(R, with_f) == R.defining_gb().leading_exponents()
+    assert hs_function(R, with_f, 5) == hs_function(R, I, 5)
+    off_origin = IdealPresentation(ring, (x - 1, y, z, quartic))
+    assert multiplicity._graded_leads(R, off_origin) is None
 
 
 def test_counting_paths_compute_no_basis_in_a_lex_ring(monkeypatch):
