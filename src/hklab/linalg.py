@@ -4,7 +4,8 @@ Matrices are lists of equal-length lists of raw field elements.  One
 forward elimination, `_echelon`, serves everything: `det` reads its
 signed pivot product and `rref` adds back substitution.  Nothing here is
 tuned for size: callers are zero-dimensional quotients and Gram
-matrices, which stay small.
+matrices, which stay small.  `integer_kernel` is the one routine over Z
+instead of a field.
 """
 
 from __future__ import annotations
@@ -77,3 +78,32 @@ def det(field, rows):
     when the elimination finds fewer pivots than rows."""
     _, pivots, signed = _echelon(field, rows)
     return signed if len(pivots) == len(rows) else field.zero
+
+
+def integer_kernel(rows, ncols: int) -> list:
+    """A Z-basis of {a in Z^ncols : r . a = 0 for every row r}, for rows of
+    integers.
+
+    Unimodular column operations (Euclid on one row at a time) bring the
+    rows to rows * U = [H | 0] with the k columns of H independent; as U
+    is invertible over Z, its last ncols - k columns span the kernel over
+    Z, not only over Q.  So the lattice they span is saturated: it holds a
+    whenever it holds d*a for some d != 0, which clearing the denominators
+    of a rational basis does not give (for the row (2, 1, 1) it misses
+    (0, 1, -1))."""
+    m = len(rows)
+    # column j of rows, then column j of U
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    k = 0
+    for r in range(m):
+        while live := [j for j in range(k, ncols) if cols[j][r]]:
+            j = min(live, key=lambda i: abs(cols[i][r]))
+            cols[k], cols[j] = cols[j], cols[k]
+            if len(live) == 1:
+                k += 1
+                break
+            pivot = cols[k]
+            for j in range(k + 1, ncols):
+                if f := cols[j][r] // pivot[r]:
+                    cols[j] = [a - f * b for a, b in zip(cols[j], pivot)]
+    return [tuple(col[m:]) for col in cols[k:]]

@@ -57,6 +57,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
+from operator import mul
 from typing import NamedTuple
 
 from .coeff import Field, FieldElement, frobenius
@@ -69,6 +71,7 @@ from .groebner import (
     colength_below_degree,
     pure_powers,
 )
+from .linalg import integer_kernel
 from .polyring import (
     IdealPresentation,
     Polynomial,
@@ -376,13 +379,37 @@ def _galois_degree(R: QuotientRingSpec, x: IdealPresentation, socle) -> int:
     return field.degree
 
 
-def _orbit_key(vec, m: int) -> frozenset:
-    """The conjugates sigma^i(vec), i < m, each scaled so that its first
-    nonzero coordinate is 1: one key per Frobenius orbit of projective
-    points."""
-    lead = next(c for c in vec if c)
-    scaled = tuple(c / lead for c in vec)
-    return frozenset(tuple(frobenius(c, i) for c in scaled) for i in range(m))
+def _socle_degrees(R: QuotientRingSpec, x: IdealPresentation, socle) -> list:
+    """The degrees of the socle basis for a Z-basis W of the integer
+    weights on the variables that make every defining generator, every
+    parameter and every socle element homogeneous: W is the integer kernel
+    of the exponent differences within each of them."""
+    decode = R.ring.decode
+    rows = []
+    for g in (*R.defining, *x.generators, *socle):
+        first, *rest = (decode(k) for k, _ in g._terms)
+        rows += [[a - b for a, b in zip(e, first)] for e in rest]
+    W = integer_kernel(rows, R.ring.nvars)
+    return [tuple(sum(map(mul, w, decode(u._terms[0][0]))) for w in W) for u in socle]
+
+
+def _orbit_key(vec, degrees, m: int) -> tuple:
+    """The support S of vec and the Frobenius conjugates sigma^i, i < m,
+    of its invariants vec^a = prod_(j in S) vec_j^(a_j), for a in a Z-basis
+    of A_S = {a in Z^S : sum a_j = 0, sum a_j * degrees[j] = 0}: one key
+    per orbit of scaling, the grading torus and Frobenius.  A_S is a
+    kernel, hence saturated, so vectors of support S share invariants
+    exactly when (mu * lambda^(degrees[j]) * c_j)_j moves one onto the
+    other over the algebraic closure; there v -> lambda^w v is an
+    automorphism taking J + (x, u)^[q] onto J + (x, u')^[q], and base
+    change keeps the length (see rsig_search).  With one socle degree and
+    no weight but the standard one, A_S = {sum a_j = 0} and the key is
+    the projective point."""
+    support = tuple(j for j, c in enumerate(vec) if c)
+    rows = [[1] * len(support), *map(list, zip(*(degrees[j] for j in support)))]
+    invariants = [prod(vec[j] ** e for j, e in zip(support, a))
+                  for a in integer_kernel(rows, len(support))]
+    return support, frozenset(tuple(frobenius(c, i) for c in invariants) for i in range(m))
 
 
 def _candidate_vectors(field: Field, grid, n: int) -> list:
@@ -423,9 +450,25 @@ def rsig_search(
         are defined over F_p, sigma(c) = c^p acts on k[vars] fixing J and
         x and maps (x, u)^[q] onto (x, sigma(u))^[q]; the induced map of
         k[vars]/(J + (x, u)^[q]) onto k[vars]/(J + (x, sigma(u))^[q]) is
-        a sigma-semilinear bijection, so both have the same length.
-    So the estimates are keyed on the Frobenius orbit of the scaled vector
-    (_orbit_key), and computed once per key for its first vector.
+        a sigma-semilinear bijection, so both have the same length;
+      * for integer weights w on the variables that make every generator
+        of J and x and every socle element u_j homogeneous, of w-degree
+        deg_j, and lambda in the algebraic closure K of k, v -> lambda^w v
+        is an automorphism of K[vars] that fixes J and (x) and maps u to
+        sum lambda^(deg_j) c_j u_j, so it maps K[vars]/(J + (x, u)^[q])
+        onto the quotient for the moved vector; base change to K keeps
+        every dim_k, so both lengths are equal.
+    With W a Z-basis of the weights (_socle_degrees), scaling and the
+    torus move c with support S along (mu * lambda^(deg_j) c_j)_j.  Over K
+    two vectors of support S lie in one such orbit exactly when their
+    invariants c^a agree for every a in A_S = {a in Z^S : sum a_j = 0,
+    sum a_j deg_j = 0}, the characters that vanish on the torus's image;
+    A_S is a kernel, so a Z-basis of it (linalg.integer_kernel) gives the
+    whole lattice, not a sublattice of finite index that would leave a
+    root of unity between two vectors of different orbits.  So the
+    estimates are keyed on the support and the Frobenius orbit of the
+    invariants (_orbit_key), and computed once per key for its first
+    vector.
     """
     field = R.ring.domain
     socle = socle_basis(R, x)
@@ -439,6 +482,7 @@ def rsig_search(
 
     vectors = _candidate_vectors(field, grid, N)
     ehk_x = hk_estimate(hk_function(R, x, e_max))
+    degrees = _socle_degrees(R, x, socle)
     m = _galois_degree(R, x, socle)
     estimates = {}
 
@@ -446,7 +490,7 @@ def rsig_search(
         u = R.ring.zero
         for c, s in zip(vec, socle):
             u = u + s * c
-        key = _orbit_key(vec, m)
+        key = _orbit_key(vec, degrees, m)
         est = estimates.get(key)
         if est is None:
             xu = IdealPresentation(R.ring, tuple(x.generators) + (u,))

@@ -50,11 +50,11 @@ gm_update_full_scan: the pair update that forms a candidate with every
 active element, kept verbatim as the reference for the staircase
 neighbours of a three-variable run by positions.
 
-rsig_rows_per_vector: the package's former rsig_search loop, kept
-verbatim as the reference for the search that shares one Hilbert-Kunz
-function per Frobenius orbit of candidates.  It runs one hk_function per
-candidate vector and shares the socle, the grid and the estimates with
-the code under test.
+rsig_rows_per_vector: the package's former rsig_search loop, the
+reference for the search that shares one Hilbert-Kunz function per orbit
+of candidates under scaling, the grading torus and Frobenius.  It runs
+one hk_function per candidate vector and shares the socle, the grid, the
+candidate vectors and the estimates with the code under test.
 
 hs_lengths_by_powers: Hilbert-Samuel lengths with one basis per n, the
 colength of classic_buchberger(defining + I^n) by the pivot split, I^n
@@ -71,6 +71,7 @@ from hklab.groebner import GroebnerBasis
 from hklab.multiplicity import (
     RSigResult,
     RSigRow,
+    _candidate_vectors,
     _grid_default,
     hk_estimate,
     hk_function,
@@ -667,11 +668,7 @@ def rsig_rows_per_vector(R, x, coefficient_grid=None, e_max=2):
     if N > 1 and not grid:
         raise ValidationError("empty coefficient grid with more than one socle element")
 
-    # the charts (c, 1) and (1, c) without repeats; for N = 1 both are (1,)
-    one = (field(1),)
-    charts = list(product(grid, repeat=N - 1))
-    vectors = dict.fromkeys([c + one for c in charts] + [one + c for c in charts])
-
+    vectors = _candidate_vectors(field, grid, N)
     ehk_x = hk_estimate(hk_function(R, x, e_max))
 
     def evaluate(vec):

@@ -1,9 +1,11 @@
-"""Dense linear algebra over a field: determinant, rref, kernel."""
+"""Dense linear algebra over a field: determinant, rref, kernel; and the
+integer kernel."""
 
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hklab import PrimeField, linalg, make_extension
@@ -88,3 +90,43 @@ def test_rref_pivot_columns_are_unit_vectors_and_kernel_is_killed(field):
             assert all(field.is_zero(v) for (v,) in mat_mul(field, M, [[x] for x in vec]))
 
     check()
+
+
+def rational_coordinates(basis, v):
+    """The coordinates of v over the vectors `basis`, which must be
+    independent over Q, as Fractions; None when v is not in their span."""
+    k = len(basis)
+    rows = [[Fraction(b[j]) for b in basis] + [Fraction(v[j])] for j in range(len(v))]
+    for c in range(k):
+        p = next(i for i in range(c, len(rows)) if rows[i][c])  # StopIteration: dependent
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for i in range(len(rows)):
+            if i != c and (f := rows[i][c]):
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [row[k] for row in rows[:k]]
+
+
+def integer_rows():
+    """Up to three rows of small integers, all of one length 1..4, and that length."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=3), st.just(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_rows())
+# the rational basis (-1/2, 1, 0), (-1/2, 0, 1) cleared of denominators spans
+# a sublattice of index 2 that misses (0, 1, -1)
+@example(([[2, 1, 1]], 3))
+def test_integer_kernel_is_a_saturated_basis(case):
+    rows, n = case
+    basis = linalg.integer_kernel(rows, n)
+    for a in basis:
+        assert all(sum(r * x for r, x in zip(row, a)) == 0 for row in rows)
+    rational_coordinates(basis, (0,) * n)  # raises unless the basis is independent
+    for v in product(range(-3, 4), repeat=n):
+        if all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows):
+            coords = rational_coordinates(basis, v)
+            assert coords is not None and all(c.denominator == 1 for c in coords), v

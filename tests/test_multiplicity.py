@@ -28,7 +28,7 @@ from hklab import (
     socle_basis,
 )
 from hklab.groebner import INFINITE, _primary_witness, colength_below_degree
-from hklab.multiplicity import hk_sample_gb
+from hklab.multiplicity import _socle_degrees, hk_sample_gb
 from hklab.polyring import frobenius_power, ordinary_power
 
 from .oracles import (
@@ -315,11 +315,16 @@ RSIG_F2_RINGS = (
 RSIG_S_RING = "x*z, y*z, x^3, x^2 + s*y^2"
 
 
+def graded_ring(m, variables, defining, sop):
+    """k[variables]/defining over GF(2^m), with the parameters sop."""
+    ring = PolynomialRing(make_extension(2, m), tuple(variables))
+    R = QuotientRingSpec(ring, [ring.parse(t) for t in defining])
+    return R, IdealPresentation(ring, tuple(ring.parse(t) for t in sop))
+
+
 def rsig_ring(m, defining):
     """k[x,y,z]/defining over GF(2^m), with the parameter x + y + z."""
-    ring = PolynomialRing(make_extension(2, m), ("x", "y", "z"))
-    R = QuotientRingSpec(ring, [ring.parse(t) for t in defining.split(",")])
-    return R, IdealPresentation(ring, (ring.parse("x + y + z"),))
+    return graded_ring(m, "xyz", defining.split(","), ("x + y + z",))
 
 
 def count_hk_calls(monkeypatch):
@@ -348,18 +353,77 @@ def test_rsig_shared_estimates_match_per_vector_oracle(m, e_max, defining):
     assert len(functions) == 2
 
 
+TWISTED_CUBIC = ("x*z - y^2", "x*w - y*z", "y*w - z^2")
+# the 2x2 minors of [[a, b, c, d], [b, c, d, e]]: the rational normal quartic cone
+QUARTIC = ("a*c - b^2", "a*d - b*c", "a*e - b*d", "b*d - c^2", "b*e - c*d", "c*e - d^2")
+
+
+# rings over GF(4) at e_max 2, with the Hilbert-Kunz functions rsig_search computes
+RSIG_GRADED = {
+    # the weights (1, 1, 1, 1) and (0, 1, 2, 3) give the socle z, y independent
+    # degrees: x, the two axes and one function for every full-support row
+    "twisted-cubic": (("xyzw", TWISTED_CUBIC, ("x", "w")), 1 + 2 + 1),
+    # socle d, c, b: x, 3 axes, 3 supports of size 2 and, on full support, the
+    # invariant c_d*c_b/c_c^2 up to Frobenius: 1 or {s, s + 1}
+    "quartic": (("abcde", QUARTIC, ("a", "e")), 1 + 3 + 3 + 2),
+    # J is monomial, but x^2 in the parameter leaves no weight at all: the
+    # lift y + z of the socle is homogeneous for none of J's, and the rows
+    # share no more than the 4 Frobenius orbits of P^1(GF(4))
+    "no-weights": (("xyz", ("x*z", "x*y", "x^3", "y^3"), ("x + y + z + x^2",)), 1 + 4),
+}
+
+
+@pytest.mark.parametrize("ring, functions", RSIG_GRADED.values(), ids=RSIG_GRADED)
+def test_rsig_torus_orbits_match_per_vector_oracle(monkeypatch, ring, functions):
+    R, sop = graded_ring(2, *ring)
+    want = rsig_rows_per_vector(R, sop, e_max=2)
+    calls = count_hk_calls(monkeypatch)
+    got = rsig_search(R, sop, e_max=2)
+    assert got == want  # rows (coefficients, u, both estimates), differences, argmin
+    assert len(calls) == functions
+
+
+def test_rsig_quartic_invariant_separates_full_support_rows():
+    R, sop = graded_ring(2, *RSIG_GRADED["quartic"][0])
+    res = rsig_search(R, sop, e_max=2)
+    assert [str(u) for u in res.socle] == ["d", "c", "b"]
+    full = [row for row in res.rows if all(row.coefficients)]
+    assert len(full) == 15
+    for row in full:
+        c_d, c_c, c_b = row.coefficients
+        lengths = tuple(s.length for s in row.ehk_xu.samples)
+        assert lengths == ((13, 52) if c_d * c_b == c_c * c_c else (12, 48))
+
+
+def test_socle_degrees_take_the_weights_of_every_socle_element():
+    # socle_basis's lifts are homogeneous for every weight of J and x (the
+    # socle of a graded quotient is graded, and kernel_basis keeps its
+    # blocks), so only a list passed in shows the socle's part in W
+    R, sop = graded_ring(2, *RSIG_GRADED["twisted-cubic"][0])
+    y, z = R.ring.var("y"), R.ring.var("z")
+    # z and y have independent degrees for a rank-2 lattice of weights
+    (a, b), (c, d) = _socle_degrees(R, sop, [z, y])
+    assert a * d - b * c != 0
+    # y + z is homogeneous only for the standard weight
+    assert [abs(v) for (v,) in _socle_degrees(R, sop, [z, y, y + z])] == [1, 1, 1]
+
+
 def test_rsig_hk_calls_per_frobenius_orbit(monkeypatch):
     calls = count_hk_calls(monkeypatch)
-    F16 = make_extension(2, 4)
-    ring = PolynomialRing(F16, ("x", "y", "z", "w"))
-    cubic = QuotientRingSpec(ring, [ring.parse(t) for t in ("x*z - y^2", "x*w - y*z", "y*w - z^2")])
-    res = rsig_search(cubic, IdealPresentation(ring, (ring.var("x"), ring.var("w"))), e_max=2)
-    # x, then 3 F_2-points, 1 GF(4) orbit and 3 orbits of size 4 in P^1(GF(16))
-    assert (len(res.rows), len(calls)) == (31, 8)
+    R, sop = graded_ring(4, *RSIG_GRADED["twisted-cubic"][0])
+    res = rsig_search(R, sop, e_max=2)
+    # x, the two axes and one function for the 29 full-support rows, whose
+    # socle coordinates have degrees (1, 1) and (1, 2): A_S = 0 there
+    assert (len(res.rows), len(calls)) == (31, 4)
 
     calls.clear()
     R, sop = rsig_ring(2, RSIG_F2_RINGS[0])
     assert (len(rsig_search(R, sop, e_max=2).rows), len(calls)) == (7, 5)
+
+    # the standard grading alone: the socle y + z, z^2 has degrees 1 and 2
+    calls.clear()
+    R, sop = rsig_ring(2, RSIG_F2_RINGS[2])
+    assert (len(rsig_search(R, sop, e_max=2).rows), len(calls)) == (7, 1 + 2 + 1)
 
     calls.clear()
     R, sop = coordinate_axes_ring()
