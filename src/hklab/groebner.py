@@ -20,11 +20,13 @@ single int test ((v | GUARD) - u) & GUARD == GUARD, and a term created
 by a reduction step gets its key, exponent fields included, by one
 addition, so nothing is decoded in the loop.
 
-One reduction loop serves every coefficient field; F_p keeps its
-arithmetic inline.  A term that cancels keeps its zero in the work dict
-until the heap pops it, so a key created again is updated in place and
-each key enters the heap once; a step creates only terms below the one
-it reduces, so no popped key comes back.
+The sparse reducer serves every coefficient field, with the arithmetic
+of F_p inline; a run by positions over a small prime field with
+homogeneous input keeps dense rows instead (the last section).  A term
+that cancels keeps its zero in the work dict until the heap pops it, so
+a key created again is updated in place and each key enters the heap
+once; a step creates only terms below the one it reduces, so no popped
+key comes back.
 
 Bracket powers put the pure powers x_i^q into the ideal.  While the
 working set holds a one-term pure power x_i^b, a term with e_i >= b is
@@ -115,6 +117,22 @@ final pass: such runs feed colengths, which read the leads, and normal
 forms, which are the same for every Groebner basis.  A tail is as the
 module loop left it and may hold a term that a lead at a lower position
 divides.
+
+Dense rows (the rows module).  A run by positions in three variables
+with z first in a degrevlex priority (index.keep == zfield), over F_p
+with p <= 127, whose generators are all homogeneous and whose box bounds
+both u and v, holds each element as one int: byte (a + j)*d + j of an
+element of degree D is the coefficient of u^a v^(D-j-a) z^j, so byte
+order is the term order within a degree.  The rows replace _spair,
+_reduce_terms and _item inside the one pair loop; _gm_update, the pair
+heap, the minimalization and BuchbergerStats are shared.  The reducer
+takes the largest reducible term first and the first divisor in the
+list order of its position, as the sparse one does, so every element,
+counter and basis is the sparse run's; the inputs z^i * g fold the top
+position through the tail of f.  _row_kernel chooses the path by the
+structure of the input alone.  A row item makes its flat tail when it is
+first read: colengths read only leads, so a counting basis never holds
+tails, while normal forms and elements make them.
 """
 
 from __future__ import annotations
@@ -147,6 +165,10 @@ class _Item:
         self.key = key
         self.exps = exps
         self.tail = tail  # key, raw, key, raw, ... strictly below `key`, descending
+
+    @property
+    def monomial(self):
+        return not self.tail
 
 
 def _make_item(ring, terms):
@@ -188,7 +210,7 @@ def pure_powers(exponent_vectors) -> dict:
 
 def _box_mask(items):
     """BOX of the module docstring for the one-term pure powers among items."""
-    bounds = pure_powers(item.exps for item in items if not item.tail)
+    bounds = pure_powers(item.exps for item in items if item.monomial)
     return sum((MAX_EXPONENT - b) << (EXP_BITS * i) for i, b in bounds.items())
 
 
@@ -620,15 +642,38 @@ def _slice_points(gens):
     return points
 
 
+def _row_kernel(ring, gens, fi, index, zfield, reducers, tally):
+    """The RowKernel of a run by positions with the monic items `gens` of
+    the generators, f's item fi among them, when its elements can be dense
+    rows (see the module docstring), else None."""
+    dom = ring.domain
+    if not (index.keep == zfield and ring.order.kind == "degrevlex"
+            and isinstance(dom, PrimeField)):
+        return None
+    if any(len({sum(ring.decode(k)) for k in it.tail[::2]} | {sum(it.exps)}) > 1 for it in gens):
+        return None
+    bounds = pure_powers(it.exps for it in gens if not it.tail)
+    u, v = ring.order.resolved_priority(3)[1:]
+    if u not in bounds or v not in bounds:
+        return None
+    # loaded on first use: a process that never takes rows neither compiles
+    # nor holds the module (about 0.1 MB of peak RSS at import)
+    from .rows import MAX_PRIME, RowKernel
+    if dom.characteristic > MAX_PRIME:
+        return None
+    return RowKernel(ring, fi, (bounds[u], bounds[v]), reducers, tally)
+
+
 def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by I, in the term
     order of I's ring; its `stats` hold the counters of the run.
 
     Naming f, one of I's generators (up to a unit), runs the pair loop by
     positions when f's lead is a pure power z^d of a kept variable of the
-    divisor index (see the module docstring), and the basis is minimal
-    only, its tails not interreduced; otherwise, or without f, the loop
-    runs over the ideal."""
+    divisor index (see the module docstring), on dense rows when the
+    input allows, and the basis is minimal only, its tails not
+    interreduced; otherwise, or without f, the loop runs over the
+    ideal."""
     ring = I.ring
     dom = ring.domain
     if not isinstance(dom, Field):
@@ -652,7 +697,11 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
         if len(support) == 1 and (FIELD_MASK << EXP_BITS * support[0]) & index.keep:
             z = support[0]
             zfield = FIELD_MASK << EXP_BITS * z
-    if zfield:
+    reducers = defaultdict(list)  # by position; one list over the ideal
+    kernel = zfield and _row_kernel(ring, unique.values(), fi, index, zfield, reducers, tally)
+    if kernel:
+        items = kernel.inputs([it for it in unique.values() if it is not fi])
+    elif zfield:
         # the inputs of N = I/(f): z^i * g reduced by f for i < d, each made
         # from the last; an input whose lead lies outside the box, as the
         # pure powers that define it do, is not cut by it
@@ -671,7 +720,6 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
                 items.append(_item(ring, terms))
                 work = {k + zkey: c for k, c in _pairs(terms)}
 
-    reducers = defaultdict(list)  # by position; one list over the ideal
     if zfield and index.keep == zfield:  # the active leads of a position form a staircase
         uf, vf = index.ufield, index.vfield
         actives = defaultdict(lambda: ([-1, uf], [vf, -1], []))
@@ -688,14 +736,17 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
     while pairs:
         lk, i, j = heapq.heappop(pairs)
         reduced += 1
-        work = _spair(items[i], items[j], lk, dom, guard)
-        terms = _reduce_terms(work, reducers, dom, guard, box, tally, index, zfield)
+        if kernel:  # dense rows
+            terms = kernel.reduce(kernel.spair(items[i], items[j], lk))
+        else:
+            work = _spair(items[i], items[j], lk, dom, guard)
+            terms = _reduce_terms(work, reducers, dom, guard, box, tally, index, zfield)
         if not terms:
             zeros += 1
             continue
-        new = _item(ring, terms)
+        new = kernel.item(terms) if kernel else _item(ring, terms)
         items.append(new)
-        if not new.tail and not zfield:  # a monomial element, maybe a new pure power
+        if not zfield and not new.tail:  # a monomial element, maybe a new pure power
             box = _box_mask(items)
         pos = new.key & zfield
         reducers[pos].append(new)
@@ -717,7 +768,8 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
             kept.append(items[k])
             born.append(k)
     max_basis = len(items)
-    del items, active, actives, reducers  # free the dropped elements before the tails are rebuilt
+    # free the dropped elements before the tails are rebuilt
+    del items, active, actives, reducers, kernel
     if not zfield:
         # auto-reduce tails ascending, smaller leads being already final; each
         # old item is released as its reduced one is made, and kept as it is

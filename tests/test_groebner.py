@@ -4,6 +4,7 @@ import math
 import time
 from bisect import bisect_right
 from collections import defaultdict
+from contextlib import contextmanager
 from itertools import product
 from unittest.mock import patch
 
@@ -16,21 +17,25 @@ from hklab import (
     IdealPresentation,
     PolynomialRing,
     PrimeField,
+    QuotientRingSpec,
     RationalFunctionField,
     TermOrder,
     ValidationError,
     buchberger,
     frobenius_power,
+    hk_function,
     ideal_colon_m,
     is_primary_to_origin,
     make_extension,
     multiplication_matrix,
+    multiplicity,
     trace_discriminant,
 )
 from hklab import groebner
 from hklab.coeff import FieldElement
 from hklab.groebner import BuchbergerStats, GroebnerBasis
 from hklab.polyring import EXP_BITS
+from hklab.rows import RowItem, tables
 
 from .oracles import (
     classic_buchberger,
@@ -827,21 +832,48 @@ def assert_minimal_basis_of(G, reduced):
     assert tail_reduced(G) == reduced.elements
 
 
-@pytest.mark.parametrize("field, t, q, length, stats", [
-    pytest.param(F5, "1", 125, 46870, (368, 0, 180, 2, 186, 8, 2262, 1298, 191), id="F5-q125"),
-    pytest.param(F7, "1", 343, 352942, (1254, 0, 625, 0, 629, 8, 16366, 2530, 634),
+@contextmanager
+def row_dispatch(rows=True):
+    """Yields a list that records, per run by positions, whether it took
+    dense rows; rows=False forces the sparse path by patching the dispatch."""
+    taken = []
+    dispatch = groebner._row_kernel
+
+    def spy(*args):
+        kernel = dispatch(*args) if rows else None
+        taken.append(kernel is not None)
+        return kernel
+
+    with patch.object(groebner, "_row_kernel", spy):
+        yield taken
+
+
+def run_by_positions(I, f, rows=True):
+    """buchberger(I, f) and whether it ran on dense rows."""
+    with row_dispatch(rows) as taken:
+        G = buchberger(I, f)
+    return G, taken == [True]
+
+
+@pytest.mark.parametrize("field, t, q, length, stats, dense", [
+    pytest.param(F5, "1", 125, 46870, (368, 0, 180, 2, 186, 8, 2262, 1298, 191), True,
+                 id="F5-q125"),
+    pytest.param(F7, "1", 343, 352942, (1254, 0, 625, 0, 629, 8, 16366, 2530, 634), True,
                  id="F7-q343"),
-    pytest.param(F2T, "t", 64, 12284, (258, 0, 127, 0, 131, 8, 675, 239, 136),
+    pytest.param(F2T, "t", 64, 12284, (258, 0, 127, 0, 131, 8, 675, 239, 136), False,
                  id="F2(t)-generic-q64"),
-    pytest.param(GF4, "s", 32, 3076, (108, 0, 50, 2, 56, 8, 167, 95, 61), id="GF4-t=s-q32"),
+    pytest.param(GF4, "s", 32, 3076, (108, 0, 50, 2, 56, 8, 167, 95, 61), False,
+                 id="GF4-t=s-q32"),
 ])
-def test_position_run_counters_are_pinned(field, t, q, length, stats):
+def test_position_run_counters_are_pinned(field, t, q, length, stats, dense):
     # the same cells by positions, f named: pairs only within one z-exponent,
     # formed with staircase neighbours only, no product criterion and no
     # final pass; reduction_steps include the f-steps that make the inputs
-    # z^i * g, and zero reductions fall to 8 in every cell
+    # z^i * g, and zero reductions fall to 8 in every cell.  The F_p cells
+    # run on dense rows, the others sparse, with the same counters
     I = monsky_bracket(field, q, COLENGTH_ORDER, t=t)
-    G = buchberger(I, I.generators[0])
+    G, rows = run_by_positions(I, I.generators[0])
+    assert rows == dense
     assert G.colength() == length
     assert G.stats == stats
     s = G.stats
@@ -852,41 +884,58 @@ def test_position_run_counters_are_pinned(field, t, q, length, stats):
 
 
 POSITION_FIELDS = (F2, F3, F5, F7, GF4, make_extension(3, 2))
+F127 = PrimeField(127)  # the largest prime whose residues a byte row holds
+ROW_FIELDS = (F2, F3, F5, F7, F127)
 
 
 @st.composite
-def hypersurface_ideals(draw):
+def hypersurface_ideals(draw, fields=POSITION_FIELDS, homogeneous=False):
     """(I, f) in x, y, z over F_2, F_3, F_5, F_7, GF(4) or GF(9), in
     degrevlex or lex under any priority in which f = z^d + lower terms
     (d = 1..4) leads with z^d: f, up to two random generators, x^a, y^b
-    and maybe z^c."""
-    field = draw(st.sampled_from(POSITION_FIELDS))
+    and maybe z^c.  With `homogeneous`, over `fields`, every generator is
+    homogeneous, z leads a degrevlex priority (z, u, v), and maybe
+    u^A*v^m + c*u^(A-1)*v^(m+1) joins, its lead outside the box."""
+    field = draw(st.sampled_from(fields))
     raws = [c for c in field.elements() if c != field.zero]
     # z first (the colength order's choice) in most runs
-    priority = draw(st.one_of(st.permutations((0, 1)).map(lambda p: (2, *p)),
-                              st.permutations(range(3))))
-    order = TermOrder(draw(st.sampled_from(("degrevlex", "lex"))), priority)
+    z_first = st.permutations((0, 1)).map(lambda p: (2, *p))
+    priority = draw(z_first if homogeneous else st.one_of(z_first, st.permutations(range(3))))
+    order = TermOrder("degrevlex" if homogeneous else draw(st.sampled_from(("degrevlex", "lex"))),
+                      priority)
     ring = PolynomialRing(field, ("x", "y", "z"), order)
     d = draw(st.integers(1, 4))
     lower = []
     for _ in range(draw(st.integers(0, 4))):  # terms of degree <= d with z-exponent < d
         c = draw(st.integers(0, d - 1))
         a = draw(st.integers(0, d - c))
-        lower.append(((a, draw(st.integers(0, d - c - a)), c), draw(st.sampled_from(raws))))
+        b = d - c - a if homogeneous else draw(st.integers(0, d - c - a))
+        lower.append(((a, b, c), draw(st.sampled_from(raws))))
     f = ring.polynomial([(ring.encode((0, 0, d)), field.one)]
                         + [(ring.encode(e), c) for e, c in lower])
     assume(f.leading_monomial().exponents == (0, 0, d))
-    monomial = st.tuples(*[st.integers(0, 3)] * 3).filter(any)
     gens = [f]
-    for terms in draw(st.lists(st.lists(st.tuples(monomial, st.sampled_from(raws)),
-                                        min_size=1, max_size=3), max_size=2)):
+    for _ in range(draw(st.integers(0, 2))):
+        if homogeneous:  # all terms of one degree n
+            n = draw(st.integers(1, 5))
+            monomial = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+                lambda e: sum(e) <= n).map(lambda e: (*e, n - sum(e)))
+        else:
+            monomial = st.tuples(*[st.integers(0, 3)] * 3).filter(any)
+        terms = draw(st.lists(st.tuples(monomial, st.sampled_from(raws)), min_size=1, max_size=3))
         g = ring.polynomial((ring.encode(e), c) for e, c in terms)
         if g:
             gens.append(g)
     x, y, z = ring.gens()
-    gens += [x ** draw(st.integers(1, 6)), y ** draw(st.integers(1, 6))]
+    bounds = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    gens += [x ** bounds[0], y ** bounds[1]]
     if draw(st.booleans()):
         gens.append(z ** draw(st.integers(1, 6)))
+    if homogeneous and draw(st.booleans()):  # u^A*v^m leads: u, v after z in the priority
+        i, k = priority[1:]
+        u, v = ring.gens()[i], ring.gens()[k]
+        big, m = bounds[i] + draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        gens.append(u**big * v**m + draw(st.sampled_from(raws)) * u**(big - 1) * v**(m + 1))
     return IdealPresentation(ring, draw(st.permutations(gens))), f
 
 
@@ -917,6 +966,100 @@ def test_position_run_matches_ideal_run_and_classic_loop(case):
         assert s.by_product == 0
     else:  # the ideal loop, counter for counter
         assert s == H.stats
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypersurface_ideals(ROW_FIELDS, homogeneous=True))
+# leads outside the box with tails: x^9*y, and y^9*z^2 whose tail holds
+# x*y^8*z^2 in the box
+@example(named_case(F5, COLENGTH_ORDER, MONSKY_T1, "x^9*y + 2*x^8*y^2", "x^8", "y^8", "z^8"))
+@example(named_case(F127, COLENGTH_ORDER, "z^2 + 100*x*z + 3*y^2", "y^9*z^2 + 126*x*y^8*z^2",
+                    "x^5", "y^7", "x^2*y + 5*x*y*z"))
+def test_dense_rows_match_the_sparse_run(case):
+    # homogeneous generators over F_p, p <= 127, z first in degrevlex and
+    # both x and y bounded: the run takes dense rows, and every counter,
+    # lead and tail is the sparse run's
+    I, f = case
+    G, rows = run_by_positions(I, f)
+    H, sparse = run_by_positions(I, f, rows=False)
+    assert rows and not sparse
+    assert G.stats == H.stats
+    assert [(it.key, it.tail) for it in G._items] == [(it.key, it.tail) for it in H._items]
+
+
+@pytest.mark.parametrize("field, order, gens, dense", [
+    (F127, COLENGTH_ORDER, (MONSKY_T1, "x^9", "y^9", "z^9"), True),
+    # 130 + 130 carries out of a byte
+    (PrimeField(131), COLENGTH_ORDER, (MONSKY_T1, "x^9", "y^9", "z^9"), False),
+    (F5, COLENGTH_ORDER, (MONSKY_T1, "x^9 + y", "y^9", "z^9"), False),  # not homogeneous
+    (F5, COLENGTH_ORDER, (MONSKY_T1, "x^9", "z^9"), False),  # the box does not bound y
+    (F5, TermOrder("lex", (2, 0, 1)), (MONSKY_T1, "x^9", "y^9", "z^9"), False),
+], ids=["F127", "F131", "inhomogeneous", "open-box", "lex"])
+def test_rows_are_chosen_by_the_structure_of_the_input(field, order, gens, dense):
+    I, f = named_case(field, order, *gens)
+    G, rows = run_by_positions(I, f)
+    H, _ = run_by_positions(I, f, rows=False)
+    assert rows == dense and G.stats == H.stats
+    assert G.stats.by_product == 0  # by positions in every case
+
+
+def test_row_tables_are_built_once_per_prime():
+    for p in (2, 5, 127):
+        neg, mul, mod, nz, inv = tables(p)
+        assert tables(p)[1] is mul
+        for c, y in product(range(p), repeat=2):
+            assert (neg[c][y], mul[c][y]) == (-c * y % p, c * y % p)
+        assert all(mod[y] == y % p for y in range(2 * p - 1))  # a sum of two residues
+        assert all(nz[y] == (y != 0) for y in range(256))
+        assert all(c * inv[c] % p == 1 for c in range(1, p))
+
+
+def test_dense_bases_make_their_tails_only_when_read(monkeypatch):
+    # colengths read only leads, so the bases of e >= 2 never make flat
+    # tails; at e = 1 the primality check reads normal forms, which do
+    bases = []
+    sample = multiplicity.hk_sample_gb
+
+    def spy(*args):
+        bases.append(sample(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(multiplicity, "hk_sample_gb", spy)
+    R = PolynomialRing(F5, ("x", "y", "z"))
+    spec = QuotientRingSpec(R, (R.parse(MONSKY_T1),))
+    assert [s.length for s in hk_function(spec, IdealPresentation(R, R.gens()), 3)] == [
+        70, 1870, 46870]
+    rows = [[it for it in G._items if isinstance(it, RowItem)] for G in bases]
+    assert all(rows) and len(rows) == 3
+    assert any(it._tail is not None for it in rows[0])
+    assert all(it._tail is None for items in rows[1:] for it in items)
+
+
+def test_dense_basis_reads_as_the_sparse_basis():
+    I = monsky_bracket(F5, 25, COLENGTH_ORDER)
+    G, rows = run_by_positions(I, I.generators[0])
+    H, sparse = run_by_positions(I, I.generators[0], rows=False)
+    assert rows and not sparse
+    assert G.elements == H.elements
+    x, y, z = I.ring.gens()
+    for g in (x**24 * y**3, z**7 + x * y * z**5, (x + 2 * y + 3 * z) ** 30, I.ring.one):
+        assert G.normal_form(g) == H.normal_form(g)
+    assert is_primary_to_origin(G)
+
+
+def test_hk_primality_check_at_e1_passes_and_fails_as_before():
+    # at e = 1 the check reads a dense basis and passes; a homogeneous ideal
+    # of finite colength is primary to the origin, so the failing ideal has
+    # a generator that is not homogeneous, and its run stays sparse
+    R = PolynomialRing(F5, ("x", "y", "z"))
+    x, y, z = R.gens()
+    spec = QuotientRingSpec(R, (R.parse(MONSKY_T1),))
+    with row_dispatch() as taken:
+        assert hk_function(spec, IdealPresentation(R, (x, y, z)), 1)[0].length == 70
+        with pytest.raises(ValidationError,
+                           match="^ideal is not primary to the origin: variable 'x'"):
+            hk_function(spec, IdealPresentation(R, (x - 1, y, z)), 1)
+    assert taken == [True, False]
 
 
 @pytest.mark.parametrize("gens", [
