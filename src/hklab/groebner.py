@@ -72,17 +72,17 @@ divide it (_neighbours); the update forms its candidates from these
 alone, and every other run scans every active element.
 
 Minimalization asks a divisor index over the kept leads, ascending,
-whether one divides the next candidate.  The ideal loop then reduces the
-tails of the minimal elements in ascending order of the lead, reading
-the same index, its table cleared.  A tail needs the pass exactly when
-some kept lead divides one of its terms; such a lead is below the term,
-so it belongs to an element already final, and the divisor index over
-those answers the question term by term.  In the ideal loop the lead
-is a younger one: the loop makes each element as a full normal form
-against all elements older than it (if a younger element Y that
-minimalization dropped divides a tail term t, the kept lead dividing
-lead(Y) divides t).  Inputs enter unreduced, and the ideal loop passes
-them always.
+whether one divides the next candidate, and buchberger stops there on
+every path: a colength reads only the leads, and a normal form is the
+same for every Groebner basis.  GroebnerBasis.elements makes the reduced
+basis, which is unique (Becker and Weispfenning, Groebner Bases, 1993),
+when first read.  It walks the kept items in ascending order of the lead
+and reduces a tail exactly when a kept lead divides one of its terms;
+such a lead is below the term, so it belongs to an element already
+final, and the divisor index over those answers the question term by
+term.  So a basis that is only counted on never interreduces, and every
+basis shown to a user reads the same reduced elements, whichever loop
+made it.
 
 Positions (Moller and Mora, "New constructive methods in classical
 ideal theory", J. Algebra 1986; Kreuzer and Robbiano, Computational
@@ -112,11 +112,9 @@ term cut at position j is a multiple of an element of its own position,
 while a one-term element found in the loop is one at its own position
 only, and cutting by it at the others (as the ideal loop's growing box
 would) drops terms no element of theirs reduces.  At the end f joins the
-minimalization in the ideal's sense, and the run stops there, with no
-final pass: such runs feed colengths, which read the leads, and normal
-forms, which are the same for every Groebner basis.  A tail is as the
-module loop left it and may hold a term that a lead at a lower position
-divides.
+minimalization in the ideal's sense.  A tail is as the module loop left
+it, and may hold a term that a lead at a lower position divides until
+`elements` reduces it.
 
 Dense rows (the rows module).  A run by positions in three variables
 with z first in a degrevlex priority (index.keep == zfield), over F_p
@@ -466,8 +464,10 @@ def _gm_update(items, active, pairs, h, ring, tally, zfield=0):
 
 
 class BuchbergerStats(NamedTuple):
-    """Counters of one buchberger() run.  Every pair formed is dropped by
-    one criterion or reduced once: pairs_formed == by_product + by_b_k +
+    """Counters of one buchberger() run: its pair loop and, in a run by
+    positions, the chains that make its inputs; reading the elements of
+    the basis counts nothing.  Every pair formed is dropped by one
+    criterion or reduced once: pairs_formed == by_product + by_b_k +
     by_m_f + pairs_reduced."""
 
     pairs_formed: int
@@ -483,37 +483,46 @@ class BuchbergerStats(NamedTuple):
 
 class GroebnerBasis:
     """Minimal Groebner basis, monic and sorted by leading monomial
-    ascending, and reduced unless buchberger made it by positions: then
-    its tails are not interreduced.  Carries cached staircase data for
-    colengths, and the BuchbergerStats of the run that computed it (None
-    when it was built from given elements)."""
+    ascending, that reads as the reduced basis: `elements` reduces the
+    tails when first read (see the module docstring), while leads,
+    colengths, standard monomials and normal forms read the minimal items.
+    Carries cached staircase data for colengths, and the BuchbergerStats
+    of the run that computed it (None when it was built from the given
+    elements of a minimal basis)."""
 
     __slots__ = ("ring", "_elements", "stats", "_items", "_box", "_colength", "_bounds")
 
     def __init__(self, ring: PolynomialRing, elements):
-        elements = tuple(elements)
-        self._fill(ring, elements, [_make_item(ring, g._terms) for g in elements], None)
+        items = sorted((_make_item(ring, g._terms) for g in elements), key=lambda it: it.key)
+        self._fill(ring, items, None)
 
     @classmethod
     def _of_items(cls, ring, items, stats):
-        """The basis of reduced items."""
+        """The basis of minimal items, ascending by lead."""
         basis = cls.__new__(cls)
-        basis._fill(ring, None, items, stats)
+        basis._fill(ring, items, stats)
         return basis
 
     @property
     def elements(self):
-        """The basis as polynomials, made from the items when first read: a
-        basis that is only counted on never holds them."""
+        """The reduced basis as polynomials, made when first read: a basis
+        that is only counted on never holds them."""
         if self._elements is None:
-            one = self.ring.domain.one
+            ring = self.ring
+            dom, index, final = ring.domain, _DivisorIndex(ring), []
+            for it in self._items:  # smaller leads are already final
+                tail = it.tail
+                if index.divides(final, tail[::2]):
+                    tail = _reduce_terms(dict(_pairs(tail)), {0: final}, dom, ring.guard,
+                                         self._box, [0, 0], index)
+                final.append(_Item(it.key, it.exps, tail))
             object.__setattr__(self, "_elements", tuple(
-                Polynomial(self.ring, ((it.key, one),) + _pairs(it.tail)) for it in self._items))
+                Polynomial(ring, ((it.key, dom.one),) + _pairs(it.tail)) for it in final))
         return self._elements
 
-    def _fill(self, ring, elements, items, stats):
+    def _fill(self, ring, items, stats):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_box", _box_mask(items))
@@ -665,14 +674,14 @@ def _row_kernel(ring, gens, fi, index, zfield, reducers, tally):
 
 
 def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by I, in the term
-    order of I's ring; its `stats` hold the counters of the run.
+    """Groebner basis of the ideal generated by I, in the term order of
+    I's ring: minimal, reading as the reduced basis (GroebnerBasis); its
+    `stats` hold the counters of the run.
 
     Naming f, one of I's generators (up to a unit), runs the pair loop by
     positions when f's lead is a pure power z^d of a kept variable of the
     divisor index (see the module docstring), on dense rows when the
-    input allows, and the basis is minimal only, its tails not
-    interreduced; otherwise, or without f, the loop runs over the
+    input allows; otherwise, or without f, the loop runs over the
     ideal."""
     ring = I.ring
     dom = ring.domain
@@ -686,7 +695,6 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
         unique.setdefault((item.key, item.tail), item)
     items: list[_Item] = list(unique.values())
     box = _box_mask(items)
-    inputs = len(items)  # items made before this were never reduced
     tally = [0, 0]  # reduction steps, box drops
     index = _DivisorIndex(ring)
     zfield = 0  # the exponent field of z in a run by positions
@@ -761,29 +769,11 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
     # minimalize: drop elements whose lead is divisible by another kept lead;
     # every minimal lead is still active
     kept: list[_Item] = []
-    born = []  # the index in `items` of each kept element
     index = _DivisorIndex(ring)
     for k in sorted(active, key=lambda k: items[k].key):
         if not index.divides(kept, (items[k].key,)):
             kept.append(items[k])
-            born.append(k)
     max_basis = len(items)
-    # free the dropped elements before the tails are rebuilt
-    del items, active, actives, reducers, kernel
-    if not zfield:
-        # auto-reduce tails ascending, smaller leads being already final; each
-        # old item is released as its reduced one is made, and kept as it is
-        # unless it is an input or a kept lead divides a tail term
-        kept.reverse()
-        reduced_items: list[_Item] = []
-        index.table.clear()
-        for k in born:
-            it = kept.pop()
-            if k < inputs or index.divides(reduced_items, it.tail[::2]):
-                it = _Item(it.key, it.exps, _reduce_terms(dict(_pairs(it.tail)), {0: reduced_items},
-                                                          dom, guard, box, tally, index))
-            reduced_items.append(it)
-        kept = reduced_items
     stats = BuchbergerStats(*crit, reduced, zeros, *tally, max_basis)
     return GroebnerBasis._of_items(ring, kept, stats)
 

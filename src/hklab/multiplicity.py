@@ -28,14 +28,14 @@ elements u built from it reach the rsig artifacts.
 When R.defining_gb() is one element f, _colength_basis names it to
 buchberger, which runs the pair loop by positions, over the free
 k[x, y]-module R (see groebner), when f is among the generators up to a
-unit and its lead is a pure power z^d; that basis is minimal, its tails
-not interreduced, and only its leads and normal forms are read.  The
-callers that pass R.defining first are such: hk_sample_gb, csig_search's
-bases and hs_function's basis per n.  _graded_leads passes I alone, which
-may hold f, and reads no tail.  Every other ring (rsig-cubic's twisted
-cubic has three defining generators) and every other buchberger call
-(socle_basis, the groebner and disc commands) keeps the loop over the
-ideal.
+unit and its lead is a pure power z^d.  The callers that pass R.defining
+first are such: hk_sample_gb, csig_search's bases and hs_function's basis
+per n.  _graded_leads passes I alone, which may hold f.  Every other ring
+(rsig-cubic's twisted cubic has three defining generators) and every
+other buchberger call (socle_basis, the groebner and disc commands) runs
+the loop over the ideal.  Every basis is minimal and reads as the reduced
+one, its tails reduced only when its elements are read, so the bases
+that are only counted on never interreduce.
 
 Hilbert-Samuel lengths of the maximal ideal m need no basis per n when
 the defining ideal J is homogeneous.  For d < n, (J + m^n)_d = J_d, and

@@ -39,8 +39,8 @@ chain scan over every basis element against the set of treated pairs; the
 reducer decodes each popped term to packed exponents (through a per-call
 cache) and never truncates to a box.  It shares only the ring encoding,
 the coefficient arithmetic and the GroebnerBasis container with the code
-under test.  tail_reduced turns a minimal basis into the reduced one with
-the same reducer, one tail at a time in ascending order of the lead.
+under test; the container reads its elements, already reduced, through
+its tail pass, which finds no tail to reduce and leaves them as they are.
 
 reduce_by_positions: a plain normal form that scans every item for a
 divisor of the term's own z-exponent, the reference for the reducer's
@@ -544,14 +544,6 @@ def _reduce_tails(ring, kept, packed_cache, guard):
         reduced_items.append(final)
         elements.append(Polynomial(ring, ((it.key, ring.domain.one),) + tail))
     return tuple(elements)
-
-
-def tail_reduced(G):
-    """The reduced basis of the ideal of a minimal Groebner basis G, whose
-    tails need not be reduced, by this module's own reducer."""
-    ring = G.ring
-    kept = sorted((_make_item(ring, g._terms) for g in G.elements), key=lambda it: it.key)
-    return _reduce_tails(ring, kept, {}, _guard_mask(ring.nvars))
 
 
 def reduce_by_positions(terms, items, ring, z, bounds):

@@ -21,11 +21,13 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def test_importing_the_cli_does_not_load_dataclasses():
+def test_importing_the_cli_loads_neither_dataclasses_nor_rows():
+    # hklab.rows is imported on first use by a run that takes dense rows
     src = Path(hklab.__file__).parent.parent
-    probe = "import sys, hklab.cli; print('dataclasses' in sys.modules)"
+    probe = ("import sys, hklab.cli; "
+             "print('dataclasses' in sys.modules, 'hklab.rows' in sys.modules)")
     out = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"

@@ -643,9 +643,10 @@ def test_hypersurface_counting_bases_run_by_positions():
 
 def test_bases_a_caller_sees_stay_reduced():
     # a counting basis made by positions ends minimal, its tails as the
-    # module loop left them; R.defining_gb() names no f and is reduced, and
-    # _graded_leads reads no tail: the position run on (x + y, f, x - y,
-    # z + x) keeps x - y and z + x, whose tails hold the leads y and x
+    # module loop left them, and reads as the reduced basis: the position
+    # run on (x + y, f, x - y, z + x) keeps x - y and z + x, whose tails
+    # hold the leads y and x.  R.defining_gb() names no f, and
+    # _graded_leads reads no tail
     ring = PolynomialRing(F5, ("x", "y", "z"))
     quartic = ring.parse("z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2")
     R = QuotientRingSpec(ring, (2 * quartic,))
@@ -657,7 +658,7 @@ def test_bases_a_caller_sees_stay_reduced():
     with_f = IdealPresentation(ring, (x + y, 3 * quartic, x - y, z + x))
     G = multiplicity._colength_basis(R, with_f.generators)
     assert G.stats.by_product == 0  # by positions
-    assert set(G.elements) == set(map(cring.convert, (y, x - y, z + x)))
+    assert set(G.elements) == set(map(cring.convert, (x, y, z)))
     leads = multiplicity._graded_leads(R, I)
     assert leads == multiplicity._graded_leads(R, with_f) == R.defining_gb().leading_exponents()
     assert hs_function(R, with_f, 5) == hs_function(R, I, 5)
