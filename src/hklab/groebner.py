@@ -22,19 +22,22 @@ addition, so nothing is decoded in the loop.
 
 The sparse reducer serves every coefficient field, with the arithmetic
 of F_p inline; a run by positions over a small prime field with
-homogeneous input keeps dense rows instead (the last section).  A term
-that cancels keeps its zero in the work dict until the heap pops it, so
-a key created again is updated in place and each key enters the heap
-once; a step creates only terms below the one it reduces, so no popped
-key comes back.
+homogeneous input keeps dense rows instead (the last section).  Every
+key goes through one path: a term that cancels keeps its zero in the
+work dict until the heap pops it, so a key created again is updated in
+place and enters the heap at most once; a popped term no reducer divides
+goes back into the dict, whose nonzero terms, sorted, are the remainder.
+A step creates only terms below the one it reduces, so no popped key
+comes back.
 
-Bracket powers put the pure powers x_i^q into the ideal.  While the
-working set holds a one-term pure power x_i^b, a term with e_i >= b is
-dropped when it is created, since removing a multiple of a monomial
-element is itself a reduction step; the reduced basis is unique, so the
-result does not change.  With BOX holding 2^31 - b_i in the field of
-every such variable, the test is (key + BOX) & GUARD, and the same test
-catches an exponent that reached 2^31, which raises ExponentOverflow.
+Bracket powers put the pure powers x_i^q into the ideal.  A run's box is
+fixed by its inputs: for each pure power x_i^b among them, a term with
+e_i >= b is dropped when it is created, since removing a multiple of a
+monomial element is itself a reduction step; the reduced basis is
+unique, so the result does not change.  With BOX holding 2^31 - b_i in
+the field of every such variable, the test is (key + BOX) & GUARD, and
+the same test catches an exponent that reached 2^31, which raises
+ExponentOverflow.
 
 Inside buchberger the reducer finds irreducible terms through a divisor
 index, after the short exponent vectors of Bachmann and Schonemann
@@ -48,13 +51,11 @@ its own.  In three variables the kept field is that of the first, which
 QuotientRingSpec.colength_ring() puts there: it stays below its pure
 power (z^4 for the Monsky quartics), so entries are few.  Reducers are
 only appended, and an entry takes in those appended since it was last
-read.  A term enters the heap only when the index shows a divisor; the
-others stay in the work dict, where a step may still update them, and
-leave it sorted as the remainder, each key negated twice: a key made by
-k + shift keeps a spare digit, 52 B against 48 B.  Heap terms are
-scanned in list order, so the first divisor is still the reducer chosen,
-and every step, counter and basis is as without the index.  The index is
-used only on more than _INDEX_MIN_ITEMS reducers.
+read.  On more than _INDEX_MIN_ITEMS reducers a term enters the heap
+only when the index shows a divisor; the others stay in the work dict,
+where a step may still update them.  Heap terms are scanned in list
+order, so the first divisor is still the reducer chosen, and every step,
+counter and basis is as without the index.
 
 Pairs are managed by the update of Gebauer and Moller ("On an
 installation of Buchberger's algorithm", JSC 1988) in the UPDATE form of
@@ -107,14 +108,11 @@ position, which have a reducer list of their own.  There is no
 product criterion: it rests on the syzygy g*h - h*g of two ring
 elements, which is not a relation between two elements of a module.
 The box holds the pure powers of the other variables among I's one-term
-generators and stays fixed: x_i^b z^j is an input for every j < d, so a
-term cut at position j is a multiple of an element of its own position,
-while a one-term element found in the loop is one at its own position
-only, and cutting by it at the others (as the ideal loop's growing box
-would) drops terms no element of theirs reduces.  At the end f joins the
-minimalization in the ideal's sense.  A tail is as the module loop left
-it, and may hold a term that a lead at a lower position divides until
-`elements` reduces it.
+generators: x_i^b z^j is an input for every j < d, so a term cut at
+position j is a multiple of an element of its own position.  At the end
+f joins the minimalization in the ideal's sense.  A tail is as the
+module loop left it, and may hold a term that a lead at a lower position
+divides until `elements` reduces it.
 
 Dense rows (the rows module).  A run by positions in three variables
 with z first in a degrevlex priority (index.keep == zfield), over F_p
@@ -268,9 +266,12 @@ class _DivisorIndex:
         return False
 
 
-# shorter reducer lists are scanned without the index: with no cutoff
-# rsig-cubic, whose bases are small, ran about 1.7x slower, and with 64
-# modp-prime about 1.15x slower; 8 and 32 were within noise
+# a call on at most this many reducers scans them without the index.  Only
+# sweep-generic makes calls on more (278 of its 605; none of modp-prime's 27
+# or rsig-cubic's 404 does).  In-process medians of three batches (seed 1,
+# one thread, 2-vCPU Xeon): rsig-cubic 0.021-0.027 s with the index on every
+# call, 0.015-0.018 s at 8, 16, 32 and 64; sweep-generic 0.041-0.049 s at
+# each of these and with the index on every call
 _INDEX_MIN_ITEMS = 16
 
 
@@ -279,11 +280,13 @@ def _reduce_terms(work, reducers, dom, guard, box, tally, index=None, zfield=0):
     against monic items: a term is reduced by the first item of
     reducers[key & zfield] whose lead divides it, so with `zfield` set
     only by items of its own position.  The exponents of the keys of
-    `work` are all below 2^31; terms outside the box are dropped.
-    `index`, a _DivisorIndex over the reducers, keeps the terms no item
-    divides out of the heap: they stay in `work` until the end.  Returns
-    the remainder flat and descending, key, raw, key, raw, ..., and adds
-    the reduction steps and box drops to tally[0:2]."""
+    `work` are all below 2^31; terms outside the box are dropped.  Every
+    key of `work` and every key a step creates enters the heap, unless
+    `index`, a _DivisorIndex over more than _INDEX_MIN_ITEMS reducers,
+    shows that no item divides it; a popped term no item divides goes
+    back into `work`.  Returns the nonzero terms of `work`, flat and
+    descending, key, raw, key, raw, ..., and adds the reduction steps and
+    box drops to tally[0:2]."""
     prime = isinstance(dom, PrimeField)
     p = dom.characteristic
     zero, neg, mul, sub = dom.zero, dom.neg, dom.mul, dom.sub
@@ -298,7 +301,6 @@ def _reduce_terms(work, reducers, dom, guard, box, tally, index=None, zfield=0):
         ufield, vfield, keep = index.ufield, index.vfield, index.keep
     heap = []
     fresh = list(work)  # keys new to the work dict, not yet in the heap
-    out = []
     while True:
         for k in fresh:
             if indexed:
@@ -337,20 +339,17 @@ def _reduce_terms(work, reducers, dom, guard, box, tally, index=None, zfield=0):
                             dropped += 1
                             continue
                         work[kk] = (-c * c2) % p if prime else neg(mul(c, c2))
-                        if indexed:
-                            fresh.append(kk)
-                        else:
-                            heapq.heappush(heap, -kk)
+                        fresh.append(kk)
                     else:
-                        # a cancelled term keeps its zero, so kk is never pushed twice
+                        # a cancelled term keeps its zero, so kk never enters fresh twice
                         work[kk] = (prev - c * c2) % p if prime else sub(prev, mul(c, c2))
                 break
         else:
-            out += k, c
-    if indexed:  # the terms the index kept out of the heap
-        for k in sorted([-k for k, c in work.items() if c != zero]):
-            k = -k
-            out += k, work[k]
+            work[k] = c  # irreducible: the remainder holds it
+    out = []  # each key negated twice: one made by k + shift keeps a spare digit, 52 B for 48
+    for k in sorted([-k for k, c in work.items() if c != zero]):
+        k = -k
+        out += k, work[k]
     tally[0] += steps
     tally[1] += dropped
     return tuple(out)
@@ -754,8 +753,6 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
             continue
         new = kernel.item(terms) if kernel else _item(ring, terms)
         items.append(new)
-        if not zfield and not new.tail:  # a monomial element, maybe a new pure power
-            box = _box_mask(items)
         pos = new.key & zfield
         reducers[pos].append(new)
         actives[pos], pairs = _gm_update(items, actives[pos], pairs, len(items) - 1, ring, crit,

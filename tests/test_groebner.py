@@ -527,6 +527,13 @@ def test_pure_power_found_mid_run():
     x, y = R.gens()
     I = IdealPresentation(R, (x**3 - y, y**4))
     assert buchberger(I).elements == classic_buchberger(I).elements == (x**12, y - x**3)
+    # the box is fixed by the inputs, which hold no pure power: the
+    # remainder x^5 cuts no term of the S-polynomials after it, so the
+    # next one takes five reduction steps and drops nothing
+    I = IdealPresentation(R, (x**2 - y, y**5 + x, x * y**2))
+    G = buchberger(I)
+    assert G.stats == (10, 2, 0, 5, 3, 1, 6, 0, 5)
+    assert G.elements == classic_buchberger(I).elements == (x, y)
 
 
 ORACLE_FIELDS = (
@@ -949,10 +956,9 @@ def named_case(field, order, *gens):
 
 @settings(max_examples=150, deadline=None)
 @given(hypersurface_ideals())
-# a box that grows in the loop lets a one-term element of one position cut
-# terms at every position: ROADMAP "The box and positions" records colength
-# 128 for 96 on the first case, and this loop with such a box gives 4 for 3
-# on the second
+# no run grows its box (ROADMAP "Positions"): a one-term element found at
+# one position, cutting terms at every position, gave colength 128 for 96
+# on the first case and 4 for 3 on the second
 @example(named_case(F2, COLENGTH_ORDER, "z^4 + x^4 + x^2", "x^7", "y^8", "z^6"))
 @example(named_case(F2, COLENGTH_ORDER, "z^3 + x*z^2 + z^2 + x", "x^3", "y", "z^3"))
 # z is last in the priority, so not a kept field of the divisor index
