@@ -155,11 +155,10 @@ def _overflow():
 class _Item:
     """One monic basis element, preprocessed for the reduction loop."""
 
-    __slots__ = ("key", "exps", "tail")
+    __slots__ = ("key", "tail")
 
-    def __init__(self, key, exps, tail):
+    def __init__(self, key, tail):
         self.key = key
-        self.exps = exps
         self.tail = tail  # key, raw, key, raw, ... strictly below `key`, descending
 
     @property
@@ -184,7 +183,7 @@ def _item(ring, flat):
         tail = list(tail)
         tail[1::2] = [mul(c, inv) for c in tail[1::2]]
         tail = tuple(tail)
-    return _Item(lead_key, ring.decode(lead_key), tail)
+    return _Item(lead_key, tail)
 
 
 def _pairs(tail):
@@ -204,17 +203,16 @@ def pure_powers(exponent_vectors) -> dict:
     return bounds
 
 
-def _box_mask(items):
-    """BOX of the module docstring for the one-term pure powers among items."""
-    bounds = pure_powers(item.exps for item in items if item.monomial)
+def _box_mask(bounds):
+    """BOX of the module docstring for the pure powers x_i^b, {i: b}."""
     return sum((MAX_EXPONENT - b) << (EXP_BITS * i) for i, b in bounds.items())
 
 
-def _staircase_bounds(items, n):
-    """GroebnerBasis.staircase_bounds() of the basis of `items`."""
-    if any(item.key == 0 for item in items):  # the unit ideal
+def _staircase_bounds(leads, n):
+    """GroebnerBasis.staircase_bounds() of a basis with the leads `leads`."""
+    if any(not any(e) for e in leads):  # the unit ideal
         return (0,) * n
-    bounds = pure_powers(item.exps for item in items)
+    bounds = pure_powers(leads)
     return tuple(bounds[i] for i in range(n)) if len(bounds) == n else None
 
 
@@ -489,7 +487,7 @@ class GroebnerBasis:
     of the run that computed it (None when it was built from the given
     elements of a minimal basis)."""
 
-    __slots__ = ("ring", "_elements", "stats", "_items", "_box", "_colength", "_bounds")
+    __slots__ = ("ring", "_elements", "stats", "_items", "_leads", "_box", "_colength", "_bounds")
 
     def __init__(self, ring: PolynomialRing, elements):
         items = sorted((_make_item(ring, g._terms) for g in elements), key=lambda it: it.key)
@@ -514,7 +512,7 @@ class GroebnerBasis:
                 if index.divides(final, tail[::2]):
                     tail = _reduce_terms(dict(_pairs(tail)), {0: final}, dom, ring.guard,
                                          self._box, [0, 0], index)
-                final.append(_Item(it.key, it.exps, tail))
+                final.append(_Item(it.key, tail))
             object.__setattr__(self, "_elements", tuple(
                 Polynomial(ring, ((it.key, dom.one),) + _pairs(it.tail)) for it in final))
         return self._elements
@@ -523,10 +521,13 @@ class GroebnerBasis:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "stats", stats)
+        leads = tuple(ring.decode(it.key) for it in items)
         object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_box", _box_mask(items))
+        object.__setattr__(self, "_leads", leads)
+        object.__setattr__(self, "_box", _box_mask(
+            pure_powers(e for e, it in zip(leads, items) if it.monomial)))
         object.__setattr__(self, "_colength", None)
-        object.__setattr__(self, "_bounds", _staircase_bounds(items, ring.nvars))
+        object.__setattr__(self, "_bounds", _staircase_bounds(leads, ring.nvars))
 
     def __setattr__(self, *_):
         raise AttributeError("GroebnerBasis is immutable")
@@ -538,7 +539,7 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def leading_exponents(self):
-        return tuple(item.exps for item in self._items)
+        return self._leads
 
     def is_unit_ideal(self) -> bool:
         return len(self._items) == 1 and self._items[0].key == 0
@@ -650,17 +651,17 @@ def _slice_points(gens):
     return points
 
 
-def _row_kernel(ring, gens, fi, index, zfield, reducers, tally):
+def _row_kernel(ring, gens, fi, bounds, index, zfield, reducers, tally):
     """The RowKernel of a run by positions with the monic items `gens` of
-    the generators, f's item fi among them, when its elements can be dense
-    rows (see the module docstring), else None."""
+    the generators, f's item fi among them, and the pure powers `bounds`
+    of the one-term ones, when its elements can be dense rows (see the
+    module docstring), else None."""
     dom = ring.domain
     if not (index.keep == zfield and ring.order.kind == "degrevlex"
             and isinstance(dom, PrimeField)):
         return None
-    if any(len({sum(ring.decode(k)) for k in it.tail[::2]} | {sum(it.exps)}) > 1 for it in gens):
+    if any(len({sum(ring.decode(k)) for k in (it.key, *it.tail[::2])}) > 1 for it in gens):
         return None
-    bounds = pure_powers(it.exps for it in gens if not it.tail)
     u, v = ring.order.resolved_priority(3)[1:]
     if u not in bounds or v not in bounds:
         return None
@@ -693,19 +694,21 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
         item = _make_item(ring, g._terms)
         unique.setdefault((item.key, item.tail), item)
     items: list[_Item] = list(unique.values())
-    box = _box_mask(items)
+    bounds = pure_powers(ring.decode(it.key) for it in items if it.monomial)
+    box = _box_mask(bounds)
     tally = [0, 0]  # reduction steps, box drops
     index = _DivisorIndex(ring)
     zfield = 0  # the exponent field of z in a run by positions
     if f:
         fi = _make_item(ring, ring.convert(f)._terms)
         fi = unique.get((fi.key, fi.tail))  # None unless f is a generator
-        support = [i for i, e in enumerate(fi.exps) if e] if fi else ()
+        fe = ring.decode(fi.key) if fi else ()
+        support = [i for i, e in enumerate(fe) if e]
         if len(support) == 1 and (FIELD_MASK << EXP_BITS * support[0]) & index.keep:
             z = support[0]
             zfield = FIELD_MASK << EXP_BITS * z
     reducers = defaultdict(list)  # by position; one list over the ideal
-    kernel = zfield and _row_kernel(ring, unique.values(), fi, index, zfield, reducers, tally)
+    kernel = zfield and _row_kernel(ring, items, fi, bounds, index, zfield, reducers, tally)
     if kernel:
         items = kernel.inputs([it for it in unique.values() if it is not fi])
     elif zfield:
@@ -719,7 +722,7 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
             if it is fi:
                 continue
             work = dict(_pairs((it.key, dom.one) + it.tail))
-            for _ in range(fi.exps[z]):
+            for _ in range(fe[z]):
                 terms = _reduce_terms(work, {0: [fi]}, dom, guard,
                                       0 if (it.key + box) & guard else box, tally)
                 if not terms:

@@ -25,31 +25,32 @@ counts its colengths and tests containment of the parameter ideal on such
 bases too.  socle_basis stays in R.ring, because its socle and the
 elements u built from it reach the rsig artifacts.
 
-When R.defining_gb() is one element f, _colength_basis names it to
-buchberger, which runs the pair loop by positions, over the free
-k[x, y]-module R (see groebner), when f is among the generators up to a
-unit and its lead is a pure power z^d.  The callers that pass R.defining
-first are such: hk_sample_gb, csig_search's bases and hs_function's basis
-per n.  _graded_leads passes I alone, which may hold f.  Every other ring
-(rsig-cubic's twisted cubic has three defining generators) and every
-other buchberger call (socle_basis, the groebner and disc commands) runs
-the loop over the ideal.  Every basis is minimal and reads as the reduced
-one, its tails reduced only when its elements are read, so the bases
-that are only counted on never interreduce.
+Every counting basis is of J + I, J the defining ideal, made by
+_colength_basis with J's generators first.  When R.defining_gb() is one
+element f, buchberger is told f, and runs the pair loop by positions over
+the free k[x, y]-module R (see groebner) when f's lead is a pure power.
+Every other ring (rsig-cubic's twisted cubic has three defining
+generators) and every other buchberger call (J's own basis, socle_basis,
+the groebner and disc commands) runs the loop over the ideal.  Every
+basis is minimal and reads as the reduced one, its tails reduced only
+when its elements are read, so the bases that are only counted on never
+interreduce.
 
-Hilbert-Samuel lengths of the maximal ideal m need no basis per n when
-the defining ideal J is homogeneous.  For d < n, (J + m^n)_d = J_d, and
-for d >= n it is all of S_d; the standard monomials of degree d of any
-term order are a basis of (S/J)_d.  So the length of S/(J + m^n) is the
-number of monomials of degree < n that no leading monomial of J's reduced
-basis divides, counted on R.defining_gb() by colength_below_degree.
-hs_function takes this path only when both conditions hold exactly: the
-reduced basis of I is the variables (leading terms alone do not show it:
-(x - 1, y, z) is maximal at another point), and every element of
-R.defining_gb() is homogeneous (the input generators do not show it:
-(x^2 + y, y) is homogeneous).  Every other (R, I) keeps one basis of
-J + I^n per n: counting without them would need gr_I(R) through the Rees
-algebra when I != m, and the tangent cone (Mora's algorithm) when J is not
+Hilbert-Samuel lengths need no basis per n when J + I = m and J is
+homogeneous.  The length of R/I^n R is that of S/(J + I^n), and
+m^n = (J + I)^n lies in J + I^n, which lies in J + m^n as I lies in m,
+so J + I^n = J + m^n.  For d < n, (J + m^n)_d = J_d, and for d >= n it
+is all of S_d; the standard monomials of degree d of any term order are
+a basis of (S/J)_d.  So the length is the number of monomials of degree
+< n that no leading monomial of J's reduced basis divides, counted on
+R.defining_gb() by colength_below_degree.  hs_function takes this path
+only when both conditions hold exactly: the reduced basis of J + I is
+the variables (leading terms alone do not show it: (x - 1, y, z) is
+maximal at another point), and every element of R.defining_gb() is
+homogeneous (the input generators do not show it: (x^2 + y, y) is
+homogeneous).  Every other (R, I) keeps one basis of J + I^n per n:
+counting without them would need gr_I(R) through the Rees algebra when
+J + I != m, and the tangent cone (Mora's algorithm) when J is not
 homogeneous, and neither is implemented here.
 """
 
@@ -96,9 +97,9 @@ class QuotientRingSpec:
                 raise ValidationError("defining generator from a different ring")
             if g.is_zero():
                 raise ValidationError("zero generator in defining ideal")
-        self._colength_ring = _noether_ring(ring, self.defining)
-        self._gb = None  # so that J's own basis names no f
-        self._gb = gb = _colength_basis(self, self.defining) if self.defining else None
+        self._colength_ring = cring = _noether_ring(ring, self.defining)
+        self._gb = gb = buchberger(IdealPresentation(cring, tuple(map(
+            cring.convert, self.defining)))) if self.defining else None
         if gb is not None and gb.is_unit_ideal():
             raise ValidationError("defining ideal is the unit ideal")
         self.dimension = _dimension(() if gb is None else gb.leading_exponents(), ring.nvars)
@@ -186,24 +187,23 @@ def _combined_gens(R: QuotientRingSpec, I: IdealPresentation):
     return tuple(R.defining) + tuple(I.generators)
 
 
-def _colength_basis(R: QuotientRingSpec, gens) -> GroebnerBasis:
-    """Groebner basis of the ideal of `gens` in R.colength_ring(),
-    whose degrevlex order may differ from R.ring's in kind and priority.
-    The ideal is the same, so its colength, dimension, zero-dimensionality,
+def _colength_basis(R: QuotientRingSpec, I: IdealPresentation) -> GroebnerBasis:
+    """Groebner basis of defining + I in R.colength_ring(), whose
+    degrevlex order may differ from R.ring's in kind and priority.  The
+    ideal is the same, so its colength, dimension, zero-dimensionality,
     primality to the origin and the polynomials it contains are as in
     R.ring: the standard monomials of any order are a basis of the same
     quotient.  When R.defining_gb() is one element f, buchberger is told
-    f, and takes positions when f is among `gens` (see the module
-    docstring)."""
+    f, which is among the generators (see the module docstring)."""
     ring = R.colength_ring()
     gb = R.defining_gb()
-    return buchberger(IdealPresentation(ring, tuple(ring.convert(g) for g in gens)),
+    return buchberger(IdealPresentation(ring, tuple(map(ring.convert, _combined_gens(R, I)))),
                       gb.elements[0] if gb is not None and len(gb) == 1 else None)
 
 
 def hk_sample_gb(R: QuotientRingSpec, I: IdealPresentation, q: int) -> GroebnerBasis:
     """Groebner basis of defining + I^[q] in R.colength_ring()."""
-    return _colength_basis(R, _combined_gens(R, frobenius_power(I, q)))
+    return _colength_basis(R, frobenius_power(I, q))
 
 
 def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
@@ -220,7 +220,6 @@ def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
     p = R.ring.domain.characteristic
     if not p:
         raise ValidationError("Hilbert-Kunz functions need positive characteristic")
-    _combined_gens(R, I)
     d = R.dimension
 
     def sample(e: int) -> HKSample:
@@ -255,14 +254,14 @@ def hk_estimate(samples) -> HKEstimate:
 def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
     """Hilbert-Samuel samples: lengths of defining + I^n for n = 1..n_max.
 
-    For I = m and a homogeneous defining ideal they are counted on the
-    leading monomials of R.defining_gb() (see the module docstring), with
-    one small basis of I to check I = m.  Otherwise each is the colength of
-    a basis of defining + I^n.  Every basis is in R.colength_ring()
-    (lengths do not depend on the term order)."""
+    When defining + I = m and the defining ideal is homogeneous they are
+    counted on the leading monomials of R.defining_gb() (see the module
+    docstring), with one small basis of defining + I to check that it is
+    m.  Otherwise each is the colength of a basis of defining + I^n.
+    Every basis is in R.colength_ring() (lengths do not depend on the
+    term order)."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1: {n_max}")
-    _combined_gens(R, I)
     leads = _graded_leads(R, I)
     if leads is not None:
         nvars = R.ring.nvars
@@ -271,7 +270,7 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
     samples = []
     for n in range(1, n_max + 1):
         power = I if n == 1 else ordinary_power(I, n)
-        length = _colength_basis(R, _combined_gens(R, power)).colength()
+        length = _colength_basis(R, power).colength()
         if length is INFINITE:
             raise ValidationError("ideal is not zero-dimensional; Hilbert-Samuel undefined")
         samples.append(HSSample(n=n, length=length))
@@ -280,14 +279,14 @@ def hs_function(R: QuotientRingSpec, I: IdealPresentation, n_max: int):
 
 def _graded_leads(R: QuotientRingSpec, I: IdealPresentation):
     """The leading exponents of R.defining_gb() when every element of it is
-    homogeneous and I is the maximal ideal (colength 1, every variable in
-    it); None otherwise."""
+    homogeneous and defining + I is the maximal ideal (colength 1, every
+    variable in it); None otherwise."""
     gb = R.defining_gb()
     elements = () if gb is None else gb.elements
     for g in elements:
         if len({m.degree for _, m in g.terms}) > 1:
             return None
-    G = _colength_basis(R, I.generators)
+    G = _colength_basis(R, I)
     if G.colength() != 1 or any(G.normal_form(v) for v in G.ring.gens()):
         return None
     return () if gb is None else gb.leading_exponents()
@@ -544,7 +543,7 @@ def csig_search(
     """Relative-signature ratios over a list of candidate ideals containing
     the parameter ideal; exact colengths in the denominator, Hilbert-Kunz
     estimates in the numerator."""
-    len_x = _colength_basis(R, _combined_gens(R, x)).colength()
+    len_x = _colength_basis(R, x).colength()
     if len_x is INFINITE:
         raise ValidationError("parameter ideal is not zero-dimensional")
     ehk_x = hk_estimate(hk_function(R, x, e_max))
@@ -552,7 +551,7 @@ def csig_search(
     warnings = []
     minimum = None
     for idx, cand in enumerate(candidate_ideals):
-        gb_c = _colength_basis(R, _combined_gens(R, cand))
+        gb_c = _colength_basis(R, cand)
         for g in x.generators:
             if gb_c.normal_form(g):
                 raise ValidationError(

@@ -38,9 +38,7 @@ the sparse reducer: the quotient by f is unique (modulo the box too).
 
 from __future__ import annotations
 
-import heapq
 from functools import cache
-from itertools import count
 
 from .polyring import EXP_BITS, FIELD_MASK
 
@@ -89,14 +87,17 @@ class Layout:
 
 
 class RowItem:
-    """One monic element of a run by rows: its lead key and exponents, as
-    groebner's _Item, its row of degree `deg` with `size` nonzero bytes,
-    and the flat tail of _Item, made from the row when first read."""
+    """One monic element of a run by rows: its lead key, as groebner's
+    _Item, its row of degree `deg` with `size` nonzero bytes, and the flat
+    tail of _Item, made from the row when first read."""
 
-    __slots__ = ("key", "exps", "row", "deg", "size", "layout", "_tail")
+    __slots__ = ("key", "row", "deg", "size", "layout", "_tail")
 
-    def __init__(self, key, exps, row, deg, size, layout):
-        self.key, self.exps, self.row, self.deg, self.size = key, exps, row, deg, size
+    def __init__(self, key, row, deg, size, layout):
+        self.key, self.row, self.deg, self.size = key, row, deg, size
+        # the layout, not the kernel: a basis holds its items for as long as
+        # it lives, and through the kernel it would hold the run's reducer
+        # lists and masks too
         self.layout = layout
         self._tail = None
 
@@ -120,11 +121,10 @@ class RowKernel:
 
     def __init__(self, ring, f, bounds, reducers, tally):
         z, u, v = ring.order.resolved_priority(3)
-        self.uvz = (u, v, z)
         self.shifts = (EXP_BITS * u, EXP_BITS * v, EXP_BITS * z)
         self.ushift = self.shifts[0]
         self.zunit = 1 << EXP_BITS * z
-        d = f.exps[z]
+        d = self.exponents(f.key)[2]
         self.layout = Layout(d, *(ring.encode([int(i == w) for i in range(3)]) for w in (u, v, z)))
         self.neg, self.mul, self.mod, self.nz, self.inv = tables(ring.domain.characteristic)
         self.qu, self.qv = bounds
@@ -139,10 +139,12 @@ class RowKernel:
         self.one = b"\x01" + bytes(d - 1)  # one byte of a strided run, d bytes apart
         self.ubox = sum(self._run(self.qu, 255) << 8 * j * (d + 1) for j in range(d))
         self.vbox = (1 << 8 * self.qv * d) - 1
+        # the top-position mask of _fold, rebuilt only when a row outgrows
+        # it: rebuilt on every fold, it made Z mod 3 at q = 729 about 20% slower
         self.top = 0
-        self.mask, self.cur, self.pending, self.seq = 0, 0, [], count()
+        self.mask, self.cur = 0, 0  # the reducible mask at degree cur
+        self.staged = []  # input items not yet in the mask, by descending degree
         self.D = 0  # the degree of the pair being reduced
-        self._box = (None, 0)
 
     def exponents(self, key):
         """The exponents (a, b, j) of u, v and z in a key."""
@@ -158,9 +160,7 @@ class RowKernel:
         every degree, and v's exponent D - i//d below q_v, the top q_v*d
         bytes.  Bytes with a < 0 hold no term, so either mask may cover
         them."""
-        if self._box[0] != D:
-            self._box = (D, self.ubox & self.vbox << 8 * max(D + 1 - self.qv, 0) * self.layout.d)
-        return self._box[1]
+        return self.ubox & self.vbox << 8 * max(D + 1 - self.qv, 0) * self.layout.d
 
     def _add(self, x, y, n):
         return int.from_bytes((x + y).to_bytes(n, LE).translate(self.mod), LE)
@@ -171,8 +171,9 @@ class RowKernel:
         for _ in range(self.cur, D):
             m |= m << shift
         self.mask, self.cur = m, D
-        while self.pending and self.pending[0][0] <= D:
-            self._join(heapq.heappop(self.pending)[2])
+        staged = self.staged
+        while staged and staged[-1].deg <= D:
+            self._join(staged.pop())
         return self.mask
 
     def _join(self, it):
@@ -180,28 +181,22 @@ class RowKernel:
         n = self.cur - it.deg + 1
         self.mask |= (self._run(n) if n > 1 else 1) << (it.row.bit_length() - 1 & ~7)
 
-    def item(self, x, D=None):
-        """The monic RowItem of the nonzero row x of degree D (by default
-        that of the pair last formed); it joins the reducible mask."""
-        D = self.D if D is None else D
+    def item(self, x):
+        """The monic RowItem of the nonzero row x of the pair last formed,
+        made in the pair loop; it joins the reducible mask at once."""
+        it = self._item(x, self.D)
+        self._join(it)
+        return it
+
+    def _item(self, x, D):
+        """The monic RowItem of the nonzero row x of degree D."""
         n = (D + 1) * self.layout.d
         data = x.to_bytes(n, LE)
         i = x.bit_length() - 1 >> 3
         if data[i] != 1:
             data = data.translate(self.mul[self.inv[data[i]]])
             x = int.from_bytes(data, LE)
-        d = self.layout.d
-        j = i % d
-        a = i // d - j
-        exps = [0, 0, 0]
-        u, v, z = self.uvz
-        exps[u], exps[v], exps[z] = a, D - j - a, j
-        it = RowItem(self.layout.key(i, D), tuple(exps), x, D, n - data.count(0), self.layout)
-        if D <= self.cur:
-            self._join(it)
-        else:
-            heapq.heappush(self.pending, (D, next(self.seq), it))
-        return it
+        return RowItem(self.layout.key(i, D), x, D, n - data.count(0), self.layout)
 
     def spair(self, f, g, lcm_key):
         """The S-polynomial of two items of one position with the given
@@ -283,7 +278,8 @@ class RowKernel:
     def inputs(self, gens):
         """The items z^i * g reduced by f, i < d, for the monic items
         `gens`, each made from the last, as groebner's sparse inputs; the
-        box cuts those of a g whose lead lies in it."""
+        box cuts those of a g whose lead lies in it.  They are staged: each
+        joins the reducible mask when the pair loop reaches its degree."""
         d = self.layout.d
         items = []
         for g in gens:
@@ -312,5 +308,6 @@ class RowKernel:
                     D += 1
                 if not x:
                     break
-                items.append(self.item(x, D))
+                items.append(self._item(x, D))
+        self.staged = sorted(items, key=lambda it: it.deg, reverse=True)
         return items

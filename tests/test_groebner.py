@@ -1,7 +1,9 @@
 """Buchberger, normal forms, colengths, colon ideals, matrices, discriminants."""
 
+import gc
 import math
 import time
+import weakref
 from bisect import bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
@@ -651,9 +653,10 @@ def test_spair_is_the_tail_of_the_s_polynomial(field, coeffs):
         if not f or not g:
             continue
         item_f, item_g = groebner._make_item(ring, f._terms), groebner._make_item(ring, g._terms)
-        lcm = tuple(map(max, item_f.exps, item_g.exps))
-        m_f = tuple(a - b for a, b in zip(lcm, item_f.exps))
-        m_g = tuple(a - b for a, b in zip(lcm, item_g.exps))
+        lead_f, lead_g = ring.decode(item_f.key), ring.decode(item_g.key)
+        lcm = tuple(map(max, lead_f, lead_g))
+        m_f = tuple(a - b for a, b in zip(lcm, lead_f))
+        m_g = tuple(a - b for a, b in zip(lcm, lead_g))
         s = monomial(m_f) * monic(f) - monomial(m_g) * monic(g)
         work = groebner._spair(item_f, item_g, ring.encode(lcm), field, ring.guard)
         assert work == dict(s._terms)
@@ -787,17 +790,18 @@ def test_divisor_index_matches_brute_force_divisibility(run):
     index = groebner._DivisorIndex(R)
     prio = order.resolved_priority(n)
     kept, (u, v) = prio[:-2], (prio * 2)[-2:]  # in one variable u is v
-    items = []
+    items, leads = [], []
     for append, e in ops:
         key = R.encode(e)
         if append:
-            items.append(groebner._Item(key, e, ()))
+            items.append(groebner._Item(key, ()))
+            leads.append(e)
             continue
-        below = [it.exps for it in items if all(it.exps[i] <= e[i] for i in kept)]
+        below = [a for a in leads if all(a[i] <= e[i] for i in kept)]
         points = {(a[u] << EXP_BITS * u, a[v] << EXP_BITS * v) for a in below}
         minimal = sorted(p for p in points
                          if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in points))
-        divides = any(all(a <= b for a, b in zip(it.exps, e)) for it in items)
+        divides = any(all(a <= b for a, b in zip(lead, e)) for lead in leads)
         masked = key & index.keep
         entry = index.table[masked]
         index.update(items, masked, entry)
@@ -1059,6 +1063,27 @@ def test_dense_basis_reads_as_the_sparse_basis():
     assert is_primary_to_origin(G)
 
 
+def test_a_dense_basis_does_not_keep_its_kernel_alive():
+    # a row item holds the run's Layout, not its RowKernel: the basis
+    # lives on and makes its tails when read, while the kernel, with the
+    # run's reducer lists and masks, goes with the run
+    kernels = []
+    dispatch = groebner._row_kernel
+
+    def spy(*args):
+        kernel = dispatch(*args)
+        kernels.append(weakref.ref(kernel))
+        return kernel
+
+    I = monsky_bracket(F5, 25, COLENGTH_ORDER)
+    with patch.object(groebner, "_row_kernel", spy):
+        G = buchberger(I, I.generators[0])
+    gc.collect()
+    assert len(kernels) == 1 and kernels[0]() is None
+    assert any(isinstance(it, RowItem) for it in G._items)
+    assert G.elements == run_by_positions(I, I.generators[0], rows=False)[0].elements
+
+
 def test_hk_primality_check_at_e1_passes_and_fails_as_before():
     # at e = 1 the check reads a dense basis and passes; a homogeneous ideal
     # of finite colength is primary to the origin, so the failing ideal has
@@ -1098,7 +1123,7 @@ def test_position_run_pairs_and_divisors_stay_within_one_position(monkeypatch):
     monkeypatch.setattr(groebner, "_INDEX_MIN_ITEMS", 0)
     R = PolynomialRing(F5, ("x", "y", "z"), COLENGTH_ORDER)
     zfield = groebner.FIELD_MASK << EXP_BITS * 2
-    items = [groebner._Item(R.encode(e), e, ()) for e in ((2, 1, 1), (1, 2, 1), (1, 1, 0))]
+    items = [groebner._Item(R.encode(e), ()) for e in ((2, 1, 1), (1, 2, 1), (1, 1, 0))]
     lcm = R.encode((2, 2, 1))
     for z, kept in ((0, []), (zfield, [(lcm, 0, 1)])):
         tally = [0, 0, 0, 0]
@@ -1129,7 +1154,7 @@ def test_staircase_neighbours_match_the_full_scan(leads):
     zfield = groebner.FIELD_MASK << EXP_BITS * 2
     index = groebner._DivisorIndex(R)
     assert index.keep == zfield
-    items = [groebner._Item(R.encode(e), e, ()) for e in leads]
+    items = [groebner._Item(R.encode(e), ()) for e in leads]
     stairs = defaultdict(lambda: ([-1, index.ufield], [index.vfield, -1], []))
     actives = defaultdict(list)
     pairs, expected = [], []
@@ -1145,7 +1170,7 @@ def test_staircase_neighbours_match_the_full_scan(leads):
         assert [(it.key & index.ufield, it.key & index.vfield) for it in map(items.__getitem__, gs)
                 ] == list(zip(us, vs))[1:-1]
         minimal = [g for g in actives[pos] if not any(
-            k != g and divides(items[k].exps, items[g].exps) for k in actives[pos])]
+            k != g and divides(leads[k], leads[g]) for k in actives[pos])]
         assert sorted(gs) == sorted(minimal)
 
 
@@ -1177,10 +1202,9 @@ def test_reducer_by_positions_matches_a_plain_scan(case):
     reducers = defaultdict(list)
     for it in items:
         reducers[it.key & zfield].append(it)
-    box = groebner._box_mask([groebner._Item(0, (b if i == 0 else 0, b if i == 1 else 0, 0), ())
-                              for i, b in bounds.items()])
+    box = groebner._box_mask(bounds)
     remainder, steps, drops = reduce_by_positions(
-        work, [(it.exps, groebner._pairs(it.tail)) for it in items], R, 2, bounds)
+        work, [(R.decode(it.key), groebner._pairs(it.tail)) for it in items], R, 2, bounds)
     for index in (None, groebner._DivisorIndex(R)):
         tally = [0, 0]
         with patch.object(groebner, "_INDEX_MIN_ITEMS", 0):

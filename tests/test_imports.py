@@ -1,5 +1,6 @@
-"""Module boundaries: no hklab module imports a private name of another,
-and importing the CLI loads no module it does not use."""
+"""Module boundaries: no hklab module imports a private name of another
+or a name it never uses, and importing the CLI loads no module it does
+not use."""
 
 import ast
 import os
@@ -19,6 +20,22 @@ def test_no_module_imports_a_private_name_of_another():
             ):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports what it re-exports
+    unused = []
+    for path in sorted(Path(hklab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}: {name}" for a in node.names
+                           if (name := (a.asname or a.name).split(".")[0]) not in used]
+    assert unused == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_rows():

@@ -628,8 +628,8 @@ def test_hypersurface_counting_bases_run_by_positions():
     # _colength_basis names R.defining_gb()'s one element f, and buchberger
     # finds it among the generators up to a unit: the quartic written with
     # a factor 2 is counted by positions too (no product criterion), with
-    # the monic quartic's counters; I alone, as _graded_leads passes it,
-    # does not hold f and keeps the loop over the ideal
+    # the monic quartic's counters; every counting basis is of J + I, so
+    # the one _graded_leads checks m on runs by positions too
     ring = PolynomialRing(F5, ("x", "y", "z"))
     m = IdealPresentation(ring, ring.gens())
     quartic = "z^4 + x*y*z^2 + (x^3+y^3)*z + x^2*y^2"
@@ -638,7 +638,7 @@ def test_hypersurface_counting_bases_run_by_positions():
     assert runs[0].stats == runs[1].stats and runs[0].stats.by_product == 0
     assert runs[0].colength() == 1870
     R = QuotientRingSpec(ring, (ring.parse(quartic),))
-    assert multiplicity._colength_basis(R, m.generators).stats.by_product == 3
+    assert multiplicity._colength_basis(R, m).stats.by_product == 0
 
 
 def test_bases_a_caller_sees_stay_reduced():
@@ -656,7 +656,7 @@ def test_bases_a_caller_sees_stay_reduced():
     x, y, z = ring.gens()
     I = IdealPresentation(ring, (x + y, x - y, z + x))
     with_f = IdealPresentation(ring, (x + y, 3 * quartic, x - y, z + x))
-    G = multiplicity._colength_basis(R, with_f.generators)
+    G = multiplicity._colength_basis(R, with_f)
     assert G.stats.by_product == 0  # by positions
     assert set(G.elements) == set(map(cring.convert, (x, y, z)))
     leads = multiplicity._graded_leads(R, I)
@@ -829,6 +829,24 @@ def test_hs_lengths_of_a_non_reduced_homogeneous_presentation(monkeypatch):
     x, y = Rxy.gens()
     R = QuotientRingSpec(Rxy, (x**2 + y, y))  # the ideal (x^2, y)
     assert [s.length for s in hs_function(R, IdealPresentation(Rxy, (x, y)), 4)] == [1, 2, 2, 2]
+
+
+def test_hs_lengths_count_on_leads_when_defining_plus_i_is_m(monkeypatch):
+    # (x + x^2, y) alone has colength 2, but J + I = m for J = (x^2), and
+    # then J + I^n = J + m^n: I reads the lengths of m, and no power of I
+    # is formed
+    Rxy = PolynomialRing(F5, ("x", "y"))
+    x, y = Rxy.gens()
+    R = QuotientRingSpec(Rxy, (x**2,))
+    I = IdealPresentation(Rxy, (x + x**2, y))
+    powers = []
+    real = multiplicity.ordinary_power
+    monkeypatch.setattr(multiplicity, "ordinary_power",
+                        lambda J, n: powers.append(J) or real(J, n))
+    assert [s.length for s in hs_function(R, I, 6)] == [1, 3, 5, 7, 9, 11]
+    assert powers == []
+    assert [s.length for s in hs_function(R, IdealPresentation(Rxy, (x, y)), 6)] == [
+        1, 3, 5, 7, 9, 11]
 
 
 def _leads_alone(R, n_max):
