@@ -32,7 +32,7 @@ from . import config
 from .errors import HKLabError, ValidationError
 from .family import DEFAULT_CHECKS, hk_row, hk_sweep, modp_sweep
 from .groebner import INFINITE, buchberger
-from .multiplicity import csig_search, hs_function, hs_multiplicity, rsig_search
+from .multiplicity import QuotientRingSpec, csig_search, hs_function, hs_multiplicity, rsig_search
 from .quotient import multiplication_matrix, trace_discriminant
 
 D_HAT_NOTE = "empirical estimate from sampled differences, not a proven constant"
@@ -179,9 +179,10 @@ def _cmd_groebner(run: RunConfig, cfg: dict):
 def _cmd_hk(run: RunConfig, cfg: dict):
     ring = config.ring(cfg)
     e_max = config.get(cfg, "e_max", int)
-    R = config.quotient(ring, cfg)
+    defining = config.defining(ring, cfg)
     I = config.ideal(ring, cfg, "ideal")
     config.reject_unread(cfg)
+    R = QuotientRingSpec(ring, defining)
     row = hk_row("series", R, I, e_max)
     samples, est = row.samples, row.estimate
     files = _write_csv(run, "hk.csv", HK_HEADER, _hk_csv_rows("-", samples, est, ""))
@@ -207,9 +208,10 @@ def _cmd_hk(run: RunConfig, cfg: dict):
 def _cmd_hs(run: RunConfig, cfg: dict):
     ring = config.ring(cfg)
     n_max = config.get(cfg, "n_max", int)
-    R = config.quotient(ring, cfg)
+    defining = config.defining(ring, cfg)
     I = config.ideal(ring, cfg, "ideal")
     config.reject_unread(cfg)
+    R = QuotientRingSpec(ring, defining)
     samples = hs_function(R, I, n_max)
     payload = {
         "dimension": R.dimension,
@@ -239,9 +241,10 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
     ring = config.ring(cfg)
     grid = config.grid(ring, cfg)
     e_max = config.get(cfg, "e_max", int, 2)
-    R = config.quotient(ring, cfg)
+    defining = config.defining(ring, cfg)
     sop = config.ideal(ring, cfg, "sop")
     config.reject_unread(cfg)
+    R = QuotientRingSpec(ring, defining)
     result = rsig_search(R, sop, coefficient_grid=grid, e_max=e_max)
     rows = [
         (i, "|".join(repr(c) for c in r.coefficients), repr(r.u),
@@ -272,10 +275,11 @@ def _cmd_rsig(run: RunConfig, cfg: dict):
 def _cmd_csig(run: RunConfig, cfg: dict):
     ring = config.ring(cfg)
     e_max = config.get(cfg, "e_max", int, 2)
-    R = config.quotient(ring, cfg)
+    defining = config.defining(ring, cfg)
     sop = config.ideal(ring, cfg, "sop")
     candidates = config.ideals(ring, cfg, "candidates")
     config.reject_unread(cfg)
+    R = QuotientRingSpec(ring, defining)
     result = csig_search(R, sop, candidates, e_max=e_max)
     rows = []
     for r in result.rows:

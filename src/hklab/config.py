@@ -23,7 +23,6 @@ from .coeff import (
 )
 from .errors import ValidationError
 from .family import FamilySpec, FiberSpec
-from .multiplicity import QuotientRingSpec
 from .polyring import IdealPresentation, PolynomialRing, TermOrder
 
 # the kinds a field can be asked for, as error messages name them
@@ -160,10 +159,10 @@ def ideals(ring: PolynomialRing, cfg: dict, key: str) -> list:
     ]
 
 
-def quotient(ring: PolynomialRing, cfg: dict) -> QuotientRingSpec:
-    """The quotient of `ring` by the optional `defining` polynomials."""
-    defining = get(cfg, "defining", list[str], [])
-    return QuotientRingSpec(ring, tuple(ring.parse(s) for s in defining))
+def defining(ring: PolynomialRing, cfg: dict) -> tuple:
+    """The optional `defining` polynomials, parsed: the caller builds their
+    QuotientRingSpec, which computes a basis, after `reject_unread`."""
+    return tuple(ring.parse(s) for s in get(cfg, "defining", list[str], []))
 
 
 def family(cfg: dict) -> FamilySpec:

@@ -72,9 +72,10 @@ it, the first below it and the points it divides, or the points that
 divide it (_neighbours); the update forms its candidates from these
 alone, and every other run scans every active element.
 
-Minimalization asks a divisor index over the kept leads, ascending,
-whether one divides the next candidate, and buchberger stops there on
-every path: a colength reads only the leads, and a normal form is the
+GroebnerBasis minimalizes the items it is given: a divisor index over
+the kept leads, ascending, tells whether one divides the next.
+buchberger hands it its active items and stops there on every path: a
+colength reads only the leads, and a normal form is the
 same for every Groebner basis.  GroebnerBasis.elements makes the reduced
 basis, which is unique (Becker and Weispfenning, Groebner Bases, 1993),
 when first read.  It walks the kept items in ascending order of the lead
@@ -483,22 +484,28 @@ class GroebnerBasis:
     ascending, that reads as the reduced basis: `elements` reduces the
     tails when first read (see the module docstring), while leads,
     colengths, standard monomials and normal forms read the minimal items.
-    Carries cached staircase data for colengths, and the BuchbergerStats
-    of the run that computed it (None when it was built from the given
-    elements of a minimal basis)."""
+    Built from the monic _Items of any Groebner basis, it keeps each whose
+    lead no smaller kept lead divides, the first of equal leads.  Carries
+    cached staircase data for colengths, and the BuchbergerStats of the
+    run that computed it (None by default)."""
 
     __slots__ = ("ring", "_elements", "stats", "_items", "_leads", "_box", "_colength", "_bounds")
 
-    def __init__(self, ring: PolynomialRing, elements):
-        items = sorted((_make_item(ring, g._terms) for g in elements), key=lambda it: it.key)
-        self._fill(ring, items, None)
-
-    @classmethod
-    def _of_items(cls, ring, items, stats):
-        """The basis of minimal items, ascending by lead."""
-        basis = cls.__new__(cls)
-        basis._fill(ring, items, stats)
-        return basis
+    def __init__(self, ring: PolynomialRing, items, stats=None):
+        kept, index = [], _DivisorIndex(ring)
+        for it in sorted(items, key=lambda it: it.key):
+            if not index.divides(kept, (it.key,)):
+                kept.append(it)
+        leads = tuple(ring.decode(it.key) for it in kept)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "stats", stats)
+        object.__setattr__(self, "_items", kept)
+        object.__setattr__(self, "_leads", leads)
+        object.__setattr__(self, "_box", _box_mask(
+            pure_powers(e for e, it in zip(leads, kept) if it.monomial)))
+        object.__setattr__(self, "_colength", None)
+        object.__setattr__(self, "_bounds", _staircase_bounds(leads, ring.nvars))
 
     @property
     def elements(self):
@@ -516,18 +523,6 @@ class GroebnerBasis:
             object.__setattr__(self, "_elements", tuple(
                 Polynomial(ring, ((it.key, dom.one),) + _pairs(it.tail)) for it in final))
         return self._elements
-
-    def _fill(self, ring, items, stats):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "stats", stats)
-        leads = tuple(ring.decode(it.key) for it in items)
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_leads", leads)
-        object.__setattr__(self, "_box", _box_mask(
-            pure_powers(e for e, it in zip(leads, items) if it.monomial)))
-        object.__setattr__(self, "_colength", None)
-        object.__setattr__(self, "_bounds", _staircase_bounds(leads, ring.nvars))
 
     def __setattr__(self, *_):
         raise AttributeError("GroebnerBasis is immutable")
@@ -675,8 +670,8 @@ def _row_kernel(ring, gens, fi, bounds, index, zfield, reducers, tally):
 
 def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBasis:
     """Groebner basis of the ideal generated by I, in the term order of
-    I's ring: minimal, reading as the reduced basis (GroebnerBasis); its
-    `stats` hold the counters of the run.
+    I's ring: the GroebnerBasis of the pair loop's active items, reading
+    as the reduced basis; its `stats` hold the counters of the run.
 
     Naming f, one of I's generators (up to a unit), runs the pair loop by
     positions when f's lead is a pure power z^d of a kept variable of the
@@ -761,21 +756,13 @@ def buchberger(I: IdealPresentation, f: Polynomial | None = None) -> GroebnerBas
         actives[pos], pairs = _gm_update(items, actives[pos], pairs, len(items) - 1, ring, crit,
                                          zfield)
 
-    # a staircase (us, vs, gs) holds its elements in gs
-    active = [k for ks in actives.values() for k in (ks[2] if isinstance(ks, tuple) else ks)]
-    if zfield:  # f joins the minimalization in the ideal's sense
-        items.append(fi)
-        active.append(len(items) - 1)
-    # minimalize: drop elements whose lead is divisible by another kept lead;
-    # every minimal lead is still active
-    kept: list[_Item] = []
-    index = _DivisorIndex(ring)
-    for k in sorted(active, key=lambda k: items[k].key):
-        if not index.divides(kept, (items[k].key,)):
-            kept.append(items[k])
-    max_basis = len(items)
-    stats = BuchbergerStats(*crit, reduced, zeros, *tally, max_basis)
-    return GroebnerBasis._of_items(ring, kept, stats)
+    # every minimal lead is still active; a staircase (us, vs, gs) holds its
+    # elements in gs, and f joins them in the ideal's sense, and max_basis
+    active = [items[k] for ks in actives.values() for k in (ks[2] if isinstance(ks, tuple) else ks)]
+    if zfield:
+        active.append(fi)
+    stats = BuchbergerStats(*crit, reduced, zeros, *tally, len(items) + (zfield != 0))
+    return GroebnerBasis(ring, active, stats)
 
 
 def _primary_witness(G: GroebnerBasis, what="ideal"):

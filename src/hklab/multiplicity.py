@@ -217,6 +217,7 @@ def hk_function(R: QuotientRingSpec, I: IdealPresentation, e_max: int):
     """
     if e_max < 1:
         raise ValidationError(f"e_max must be >= 1: {e_max}")
+    _combined_gens(R, I)  # a ring mismatch, before I^[q] is taken in I's characteristic
     p = R.ring.domain.characteristic
     if not p:
         raise ValidationError("Hilbert-Kunz functions need positive characteristic")

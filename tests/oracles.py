@@ -39,8 +39,9 @@ chain scan over every basis element against the set of treated pairs; the
 reducer decodes each popped term to packed exponents (through a per-call
 cache) and never truncates to a box.  It shares only the ring encoding,
 the coefficient arithmetic and the GroebnerBasis container with the code
-under test; the container reads its elements, already reduced, through
-its tail pass, which finds no tail to reduce and leaves them as they are.
+under test; the container takes its elements, already reduced, as the
+package's monic items, keeps them all, since no lead divides another,
+and its tail pass finds no tail to reduce and leaves them as they are.
 
 reduce_by_positions: a plain normal form that scans every item for a
 divisor of the term's own z-exponent, the reference for the reducer's
@@ -65,9 +66,9 @@ basis nor the slice count with hs_function.
 import heapq
 from itertools import combinations, combinations_with_replacement, product
 
+from hklab import groebner
 from hklab.coeff import Field, PrimeField
 from hklab.errors import ValidationError
-from hklab.groebner import GroebnerBasis
 from hklab.multiplicity import (
     RSigResult,
     RSigRow,
@@ -530,7 +531,9 @@ def classic_buchberger(I):
         if any(all(a <= b for a, b in zip(it.exps, cand.exps)) for it in kept):
             continue
         kept.append(cand)
-    return GroebnerBasis(ring, _reduce_tails(ring, kept, packed_cache, guard))
+    return groebner.GroebnerBasis(ring, [
+        groebner._make_item(ring, g._terms)
+        for g in _reduce_tails(ring, kept, packed_cache, guard)])
 
 
 def _reduce_tails(ring, kept, packed_cache, guard):

@@ -3,12 +3,14 @@
 import csv
 import json
 import os
+from unittest.mock import Mock
 
 import pytest
 
+from hklab import cli, multiplicity
 from hklab.cli import RunConfig, emit_plotdata, main, run
 from hklab.coeff import PrimeField
-from hklab.errors import ValidationError
+from hklab.errors import StructuralError, ValidationError
 from hklab.multiplicity import QuotientRingSpec
 from hklab.polyring import IdealPresentation, PolynomialRing
 
@@ -532,7 +534,7 @@ def test_exit_code_1_on_failed_verdict(tmp_path, monkeypatch):
     assert run(RunConfig("modp", cfg, str(tmp_path / "out"), assume_reduced=True)) == 1
 
 
-def test_internal_error_exit_3(tmp_path):
+def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "weird.json", {"field": 17, "vars": 3, "ideal": [], "e_max": 1})
     code = run(RunConfig("hk", cfg, str(tmp_path / "out")))
     assert code in (2, 3)  # malformed shapes must not escape as tracebacks
@@ -550,6 +552,34 @@ def test_internal_error_exit_3(tmp_path):
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")
     assert run(RunConfig("hk", cfg2, str(blocked))) == 3
+    # a package error that is not bad input
+    monkeypatch.setitem(cli._DISPATCH, "hk",
+                        Mock(side_effect=StructuralError("operands from different rings")))
+    capsys.readouterr()
+    assert run(RunConfig("hk", cfg2, str(tmp_path / "out"))) == 3
+    assert capsys.readouterr().err == "internal error: operands from different rings\n"
+
+
+MONSKY_PLANE = {"field": {"kind": "prime", "p": 2}, "vars": ["x", "y", "z"],
+                "defining": ["z^4 + x*y*z^2 + (x^3+y^3)*z"]}
+
+
+@pytest.mark.parametrize("command, payload, name", [
+    ("hk", dict(MONSKY_PLANE, e_max=2), "ideal"),
+    ("hs", dict(MONSKY_PLANE, n_max=3), "ideal"),
+    ("rsig", MONSKY_PLANE, "sop"),
+    ("csig", dict(MONSKY_PLANE, sop=["x", "y"]), "candidates"),
+    ("hk", dict(MONSKY_PLANE, e_max=2, ideal=["x", "y", "z"], emax=2), "emax"),
+])
+def test_a_bad_single_ring_config_exits_2_before_any_basis(tmp_path, capsys, monkeypatch,
+                                                           command, payload, name):
+    # QuotientRingSpec computes the basis of the defining ideal
+    calls = []
+    monkeypatch.setattr(multiplicity, "buchberger", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert run(RunConfig(command, cfg, str(tmp_path / "out"))) == 2
+    assert f"config field {name!r} is" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_emit_plotdata_empty_is_error(tmp_path):

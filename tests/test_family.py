@@ -127,6 +127,12 @@ def test_fiber_assignment_validation(monsky_family):
     F3 = PrimeField(3)
     with pytest.raises(ValidationError, match="characteristic"):
         specialize_fiber(monsky_family, FiberSpec.special(t=F3(1)))
+    with pytest.raises(ValidationError, match="^PRIME fibers require an integer-base family$"):
+        specialize_fiber(monsky_family, FiberSpec.at_prime(3))
+    two = FamilySpec("param", ("x", "y"), (), ("x", "y"), p=2, parameters=("s", "t"))
+    with pytest.raises(ValidationError,
+                       match="^GENERIC fibers are supported for exactly one parameter$"):
+        specialize_fiber(two, FiberSpec.generic())
 
 
 def test_specialize_commutes_with_frobenius_power():
@@ -194,12 +200,26 @@ def test_sweeps_reject_bad_input_before_computing(monsky_family, monsky_z_family
         hk_sweep(monsky_family, FIBERS + [FiberSpec.special(t=1)], e_max=2)
     with pytest.raises(ValidationError, match="more than once"):
         modp_sweep(monsky_z_family, [3, 3], e_max=2, assume_reduced=True)
+    for checks in (("hs_lex",), ("uniform",)):
+        with pytest.raises(ValidationError, match="^the hs_lex and uniform checks need n_max$"):
+            hk_sweep(monsky_family, FIBERS, e_max=2, checks=checks, assume_reduced=True)
+    with pytest.raises(ValidationError, match="^uniform-bound probe needs e_max >= 2$"):
+        hk_sweep(monsky_family, FIBERS, e_max=1, checks=("uniform",), n_max=3,
+                 assume_reduced=True)
     # a degenerate last fiber is found before the first row is computed
     vanishing = FamilySpec("param", ("x", "y"), ("t*x^3 + t*y^2",), ("x", "y"), p=2,
                            parameters=("t",))
     with pytest.raises(ValidationError, match="degenerate fiber"):
         hk_sweep(vanishing, FIBERS[:1] + [FiberSpec.special(t=1), FiberSpec.special(t=0)],
                  e_max=2)
+
+
+def test_sweep_warns_when_fiber_dimensions_disagree():
+    # generic: y^2 lies in (x - t*y, x*y), dimension 0; at t = 0 the ideal is (x), dimension 1
+    F = FamilySpec("param", ("x", "y"), ("x - t*y", "x*y"), ("x", "y"), p=2, parameters=("t",))
+    result = hk_sweep(F, [FiberSpec.generic(), FiberSpec.special(t=0)], e_max=1, checks=())
+    assert [row.dimension for row in result.rows] == [0, 1]
+    assert result.warnings == ("fiber dimensions disagree: {'generic': 0, 't=0': 1}",)
 
 
 def test_sweep_computes_each_row_table_once(monsky_family, monkeypatch):

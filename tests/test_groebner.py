@@ -214,10 +214,12 @@ def test_standard_monomials_closed_under_division():
 
 
 def monomial_basis(field, exps_list):
-    """A GroebnerBasis holding the given monomials as they are: no
-    minimalization, so repeated and non-minimal generators reach G.colength()."""
+    """The GroebnerBasis of the given monomials, a Groebner basis of the
+    ideal they span: it keeps the minimal ones, so repeated and non-minimal
+    generators reach only _slice_count and _slice_points called directly."""
     ring = PolynomialRing(field, tuple("xyzw"[: len(exps_list[0])]))
-    return GroebnerBasis(ring, [ring.polynomial([(ring.encode(e), field.one)]) for e in exps_list])
+    return GroebnerBasis(ring, [groebner._make_item(ring, ((ring.encode(e), field.one),))
+                                for e in exps_list])
 
 
 def box_count(exps_list):
@@ -256,10 +258,13 @@ def monomial_ideals(draw):
 def test_slice_count_matches_box_count_and_pivot_split(gens):
     G = monomial_basis(F2, gens)
     expected = box_count(gens)
-    assert G.colength() == expected
+    # G keeps the minimal generators; the slice count and walk take them all
+    assert groebner._slice_count(gens) == G.colength() == expected
+    points = groebner._slice_points(gens)
+    assert len(points) == len(set(points)) == expected
     assert pivot_split_colength(gens) == expected
     smb = G.standard_monomials()
-    assert len(smb) == expected
+    assert len(smb) == expected and {m.exponents for m in smb} == set(points)
     assert [m.key for m in smb] == sorted({m.key for m in smb})
     assert buchberger(IdealPresentation(G.ring, G.elements)).colength() == expected
 
@@ -610,6 +615,32 @@ def test_buchberger_returns_a_reduced_basis(ideal):
             assert not any(divides(lead, ring.decode(k)) for lead in leads)
 
 
+def test_a_basis_built_from_a_non_minimal_one_reads_as_the_reduced_basis():
+    R = PolynomialRing(F3, ("x", "y"))
+    x, y = R.gens()
+    G = GroebnerBasis(R, [groebner._make_item(R, g._terms) for g in (x, x**2 + y, y)])
+    assert len(G) == 2 and G.elements == (y, x)
+    assert G.leading_exponents() == ((0, 1), (1, 0)) and G.colength() == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_ideals(), st.data())
+def test_a_basis_with_multiples_and_repeats_reads_as_the_classic_one(ideal, data):
+    classic = classic_buchberger(ideal)
+    ring = ideal.ring
+    two = ring.one + ring.one  # a unit unless p = 2, where the product is skipped
+    factors = [*classic.elements, *ring.gens(), ring.one, two, ring.gens()[0] + two]
+    basis = list(classic.elements)
+    for g in data.draw(st.lists(st.sampled_from(classic.elements), max_size=4)):
+        if multiple := g * data.draw(st.sampled_from(factors)):
+            basis.append(multiple)
+    basis = data.draw(st.permutations(basis))
+    G = GroebnerBasis(ring, [groebner._make_item(ring, g._terms) for g in basis])
+    assert G.elements == classic.elements
+    assert G.leading_exponents() == classic.leading_exponents()
+    assert G.colength() == classic.colength()
+
+
 @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
 def test_input_tail_reducible_by_an_older_input_is_reduced(kind):
     # inputs enter the working set unreduced: with y^2 first, the tail of
@@ -696,7 +727,7 @@ def test_buchberger_stats_repeat_and_count_box_drops():
     G = buchberger(IdealPresentation(R, (R.parse("x^2 - y"), R.parse("x*y - z"))))
     assert len(G) == 3 and all(len(g._terms) == 2 for g in G)  # no monomial element
     assert G.stats.box_drops == 0 and G.stats.pairs_reduced > 0
-    assert GroebnerBasis(R, G.elements).stats is None
+    assert GroebnerBasis(R, [groebner._make_item(R, g._terms) for g in G.elements]).stats is None
 
 
 COLENGTH_ORDER = TermOrder("degrevlex", (2, 0, 1))  # the Monsky quartic leads with z^4

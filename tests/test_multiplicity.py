@@ -119,6 +119,26 @@ def test_hk_validates_primality_with_witness():
         hk_function(QuotientRingSpec(Rxy), bad, 0)
 
 
+def test_hk_and_hs_name_an_ideal_from_another_ring():
+    R = QuotientRingSpec(PolynomialRing(F5, ("x", "y")))
+    ring2 = PolynomialRing(F2, ("x", "y"))
+    I = IdealPresentation(ring2, ring2.gens())
+    for function in (hk_function, hs_function):
+        with pytest.raises(ValidationError,
+                           match="^ideal and quotient ring live in different rings$"):
+            function(R, I, 2)
+
+
+def test_hs_function_and_csig_search_validate_their_input():
+    Rxy = PolynomialRing(F3, ("x", "y"))
+    x, y = Rxy.gens()
+    R = QuotientRingSpec(Rxy)
+    with pytest.raises(ValidationError, match="^n_max must be >= 1: 0$"):
+        hs_function(R, IdealPresentation(Rxy, (x, y)), 0)
+    with pytest.raises(ValidationError, match="^parameter ideal is not zero-dimensional$"):
+        csig_search(R, IdealPresentation(Rxy, (x,)), [IdealPresentation(Rxy, (x, y))])
+
+
 def test_hk_estimate_arithmetic():
     fake = [
         HKSample(1, 2, 8, Fraction(2)),
